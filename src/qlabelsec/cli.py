@@ -1,11 +1,13 @@
 """Command-line surface for bounds, thresholds, protocol runs, and sweeps.
 
-Option layering, in decreasing precedence: explicit flag, key in the JSON
-config file, environment override (output directory and worker count only),
-built-in default.  Exit codes: 0 success, 2 domain or configuration error,
-3 a statistical self-check failed.  All CSV/JSONL outputs are byte-stable
-under a fixed (config, seed); wall-clock provenance is confined to the
-summary files.
+Each option is declared once, as an ``Option`` in ``_COMMANDS``; that
+record builds the flag and its help and drives the resolver.  Option
+layering, in decreasing precedence: explicit flag, key in the JSON config
+file, environment override (output directory and worker count only),
+built-in default; every source gets the same cast and choices check.
+Exit codes: 0 success, 2 domain or configuration error, 3 a statistical
+self-check failed.  All CSV/JSONL outputs are byte-stable under a fixed
+(config, seed); wall-clock provenance is confined to the summary files.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +71,12 @@ _THRESHOLD_METHOD_TAGS = {
 # option layering
 # ---------------------------------------------------------------------------
 
+def _as_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _as_bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -82,44 +92,81 @@ def _as_float_list(value) -> list[float]:
 
 
 def _as_int_list(value) -> list[int]:
-    return [int(v) for v in _as_float_list(value)]
+    return [_as_int(v) for v in _as_float_list(value)]
 
 
-def _resolve_options(args: argparse.Namespace, option_spec: dict) -> dict:
-    """Apply flag > config > environment > default, then cast."""
+@dataclass(frozen=True)
+class Option:
+    """One settable value: its flag, config key, default, cast and help.
+
+    ``key`` is the config key; the flag is ``--key`` with dashes.  A switch
+    is a flag without a value that sets True; a hidden option has no help.
+    """
+
+    key: str
+    default: object
+    cast: Callable
+    help: str
+    choices: tuple[str, ...] | None = None
+    env: str | None = None
+    switch: bool = False
+    hidden: bool = False
+
+    def add_to(self, sub: argparse.ArgumentParser) -> None:
+        """Add the flag, its help stating the default and the environment variable."""
+        help_text = self.help
+        if not self.switch and self.default not in (None, []):
+            shown = self.default
+            if isinstance(shown, list):
+                shown = ",".join(str(v) for v in shown)
+            help_text += f" (default {shown})"
+        if self.env is not None:
+            help_text += f" (env {self.env})"
+        if self.switch:
+            kwargs = {"action": "store_const", "const": True}
+        else:
+            kwargs = {"choices": self.choices}
+        sub.add_argument(
+            "--" + self.key.replace("_", "-"),
+            help=argparse.SUPPRESS if self.hidden else help_text,
+            **kwargs,
+        )
+
+    def resolve(self, value):
+        """Cast ``value`` and check it against the declared choices."""
+        if value is not None:
+            try:
+                value = self.cast(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {self.key!r}: {exc}") from None
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(
+                f"{self.key} must be one of {', '.join(self.choices)}, got {value!r}"
+            )
+        return value
+
+
+def _resolve_options(args: argparse.Namespace) -> dict:
+    """Apply flag > config > environment > default to the command's options."""
     config = load_config(args.config) if args.config else {}
-    unknown = set(config) - set(option_spec)
+    unknown = set(config) - {opt.key for opt in args.options}
     if unknown:
         raise ConfigError(
             f"unknown config keys for {args.command}: {', '.join(sorted(unknown))}"
         )
-    flags = vars(args)
     resolved = {}
-    for key, (default, cast, env) in option_spec.items():
-        if flags.get(key) is not None:
-            value = flags[key]
-        elif key in config:
-            value = config[key]
-        elif env is not None and os.environ.get(env, "") != "":
-            value = os.environ[env]
+    for opt in args.options:
+        flag = getattr(args, opt.key)
+        if flag is not None:
+            value = flag
+        elif opt.key in config:
+            value = config[opt.key]
+        elif opt.env is not None and os.environ.get(opt.env, "") != "":
+            value = os.environ[opt.env]
         else:
-            value = default
-        if value is not None and cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        resolved[key] = value
+            value = opt.default
+        resolved[opt.key] = opt.resolve(value)
     return resolved
-
-
-def _common_spec(out_default: str | None) -> dict:
-    return {
-        "seed": (0, int, None),
-        "out": (out_default, str, _ENV_OUTDIR),
-        "workers": (1, int, _ENV_WORKERS),
-        "svg": (False, _as_bool, None),
-    }
 
 
 def _bundle(opts: dict, command: str) -> ResultBundle | None:
@@ -129,24 +176,6 @@ def _bundle(opts: dict, command: str) -> ResultBundle | None:
     return ResultBundle(
         out_dir=Path(opts["out"]), command=command, config=echo, seed=opts["seed"]
     )
-
-
-def _task_spec() -> dict:
-    return {
-        "dimension": (8, int, None),
-        "separation": (6.0, float, None),
-        "task_seed": (42, int, None),
-    }
-
-
-def _learner_spec() -> dict:
-    return {
-        "model": ("linear-threshold", str, None),
-        "hidden_width": (8, int, None),
-        "step_size": (0.3, float, None),
-        "batch_size": (5, int, None),
-        "cadence": (25, int, None),
-    }
 
 
 def _learner_config(opts: dict) -> LearnerConfig:
@@ -159,32 +188,34 @@ def _learner_config(opts: dict) -> LearnerConfig:
     )
 
 
+def _trial_task(opts: dict):
+    return generate_task(
+        opts["dimension"], opts["separation"], opts["task_seed"],
+        epsilon_target=opts["epsilon_target"],
+    )
+
+
+def _trials(task, opts, config, eta, budget, base_seed, learner="gradient"):
+    return run_trials(
+        task, eta, opts["epsilon_target"], config, budget, opts["trials"],
+        base_seed=base_seed, workers=opts["workers"], learner=learner,
+    )
+
+
+def _eve_noise(kind: str, eta_a: float) -> float:
+    """Eavesdropper label noise, kept just below 1/2 so trials stay defined."""
+    return min(eve_noise_from_disturbance(kind, eta_a), 0.5 - 1e-12)
+
+
 def _point_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, *path)).generate_state(1)[0])
-
-
-def _curve_rows(curve) -> list[tuple]:
-    return [
-        (p.n, p.p_hat, p.wilson_low, p.wilson_high, p.trials) for p in curve.points
-    ]
-
-
-_CURVE_HEADER = ("n", "p_hat", "wilson_low", "wilson_high", "trials")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    spec = _common_spec(None) | {
-        "epsilon": (None, float, None),
-        "delta": (None, float, None),
-        "log_h": (None, float, None),
-        "eta": (0.0, float, None),
-        "n": ([], _as_int_list, None),
-    }
-    opts = _resolve_options(args, spec)
+def _cmd_bounds(opts: dict) -> int:
     for key in ("epsilon", "delta", "log_h"):
         if opts[key] is None:
             raise ConfigError(f"bounds requires --{key.replace('_', '-')}")
@@ -222,8 +253,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
-    opts = _resolve_options(args, _common_spec(None))
+def _cmd_thresholds(opts: dict) -> int:
     rows = []
     for kind in ("collective", "individual", "memoryless"):
         curve = info_curve(kind)
@@ -255,21 +285,7 @@ def _build_attack(opts: dict):
     return AnalyticAttack(curve_kind=name, disturbance=opts["disturbance"])
 
 
-def _cmd_protocol_run(args: argparse.Namespace) -> int:
-    spec = _common_spec("qlabelsec-out") | _task_spec() | {
-        "target_data": (1000, int, None),
-        "attack": ("none", str, None),
-        "fraction": (1.0, float, None),
-        "policy": ("alwaysZ", str, None),
-        "legs": ("both", str, None),
-        "disturbance": (0.05, float, None),
-        "abort_threshold": (None, float, None),
-        "strict_abort": (False, _as_bool, None),
-        "no_transcript": (False, _as_bool, None),
-    }
-    opts = _resolve_options(args, spec)
-    if opts["legs"] not in _LEG_CHOICES:
-        raise ConfigError(f"legs must be one of {sorted(_LEG_CHOICES)}, got {opts['legs']!r}")
+def _cmd_protocol_run(opts: dict) -> int:
     task = generate_task(opts["dimension"], opts["separation"], opts["task_seed"])
     attack = _build_attack(opts)
     session = run_session(
@@ -307,26 +323,10 @@ def _cmd_protocol_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_grid(cadence: int) -> list[int]:
-    return [cadence * k for k in (1, 2, 4, 8, 16)]
-
-
-def _cmd_learn(args: argparse.Namespace) -> int:
-    spec = _common_spec("qlabelsec-out") | _task_spec() | _learner_spec() | {
-        "eta": (0.0, float, None),
-        "epsilon_target": (0.03, float, None),
-        "trials": (100, int, None),
-        "budget": (None, int, None),
-        "grid": (None, _as_int_list, None),
-        "learner": ("gradient", str, None),
-    }
-    opts = _resolve_options(args, spec)
-    task = generate_task(
-        opts["dimension"], opts["separation"], opts["task_seed"],
-        epsilon_target=opts["epsilon_target"],
-    )
+def _cmd_learn(opts: dict) -> int:
+    task = _trial_task(opts)
     config = _learner_config(opts)
-    grid = opts["grid"] or _default_grid(config.evaluation_cadence)
+    grid = opts["grid"] or [config.evaluation_cadence * k for k in (1, 2, 4, 8, 16)]
     budget = opts["budget"]
     if budget is None:
         budget = default_sample_budget(
@@ -334,16 +334,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             log_hypothesis_count(config, opts["dimension"]),
         )
         budget = min(budget, 4 * grid[-1])
-    trials = run_trials(
-        task,
-        opts["eta"],
-        opts["epsilon_target"],
-        config,
-        budget,
-        opts["trials"],
-        base_seed=opts["seed"],
-        workers=opts["workers"],
-        learner=opts["learner"],
+    trials = _trials(
+        task, opts, config, opts["eta"], budget, opts["seed"], learner=opts["learner"]
     )
     curve = estimate_learning_probability(
         trials, grid, eta=opts["eta"],
@@ -370,7 +362,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
                 for i, t in enumerate(trials)
             ),
         )
-        bundle.add_csv("learn-curve.csv", _CURVE_HEADER, _curve_rows(curve))
+        bundle.add_csv(
+            "learn-curve.csv",
+            ("n", "p_hat", "wilson_low", "wilson_high", "trials"),
+            [(p.n, p.p_hat, p.wilson_low, p.wilson_high, p.trials) for p in curve.points],
+        )
         if opts["svg"]:
             chart = svg_chart(
                 [
@@ -398,19 +394,14 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _paired_point(task, eta_pair, opts, config, n_op, point_index):
+def _paired_point(task, eta_pair, opts, config, point_index):
     """150-trial halting estimates for one (eta_A, eta_E) pair at n = n_op."""
+    n_op = opts["n_op"]
     points = []
     for party_index, eta in enumerate(eta_pair):
-        trials = run_trials(
-            task,
-            eta,
-            opts["epsilon_target"],
-            config,
-            n_op,
-            opts["trials"],
-            base_seed=_point_seed(opts["seed"], point_index, party_index),
-            workers=opts["workers"],
+        trials = _trials(
+            task, opts, config, eta, n_op,
+            _point_seed(opts["seed"], point_index, party_index),
         )
         curve = estimate_learning_probability(
             trials, [n_op], eta=eta, epsilon_target=opts["epsilon_target"]
@@ -419,21 +410,12 @@ def _paired_point(task, eta_pair, opts, config, n_op, point_index):
     return points
 
 
-def _cmd_sweep_eta(args: argparse.Namespace) -> int:
-    spec = _common_spec("qlabelsec-out") | _task_spec() | _learner_spec() | {
-        "eta_grid": ([0.01, 0.03, 0.05, 0.08, 0.11], _as_float_list, None),
-        "n_op": (25, int, None),
-        "trials": (150, int, None),
-        "epsilon_target": (0.03, float, None),
-        "attack_kind": ("collective", str, None),
-    }
-    opts = _resolve_options(args, spec)
+def _cmd_sweep_eta(opts: dict) -> int:
+    if not opts["eta_grid"]:
+        raise ConfigError("eta grid is empty; give at least one value in (0, 1/2)")
     kind = opts["attack_kind"]
     threshold = eta_star(kind)
-    task = generate_task(
-        opts["dimension"], opts["separation"], opts["task_seed"],
-        epsilon_target=opts["epsilon_target"],
-    )
+    task = _trial_task(opts)
     config = _learner_config(opts)
     rows = []
     for index, eta_a in enumerate(opts["eta_grid"]):
@@ -442,10 +424,8 @@ def _cmd_sweep_eta(args: argparse.Namespace) -> int:
                 f"eta grid values must lie in (0, 1/2); got {eta_a} "
                 "(at 0 the eavesdropper stream is a signal-free coin flip)"
             )
-        eta_e = min(eve_noise_from_disturbance(kind, eta_a), 0.5 - 1e-12)
-        point_a, point_e = _paired_point(
-            task, (eta_a, eta_e), opts, config, opts["n_op"], index
-        )
+        eta_e = _eve_noise(kind, eta_a)
+        point_a, point_e = _paired_point(task, (eta_a, eta_e), opts, config, index)
         overlap = not (
             point_a.wilson_low > point_e.wilson_high
             or point_e.wilson_low > point_a.wilson_high
@@ -494,19 +474,13 @@ def _cmd_sweep_eta(args: argparse.Namespace) -> int:
             chart = svg_chart(
                 [
                     ChartSeries(
-                        name="authorized",
+                        name=party,
                         xs=[r[0] for r in rows],
-                        ys=[r[2] for r in rows],
-                        low=[r[3] for r in rows],
-                        high=[r[4] for r in rows],
-                    ),
-                    ChartSeries(
-                        name="eavesdropper",
-                        xs=[r[0] for r in rows],
-                        ys=[r[5] for r in rows],
-                        low=[r[6] for r in rows],
-                        high=[r[7] for r in rows],
-                    ),
+                        ys=[r[col] for r in rows],
+                        low=[r[col + 1] for r in rows],
+                        high=[r[col + 2] for r in rows],
+                    )
+                    for party, col in (("authorized", 2), ("eavesdropper", 5))
                 ],
                 title=f"halting probability at n={opts['n_op']}",
                 x_label="authorized disturbance eta_a",
@@ -517,39 +491,19 @@ def _cmd_sweep_eta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_histograms(args: argparse.Namespace) -> int:
-    spec = _common_spec("qlabelsec-out") | _task_spec() | _learner_spec() | {
-        "eta_a": (0.03, float, None),
-        "epsilon_target": (0.03, float, None),
-        "trials": (150, int, None),
-        "budget": (2000, int, None),
-        "attack_kind": ("collective", str, None),
-    }
-    opts = _resolve_options(args, spec)
+def _cmd_histograms(opts: dict) -> int:
     if not 0.0 < opts["eta_a"] < 0.5:
         raise ConfigError(f"eta_a must lie in (0, 1/2), got {opts['eta_a']}")
-    eta_e = min(
-        eve_noise_from_disturbance(opts["attack_kind"], opts["eta_a"]), 0.5 - 1e-12
-    )
-    task = generate_task(
-        opts["dimension"], opts["separation"], opts["task_seed"],
-        epsilon_target=opts["epsilon_target"],
-    )
+    eta_e = _eve_noise(opts["attack_kind"], opts["eta_a"])
+    task = _trial_task(opts)
     config = _learner_config(opts)
     test_size = len(task.test_y)
     counts = {}
     for party_index, (party, eta) in enumerate(
         (("authorized", opts["eta_a"]), ("eavesdropper", eta_e))
     ):
-        trials = run_trials(
-            task,
-            eta,
-            opts["epsilon_target"],
-            config,
-            opts["budget"],
-            opts["trials"],
-            base_seed=_point_seed(opts["seed"], party_index),
-            workers=opts["workers"],
+        trials = _trials(
+            task, opts, config, eta, opts["budget"], _point_seed(opts["seed"], party_index)
         )
         counts[party] = error_histogram(
             [t.final_test_error for t in trials], test_size
@@ -578,15 +532,11 @@ def _cmd_histograms(args: argparse.Namespace) -> int:
             chart = svg_chart(
                 [
                     ChartSeries(
-                        name="authorized",
+                        name=party,
                         xs=[r[0] for r in rows],
-                        ys=[float(r[2]) for r in rows],
-                    ),
-                    ChartSeries(
-                        name="eavesdropper",
-                        xs=[r[0] for r in rows],
-                        ys=[float(r[3]) for r in rows],
-                    ),
+                        ys=[float(r[col]) for r in rows],
+                    )
+                    for party, col in (("authorized", 2), ("eavesdropper", 3))
                 ],
                 title="final test error distribution",
                 x_label="test error",
@@ -605,9 +555,7 @@ def _cmd_histograms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    spec = _common_spec(None) | {"max_sigma": (4.0, float, None)}
-    opts = _resolve_options(args, spec)
+def _cmd_selfcheck(opts: dict) -> int:
     max_sigma = opts["max_sigma"]
 
     curve = info_curve("collective")
@@ -671,40 +619,123 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, help="base seed (default 0)")
-    sub.add_argument(
-        "--out",
-        help=f"output directory for tables and summaries (env {_ENV_OUTDIR})",
-    )
-    sub.add_argument(
-        "--workers", type=int, help=f"trial parallelism (env {_ENV_WORKERS})"
-    )
-    sub.add_argument(
-        "--svg", action="store_const", const=True, help="also render SVG charts"
+_SEED = Option("seed", 0, _as_int, "base seed")
+_WORKERS = Option("workers", 1, _as_int, "trial parallelism", env=_ENV_WORKERS)
+_SVG = Option("svg", False, _as_bool, "also render SVG charts", switch=True)
+_EPSILON_TARGET = Option("epsilon_target", 0.03, float, "halting error target")
+_ATTACK_KIND = Option(
+    "attack_kind", "collective", str, "eavesdropper noise curve",
+    choices=("collective", "individual"),
+)
+
+
+def _out(default: str | None) -> Option:
+    return Option(
+        "out", default, str, "output directory for tables and summaries", env=_ENV_OUTDIR
     )
 
 
-def _add_task_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dimension", type=int, help="task input dimension (default 8)")
-    sub.add_argument(
-        "--separation", type=float, help="cluster separation (default 6.0)"
-    )
-    sub.add_argument("--task-seed", type=int, help="task generation seed (default 42)")
+_REPORT = (_SEED, _out(None))
+_TRIAL_REPORT = (_SEED, _out("qlabelsec-out"), _WORKERS, _SVG)
 
+_TASK = (
+    Option("dimension", 8, _as_int, "task input dimension"),
+    Option("separation", 6.0, float, "cluster separation"),
+    Option("task_seed", 42, _as_int, "task generation seed"),
+)
 
-def _add_learner_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--model", choices=("linear-threshold", "one-hidden-layer"),
-        help="model family (default linear-threshold)",
-    )
-    sub.add_argument("--hidden-width", type=int, help="hidden layer width (default 8)")
-    sub.add_argument("--step-size", type=float, help="SGD step size (default 0.3)")
-    sub.add_argument("--batch-size", type=int, help="SGD batch size (default 5)")
-    sub.add_argument(
-        "--cadence", type=int, help="samples between test evaluations (default 25)"
-    )
+_LEARNER = (
+    Option(
+        "model", "linear-threshold", str, "model family",
+        choices=("linear-threshold", "one-hidden-layer"),
+    ),
+    Option("hidden_width", 8, _as_int, "hidden layer width"),
+    Option("step_size", 0.3, float, "SGD step size"),
+    Option("batch_size", 5, _as_int, "SGD batch size"),
+    Option("cadence", 25, _as_int, "samples between test evaluations"),
+)
+
+# subcommand -> (help, handler, the options it reads); flags are listed in
+# this order in --help.
+_COMMANDS = {
+    "bounds": ("sample-complexity bounds and delta floors", _cmd_bounds, (
+        Option("epsilon", None, float, "inaccuracy target in (0,1)"),
+        Option("delta", None, float, "failure probability in (0,1)"),
+        Option("log_h", None, float, "ln of the hypothesis count"),
+        Option("eta", 0.0, float, "label noise rate in [0, 1/2)"),
+        Option("n", [], _as_int_list, "comma list of sample counts for delta-star rows"),
+        *_REPORT,
+    )),
+    "thresholds": ("critical disturbance rates per attack model", _cmd_thresholds, _REPORT),
+    "protocol-run": ("simulate one label-delivery session", _cmd_protocol_run, (
+        Option("target_data", 1000, _as_int, "data labels to deliver"),
+        Option(
+            "attack", "none", str, "eavesdropping model",
+            choices=("none", "intercept-resend", "collective", "individual"),
+        ),
+        Option("fraction", 1.0, float, "attacked round fraction for intercept-resend"),
+        Option(
+            "policy", "alwaysZ", str, "interception basis policy",
+            choices=("alwaysZ", "randomPerLeg"),
+        ),
+        Option(
+            "legs", "both", str, "which channel legs are attacked",
+            choices=tuple(_LEG_CHOICES),
+        ),
+        Option("disturbance", 0.05, float, "induced disturbance for analytic attacks"),
+        Option("abort_threshold", None, float, "abort when the estimate exceeds this"),
+        Option("strict_abort", False, _as_bool, "discard datasets on abort", switch=True),
+        Option(
+            "no_transcript", False, _as_bool,
+            "skip per-round records (faster, no transcript file)", switch=True,
+        ),
+        *_TASK,
+        *_REPORT,
+    )),
+    "learn": ("estimate a learning-probability curve", _cmd_learn, (
+        Option("eta", 0.0, float, "stream label noise"),
+        _EPSILON_TARGET,
+        Option("trials", 100, _as_int, "Monte Carlo trials, at least 30"),
+        Option("budget", None, _as_int, "per-trial sample budget"),
+        Option("grid", None, _as_int_list, "comma list of sample counts to report"),
+        Option(
+            "learner", "gradient", str, "trained learner or the baseline",
+            choices=("gradient", "random-search"),
+        ),
+        *_LEARNER,
+        *_TASK,
+        *_TRIAL_REPORT,
+    )),
+    "sweep-eta": (
+        "paired authorized/eavesdropper sweep over disturbance", _cmd_sweep_eta, (
+            Option(
+                "eta_grid", [0.01, 0.03, 0.05, 0.08, 0.11], _as_float_list,
+                "comma list of authorized disturbances",
+            ),
+            Option("n_op", 25, _as_int, "sample count the halting probability is read at"),
+            Option("trials", 150, _as_int, "trials per grid point"),
+            _EPSILON_TARGET,
+            _ATTACK_KIND,
+            *_LEARNER,
+            *_TASK,
+            *_TRIAL_REPORT,
+        ),
+    ),
+    "histograms": ("final-error histograms for the paired learners", _cmd_histograms, (
+        Option("eta_a", 0.03, float, "authorized disturbance"),
+        _EPSILON_TARGET,
+        Option("trials", 150, _as_int, "trials per learner"),
+        Option("budget", 2000, _as_int, "per-trial sample budget"),
+        _ATTACK_KIND,
+        *_LEARNER,
+        *_TASK,
+        *_TRIAL_REPORT,
+    )),
+    "selfcheck": ("fast statistical self-checks (exit 3 on failure)", _cmd_selfcheck, (
+        Option("max_sigma", 4.0, float, "pull limit in sigma", hidden=True),
+        *_REPORT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -715,124 +746,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qlabelsec {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    bounds = commands.add_parser("bounds", help="sample-complexity bounds and delta floors")
-    bounds.add_argument("--epsilon", type=float, help="inaccuracy target in (0,1)")
-    bounds.add_argument("--delta", type=float, help="failure probability in (0,1)")
-    bounds.add_argument("--log-h", type=float, help="ln of the hypothesis count")
-    bounds.add_argument("--eta", type=float, help="label noise rate in [0, 1/2)")
-    bounds.add_argument(
-        "--n", help="comma list of sample counts for delta-star rows"
-    )
-    _add_common_flags(bounds)
-    bounds.set_defaults(handler=_cmd_bounds)
-
-    thresholds = commands.add_parser(
-        "thresholds", help="critical disturbance rates per attack model"
-    )
-    _add_common_flags(thresholds)
-    thresholds.set_defaults(handler=_cmd_thresholds)
-
-    protocol = commands.add_parser(
-        "protocol-run", help="simulate one label-delivery session"
-    )
-    protocol.add_argument("--target-data", type=int, help="data labels to deliver (default 1000)")
-    protocol.add_argument(
-        "--attack",
-        choices=("none", "intercept-resend", "collective", "individual"),
-        help="eavesdropping model (default none)",
-    )
-    protocol.add_argument(
-        "--fraction", type=float, help="attacked round fraction for intercept-resend"
-    )
-    protocol.add_argument(
-        "--policy", choices=("alwaysZ", "randomPerLeg"), help="interception basis policy"
-    )
-    protocol.add_argument(
-        "--legs", choices=("both", "1", "2"), help="which channel legs are attacked"
-    )
-    protocol.add_argument(
-        "--disturbance", type=float, help="induced disturbance for analytic attacks"
-    )
-    protocol.add_argument(
-        "--abort-threshold", type=float, help="abort when the estimate exceeds this"
-    )
-    protocol.add_argument(
-        "--strict-abort", action="store_const", const=True,
-        help="discard datasets on abort",
-    )
-    protocol.add_argument(
-        "--no-transcript", action="store_const", const=True,
-        help="skip per-round records (faster, no transcript file)",
-    )
-    _add_task_flags(protocol)
-    _add_common_flags(protocol)
-    protocol.set_defaults(handler=_cmd_protocol_run)
-
-    learn = commands.add_parser(
-        "learn", help="estimate a learning-probability curve"
-    )
-    learn.add_argument("--eta", type=float, help="stream label noise (default 0)")
-    learn.add_argument(
-        "--epsilon-target", type=float, help="halting error target (default 0.03)"
-    )
-    learn.add_argument("--trials", type=int, help="Monte Carlo trials (default 100, min 30)")
-    learn.add_argument("--budget", type=int, help="per-trial sample budget")
-    learn.add_argument("--grid", help="comma list of sample counts to report")
-    learn.add_argument(
-        "--learner", choices=("gradient", "random-search"),
-        help="trained learner or the baseline (default gradient)",
-    )
-    _add_learner_flags(learn)
-    _add_task_flags(learn)
-    _add_common_flags(learn)
-    learn.set_defaults(handler=_cmd_learn)
-
-    sweep = commands.add_parser(
-        "sweep-eta", help="paired authorized/eavesdropper sweep over disturbance"
-    )
-    sweep.add_argument("--eta-grid", help="comma list of authorized disturbances")
-    sweep.add_argument(
-        "--n-op", type=int, help="sample count the halting probability is read at"
-    )
-    sweep.add_argument("--trials", type=int, help="trials per grid point (default 150)")
-    sweep.add_argument(
-        "--epsilon-target", type=float, help="halting error target (default 0.03)"
-    )
-    sweep.add_argument(
-        "--attack-kind", choices=("collective", "individual"),
-        help="eavesdropper noise curve (default collective)",
-    )
-    _add_learner_flags(sweep)
-    _add_task_flags(sweep)
-    _add_common_flags(sweep)
-    sweep.set_defaults(handler=_cmd_sweep_eta)
-
-    hist = commands.add_parser(
-        "histograms", help="final-error histograms for the paired learners"
-    )
-    hist.add_argument("--eta-a", type=float, help="authorized disturbance (default 0.03)")
-    hist.add_argument(
-        "--epsilon-target", type=float, help="halting error target (default 0.03)"
-    )
-    hist.add_argument("--trials", type=int, help="trials per learner (default 150)")
-    hist.add_argument("--budget", type=int, help="per-trial sample budget (default 2000)")
-    hist.add_argument(
-        "--attack-kind", choices=("collective", "individual"),
-        help="eavesdropper noise curve (default collective)",
-    )
-    _add_learner_flags(hist)
-    _add_task_flags(hist)
-    _add_common_flags(hist)
-    hist.set_defaults(handler=_cmd_histograms)
-
-    selfcheck = commands.add_parser(
-        "selfcheck", help="fast statistical self-checks (exit 3 on failure)"
-    )
-    selfcheck.add_argument("--max-sigma", type=float, help=argparse.SUPPRESS)
-    _add_common_flags(selfcheck)
-    selfcheck.set_defaults(handler=_cmd_selfcheck)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for opt in options:
+            opt.add_to(sub)
+        sub.add_argument("--config", type=Path, help="JSON config file; flags override it")
+        sub.set_defaults(handler=handler, options=options)
     return parser
 
 
@@ -840,7 +759,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_resolve_options(args))
     except (DomainError, ConfigError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -210,9 +210,14 @@ class TestSweepEta:
         )
         assert row["bands_overlap"] in ("true", "false")
 
-    def test_zero_disturbance_grid_point_exits_2(self, capsys):
-        assert run_cli("sweep-eta", "--eta-grid", "0.0,0.03", "--trials", "30") == 2
-        assert "signal-free" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("0.0,0.03", "signal-free"), ("", "eta grid is empty")],
+        ids=["zero-point", "empty-grid"],
+    )
+    def test_zero_disturbance_grid_point_exits_2(self, capsys, grid, message):
+        assert run_cli("sweep-eta", "--eta-grid", grid, "--trials", "30") == 2
+        assert message in capsys.readouterr().err
 
 
 class TestHistograms:
@@ -284,6 +289,94 @@ class TestConfigLayering:
         config.write_text(json.dumps({"learning_rate": 1.0}))
         assert run_cli("learn", "--config", str(config)) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, values, message",
+        [
+            (("protocol-run", "--target-data", "10"), {"policy": "bogus"},
+             "policy must be one of alwaysZ, randomPerLeg"),
+            (("sweep-eta",), {"attack_kind": "memoryless"}, "attack_kind must be one of"),
+            (("learn",), {"trials": 30.9}, "bad value for 'trials'"),
+            (("learn",), {"trials": 30, "seed": 1.5}, "bad value for 'seed'"),
+            (("histograms",), {"budget": True}, "bad value for 'budget'"),
+        ],
+        ids=["choice", "choice-shared", "fraction", "fraction-seed", "bool"],
+    )
+    def test_config_value_is_checked_like_a_flag(self, tmp_path, capsys, argv, values, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert run_cli(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("thresholds",), 0),
+            (("protocol-run", "--target-data", "10"), 0),
+            (("learn", "--trials", "30"), 2),
+        ],
+        ids=["thresholds", "protocol-run", "learn"],
+    )
+    def test_worker_env_only_read_by_trial_commands(
+        self, tmp_path, capsys, monkeypatch, argv, code
+    ):
+        monkeypatch.setenv("QLABELSEC_WORKERS", "abc")
+        assert run_cli(*argv, "--out", str(tmp_path)) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "bad value for 'workers'" in err
+
+
+_TASK_ECHO = {"dimension": 8, "separation": 6.0, "task_seed": 42}
+_TRIAL_ECHO = _TASK_ECHO | {
+    "seed": 0,
+    "svg": False,
+    "workers": 1,
+    "epsilon_target": 0.03,
+    "model": "linear-threshold",
+    "hidden_width": 8,
+    "step_size": 0.3,
+    "batch_size": 5,
+    "cadence": 25,
+}
+
+
+class TestResolvedDefaults:
+    """The summary echoes every option a command reads, at its default."""
+
+    @pytest.mark.parametrize(
+        "command, flags, echo",
+        [
+            ("bounds", ("--epsilon", "0.1", "--delta", "0.05", "--log-h", "1.0"),
+             {"epsilon": 0.1, "delta": 0.05, "log_h": 1.0, "eta": 0.0, "n": [], "seed": 0}),
+            ("thresholds", (), {"seed": 0}),
+            ("protocol-run", ("--target-data", "100"), _TASK_ECHO | {
+                "seed": 0, "target_data": 100, "attack": "none", "fraction": 1.0,
+                "policy": "alwaysZ", "legs": "both", "disturbance": 0.05,
+                "abort_threshold": None, "strict_abort": False, "no_transcript": False,
+            }),
+            ("learn", ("--trials", "30"), _TRIAL_ECHO | {
+                "eta": 0.0, "trials": 30, "budget": None, "grid": None,
+                "learner": "gradient",
+            }),
+            ("sweep-eta", ("--trials", "30"), _TRIAL_ECHO | {
+                "eta_grid": [0.01, 0.03, 0.05, 0.08, 0.11], "n_op": 25, "trials": 30,
+                "attack_kind": "collective",
+            }),
+            ("histograms", ("--trials", "30"), _TRIAL_ECHO | {
+                "eta_a": 0.03, "trials": 30, "budget": 2000, "attack_kind": "collective",
+            }),
+        ],
+        ids=["bounds", "thresholds", "protocol-run", "learn", "sweep-eta", "histograms"],
+    )
+    def test_summary_echoes_the_defaults(
+        self, tmp_path, capsys, monkeypatch, command, flags, echo
+    ):
+        monkeypatch.delenv("QLABELSEC_WORKERS", raising=False)
+        assert run_cli(command, *flags, "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        assert read_summary(tmp_path, command)["config"] == echo
 
 
 class TestSummarySchema:
