@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .info_theory import eve_noise_from_disturbance
-from .qubit import Basis, MeasurementResult, QubitState, measure
+from .qubit import Basis, Preparation, measure
 
 __all__ = [
     "BasisPolicy",
@@ -27,7 +27,6 @@ __all__ = [
     "LegRecord",
     "EveRoundRecord",
     "intercept",
-    "measure_and_resend",
     "pick_policy_basis",
     "infer_label",
     "tradeoff_point",
@@ -121,14 +120,6 @@ class EveRoundRecord:
     leg2: LegRecord | None = None
 
 
-def measure_and_resend(
-    state: QubitState, leg: int, basis: Basis, randomness: float
-) -> tuple[QubitState, LegRecord]:
-    """Collapse the state in the given basis and forward the eigenstate."""
-    result: MeasurementResult = measure(state, basis, randomness)
-    return result.post_state, LegRecord(leg=leg, basis=Basis(basis), outcome=result.outcome)
-
-
 def pick_policy_basis(policy: BasisPolicy, rng: np.random.Generator) -> Basis:
     if policy is BasisPolicy.ALWAYS_Z:
         return Basis.Z
@@ -136,15 +127,15 @@ def pick_policy_basis(policy: BasisPolicy, rng: np.random.Generator) -> Basis:
 
 
 def intercept(
-    state: QubitState,
+    state: Preparation,
     leg_index: int,
     strategy: InterceptResend,
     rng: np.random.Generator,
-) -> tuple[QubitState, LegRecord | None]:
-    """Single-leg interception hook.
+) -> tuple[Preparation, LegRecord | None]:
+    """Measure-and-resend on one leg of an attacked round.
 
-    With probability 1 - attack_probability (or when the leg is not in the
-    strategy's target set) the state passes untouched and no record is made.
+    The caller draws the round's attack coin, so none is drawn here.  A leg
+    outside the strategy's target set passes untouched and leaves no record.
     """
     if leg_index not in (1, 2):
         raise DomainError(f"leg index must be 1 or 2, got {leg_index}")
@@ -152,10 +143,9 @@ def intercept(
         raise DomainError(f"intercept requires an InterceptResend strategy, got {strategy!r}")
     if leg_index not in strategy.legs:
         return state, None
-    if rng.random() >= strategy.attack_probability:
-        return state, None
     basis = pick_policy_basis(strategy.basis_policy, rng)
-    return measure_and_resend(state, leg_index, basis, rng.random())
+    outcome, post_state = measure(state, basis, rng.random())
+    return post_state, LegRecord(leg=leg_index, basis=basis, outcome=outcome)
 
 
 def infer_label(record: EveRoundRecord | None, rng: np.random.Generator) -> int:

@@ -273,16 +273,18 @@ def _cmd_thresholds(opts: dict) -> int:
 
 
 def _build_attack(opts: dict):
-    name = opts["attack"]
-    if name == "none":
-        return NoAttack()
-    if name == "intercept-resend":
-        return InterceptResend(
+    """The chosen attack; all are built, so any out-of-range option exits 2."""
+    attacks = {
+        "none": NoAttack(),
+        "intercept-resend": InterceptResend(
             attack_probability=opts["fraction"],
             basis_policy=BasisPolicy(opts["policy"]),
             legs=_LEG_CHOICES[opts["legs"]],
-        )
-    return AnalyticAttack(curve_kind=name, disturbance=opts["disturbance"])
+        ),
+    }
+    for kind in ("collective", "individual"):
+        attacks[kind] = AnalyticAttack(curve_kind=kind, disturbance=opts["disturbance"])
+    return attacks[opts["attack"]]
 
 
 def _cmd_protocol_run(opts: dict) -> int:

@@ -25,19 +25,10 @@ from .adversary import (
     InterceptResend,
     NoAttack,
     infer_label,
-    measure_and_resend,
-    pick_policy_basis,
+    intercept,
 )
 from .errors import DomainError, ProtocolError
-from .qubit import (
-    Basis,
-    Preparation,
-    apply_oracle,
-    fidelity,
-    measure,
-    prepare,
-    reference_ket,
-)
+from .qubit import Preparation, apply_oracle, fidelity, measure
 
 __all__ = [
     "ConceptSource",
@@ -211,27 +202,18 @@ def run_session(
                 outcome_label = c ^ int(rng.random() < attack.disturbance)
                 outcome = outcome_label ^ k.bit
         else:
-            state = prepare(k)
+            state = k
             if intercepting:
                 attacked = rng.random() < attack.attack_probability
-            if attacked and 1 in attack.legs:
-                basis = pick_policy_basis(attack.basis_policy, rng)
-                state, rec1 = measure_and_resend(state, 1, basis, rng.random())
-            else:
-                rec1 = None
+            if attacked:
+                state, rec1 = intercept(state, 1, attack, rng)
             state = apply_oracle(state, c)
-            if attacked and 2 in attack.legs:
-                basis = pick_policy_basis(attack.basis_policy, rng)
-                state, rec2 = measure_and_resend(state, 2, basis, rng.random())
-            else:
-                rec2 = None
-            if rec1 is not None or rec2 is not None:
+            if attacked:
+                state, rec2 = intercept(state, 2, attack, rng)
                 eve_record = EveRoundRecord(leg1=rec1, leg2=rec2)
             if not is_check:
-                fidelity_sum += fidelity(state, reference_ket(_PREPARATIONS[c ^ k.bit]))
-            outcome = measure(
-                state, Basis.X if is_check else Basis.Z, rng.random()
-            ).outcome
+                fidelity_sum += fidelity(state, _PREPARATIONS[c ^ k.bit])
+            outcome = measure(state, k.basis, rng.random()).outcome
 
         check_error = None
         if is_check:

@@ -1,35 +1,29 @@
-"""Single-qubit states as 2x2 density matrices, with projective measurement.
+"""The four protocol states, the conditional flip, and projective measurement.
 
 The protocol needs exactly four preparations (the computational pair and the
 Hadamard pair), one conditional bit-flip, and destructive measurements in the
-two matching bases.  States are immutable; every operation returns a fresh
-``QubitState``.  Randomness is never drawn internally: ``measure`` takes one
-uniform variate from the caller so that sessions are bit-reproducible.
+two matching bases.  That set is closed: the flip maps it onto itself and a
+measurement collapses onto it, so a state *is* its ``Preparation`` and every
+operation here is a lookup.  Every Born probability is 0, 1/2 or 1.
+Randomness is never drawn internally: ``measure`` takes one uniform variate
+from the caller so that sessions are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
     "Basis",
     "Preparation",
-    "QubitState",
     "MeasurementResult",
-    "prepare",
-    "reference_ket",
     "apply_oracle",
     "measure",
     "fidelity",
 ]
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class Basis(str, enum.Enum):
@@ -51,176 +45,89 @@ class Preparation(str, enum.Enum):
 
     @property
     def basis(self) -> Basis:
-        return Basis.Z if self in (Preparation.Z0, Preparation.Z1) else Basis.X
+        return _BASIS_AND_BIT[self][0]
 
     @property
     def bit(self) -> int:
         """Deterministic outcome when measured in the preparation's own basis."""
-        return 0 if self in (Preparation.Z0, Preparation.XPLUS) else 1
+        return _BASIS_AND_BIT[self][1]
 
     @property
     def is_check(self) -> bool:
         return self.basis is Basis.X
 
 
-_KETS = {
-    Preparation.Z0: np.array([1.0, 0.0], dtype=complex),
-    Preparation.Z1: np.array([0.0, 1.0], dtype=complex),
-    Preparation.XPLUS: np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
-    Preparation.XMINUS: np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex),
-}
-for _ket in _KETS.values():
-    _ket.setflags(write=False)
-
-
-class QubitState:
-    """Immutable 2x2 density matrix.
-
-    The constructor copies its argument and freezes it.  Validation of the
-    density-matrix axioms is a separate call because the operations in this
-    module preserve them by construction and sessions run millions of rounds.
-    """
-
-    __slots__ = ("rho",)
-
-    def __init__(self, rho: np.ndarray):
-        matrix = np.array(rho, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise DomainError(f"density matrix must be 2x2, got shape {matrix.shape}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "rho", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QubitState is immutable")
-
-    @classmethod
-    def _wrap(cls, matrix: np.ndarray) -> "QubitState":
-        """Internal no-copy constructor for matrices this module produced."""
-        state = object.__new__(cls)
-        matrix.setflags(write=False)
-        object.__setattr__(state, "rho", matrix)
-        return state
-
-    @classmethod
-    def from_ket(cls, ket: np.ndarray) -> "QubitState":
-        vec = np.asarray(ket, dtype=complex).reshape(2)
-        norm = float(np.vdot(vec, vec).real)
-        if abs(norm - 1.0) > 1e-9:
-            raise DomainError(f"ket is not normalized: |ket|^2 = {norm}")
-        return cls._wrap(np.outer(vec, vec.conj()))
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check Hermiticity, unit trace, and positive semidefiniteness."""
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > atol:
-            raise DomainError("density matrix is not Hermitian")
-        if abs(self.rho.trace().real - 1.0) > atol or abs(self.rho.trace().imag) > atol:
-            raise DomainError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(self.rho).min() < -atol:
-            raise DomainError("density matrix has a negative eigenvalue")
-
-    def purity(self) -> float:
-        return float((self.rho @ self.rho).trace().real)
-
-    def __repr__(self) -> str:
-        return f"QubitState({self.rho.tolist()!r})"
-
-
-_PREPARED_STATES = {label: QubitState.from_ket(ket) for label, ket in _KETS.items()}
-
 # Measurement eigenstates per basis, indexed by outcome bit.
 _EIGENSTATES = {
-    Basis.Z: (_PREPARED_STATES[Preparation.Z0], _PREPARED_STATES[Preparation.Z1]),
-    Basis.X: (_PREPARED_STATES[Preparation.XPLUS], _PREPARED_STATES[Preparation.XMINUS]),
+    Basis.Z: (Preparation.Z0, Preparation.Z1),
+    Basis.X: (Preparation.XPLUS, Preparation.XMINUS),
+}
+
+# Each preparation's own basis and the outcome it gives when measured there.
+_BASIS_AND_BIT = {
+    state: (basis, bit)
+    for basis, eigenstates in _EIGENSTATES.items()
+    for bit, state in enumerate(eigenstates)
+}
+
+# Each state after the oracle, indexed by label bit (X|-> is -|->: the same state).
+_ORACLE_IMAGES = {
+    Preparation.Z0: (Preparation.Z0, Preparation.Z1),
+    Preparation.Z1: (Preparation.Z1, Preparation.Z0),
+    Preparation.XPLUS: (Preparation.XPLUS, Preparation.XPLUS),
+    Preparation.XMINUS: (Preparation.XMINUS, Preparation.XMINUS),
 }
 
 
 class MeasurementResult(NamedTuple):
     outcome: int
-    post_state: QubitState
+    post_state: Preparation
 
 
-def prepare(label: Preparation) -> QubitState:
-    """Pure state for one of the four protocol preparations."""
+def _lookup(table: dict, key, what: str):
+    """table[key], with a key outside the table reported as a DomainError."""
     try:
-        return _PREPARED_STATES[Preparation(label)]
-    except ValueError:
-        raise DomainError(f"unknown preparation {label!r}") from None
+        return table[key]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown {what} {key!r}") from None
 
 
-def reference_ket(label: Preparation) -> np.ndarray:
-    """State vector of a preparation, for use as a fidelity reference."""
-    try:
-        return _KETS[Preparation(label)]
-    except ValueError:
-        raise DomainError(f"unknown preparation {label!r}") from None
+def apply_oracle(state: Preparation, label_bit: int) -> Preparation:
+    """Conditional bit flip: X applied when label_bit is 1, identity otherwise.
 
-
-def apply_oracle(state: QubitState, label_bit: int) -> QubitState:
-    """Conditional bit flip: X rho X when label_bit is 1, identity otherwise.
-
-    X conjugation reverses both indices of the matrix, so the Hadamard-pair
-    states come through with their density matrix unchanged; only the
-    computational pair actually toggles.
+    Only the computational pair toggles; X+ and X- are eigenstates of X.
     """
+    images = _lookup(_ORACLE_IMAGES, state, "preparation")
     if label_bit not in (0, 1):
         raise DomainError(f"label bit must be 0 or 1, got {label_bit!r}")
-    if label_bit == 0:
-        return state
-    return QubitState._wrap(state.rho[::-1, ::-1].copy())
+    return images[label_bit]
 
 
-def _outcome_zero_probability(state: QubitState, basis: Basis) -> float:
-    rho = state.rho
-    if basis is Basis.Z:
-        p = rho[0, 0].real
-    else:
-        p = 0.5 * (rho[0, 0] + rho[0, 1] + rho[1, 0] + rho[1, 1]).real
-    # Born probabilities of valid states live in [0, 1]; clamp float dust.
-    return min(1.0, max(0.0, p))
-
-
-def measure(state: QubitState, basis: Basis, randomness: float) -> MeasurementResult:
+def measure(state: Preparation, basis: Basis, randomness: float) -> MeasurementResult:
     """Projective measurement in the Z or X basis.
 
-    Parameters
-    ----------
-    state:
-        State to measure.  Destroyed conceptually; use the returned
-        post-measurement state afterwards.
-    basis:
-        ``Basis.Z`` maps outcome 0/1 to the computational pair, ``Basis.X``
-        maps 0/1 to plus/minus.
-    randomness:
-        One uniform variate in [0, 1).  The caller owns the generator; the
-        outcome is 0 exactly when the variate falls below the outcome-0
-        Born probability.
-
-    Returns
-    -------
-    MeasurementResult
-        Outcome bit and the post-measurement eigenstate.  Measuring the
-        post state again in the same basis is deterministic.
+    ``randomness`` is one uniform variate in [0, 1) from the caller, always
+    consumed.  In the state's own basis the outcome is the state's bit; in
+    the other basis each outcome has probability 1/2 and the outcome is 0
+    exactly when the variate falls below 1/2.  The post-measurement state is
+    the outcome's eigenstate (Z0/Z1 in Z, X+/X- in X), so measuring it again
+    in the same basis is deterministic.
     """
-    try:
-        basis = Basis(basis)
-    except ValueError:
-        raise DomainError(f"unknown basis {basis!r}") from None
+    own_basis, bit = _lookup(_BASIS_AND_BIT, state, "preparation")
+    eigenstates = _lookup(_EIGENSTATES, basis, "basis")
     if not 0.0 <= randomness < 1.0:
         raise DomainError(f"randomness must lie in [0, 1), got {randomness}")
-    p_zero = _outcome_zero_probability(state, basis)
-    outcome = 0 if randomness < p_zero else 1
-    return MeasurementResult(outcome, _EIGENSTATES[basis][outcome])
+    outcome = bit if own_basis == basis else int(randomness >= 0.5)
+    return MeasurementResult(outcome, eigenstates[outcome])
 
 
-def fidelity(state: QubitState, reference_ket: np.ndarray) -> float:
-    """Overlap <ref| rho |ref> with a normalized pure reference.
+def fidelity(state: Preparation, reference: Preparation) -> float:
+    """Overlap |<reference|state>|^2 of two protocol states.
 
-    Rejects references whose norm is off by more than 1e-9; silently
-    renormalizing would hide preparation bugs upstream.
+    1 or 0 for two states of one basis, 1/2 for states of different bases.
     """
-    vec = np.asarray(reference_ket, dtype=complex).reshape(2)
-    norm = float(np.vdot(vec, vec).real)
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"reference ket is not normalized: |ket|^2 = {norm}")
-    value = float(np.vdot(vec, state.rho @ vec).real)
-    return min(1.0, max(0.0, value))
+    state_basis, state_bit = _lookup(_BASIS_AND_BIT, state, "preparation")
+    reference_basis, reference_bit = _lookup(_BASIS_AND_BIT, reference, "preparation")
+    if state_basis != reference_basis:
+        return 0.5
+    return 1.0 if state_bit == reference_bit else 0.0

@@ -2,8 +2,11 @@
 
 Nothing in here imports the package under test.  Bound algebra is redone in
 mpmath at 50 significant digits; protocol physics is redone by exhaustive
-state-vector branch enumeration (the package itself uses density matrices,
-so agreement is a genuine cross-check, not a tautology).
+state-vector branch enumeration with explicit kets and the Pauli X matrix.
+The package itself never builds a vector: its states are the four
+preparations and its physics is a lookup table, so agreement is a genuine
+cross-check, not a tautology.  ``tests/test_qubit.py`` checks every table
+entry against ``_KETS``, ``_PAULI_X`` and ``_measure_branches``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from qlabelsec.adversary import (
 from qlabelsec.errors import DomainError
 from qlabelsec.info_theory import eta_star, eve_noise_from_disturbance
 from qlabelsec.protocol import ConceptSource, run_session
-from qlabelsec.qubit import Basis, Preparation, prepare
+from qlabelsec.qubit import Basis, Preparation
 
 
 def simple_source() -> ConceptSource:
@@ -71,45 +71,57 @@ class TestStrategyValidation:
 class TestIntercept:
     def test_collapses_hadamard_state_to_computational(self):
         rng = np.random.default_rng(5)
-        state, record = intercept(prepare(Preparation.XPLUS), 1, InterceptResend(), rng)
+        state, record = intercept(Preparation.XPLUS, 1, InterceptResend(), rng)
         assert record is not None
         assert record.basis is Basis.Z
         assert record.leg == 1
-        # the resent state is a computational eigenstate
-        assert np.array_equal(state.rho, prepare(Preparation.Z0).rho) or np.array_equal(
-            state.rho, prepare(Preparation.Z1).rho
-        )
+        # the resent state is the computational eigenstate of the outcome
+        assert state is (Preparation.Z0, Preparation.Z1)[record.outcome]
 
     def test_computational_state_passes_undisturbed_but_recorded(self):
         rng = np.random.default_rng(6)
-        before = prepare(Preparation.Z0)
-        state, record = intercept(before, 2, InterceptResend(), rng)
-        assert np.array_equal(state.rho, before.rho)
+        state, record = intercept(Preparation.Z0, 2, InterceptResend(), rng)
+        assert state is Preparation.Z0
         assert record == LegRecord(leg=2, basis=Basis.Z, outcome=0)
 
+    def test_draws_no_attack_coin(self):
+        # the session gates whole rounds; intercept draws the policy basis
+        # (randomPerLeg only) and one measurement variate, nothing else
+        for policy, draws in (("alwaysZ", 1), ("randomPerLeg", 2)):
+            strategy = InterceptResend(attack_probability=0.0, basis_policy=policy)
+            rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+            _, record = intercept(Preparation.XMINUS, 1, strategy, rng)
+            assert record is not None
+            replay.random(draws)
+            assert rng.random() == replay.random()
+
     def test_zero_probability_never_touches(self):
-        rng = np.random.default_rng(7)
-        before = prepare(Preparation.XMINUS)
-        for leg in (1, 2):
-            state, record = intercept(
-                before, leg, InterceptResend(attack_probability=0.0), rng
-            )
-            assert state is before
-            assert record is None
+        strategy = InterceptResend(attack_probability=0.0, basis_policy="randomPerLeg")
+        session = run_session(simple_source(), 500, attack=strategy, seed=7)
+        assert session.check_error_count == 0
+        assert session.authorized_label_error_rate == 0.0
+        for rnd in session.rounds:
+            assert not rnd.attacked
+            assert rnd.eve_record is None
 
     def test_unconfigured_leg_passes(self):
         rng = np.random.default_rng(8)
-        before = prepare(Preparation.XPLUS)
-        state, record = intercept(before, 2, InterceptResend(legs=(1,)), rng)
-        assert state is before
+        state, record = intercept(Preparation.XPLUS, 2, InterceptResend(legs=(1,)), rng)
+        assert state is Preparation.XPLUS
         assert record is None
+        session = run_session(
+            simple_source(), 500, attack=InterceptResend(legs=(1,)), seed=8
+        )
+        for rnd in session.rounds:
+            assert rnd.eve_record.leg1 is not None
+            assert rnd.eve_record.leg2 is None
 
     def test_rejects_bad_leg_and_strategy(self):
         rng = np.random.default_rng(9)
         with pytest.raises(DomainError):
-            intercept(prepare(Preparation.Z0), 3, InterceptResend(), rng)
+            intercept(Preparation.Z0, 3, InterceptResend(), rng)
         with pytest.raises(DomainError):
-            intercept(prepare(Preparation.Z0), 1, NoAttack(), rng)
+            intercept(Preparation.Z0, 1, NoAttack(), rng)
 
 
 class TestInferLabel:

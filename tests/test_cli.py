@@ -140,6 +140,26 @@ class TestProtocolRun:
         ) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("attack", ["none", "intercept-resend", "collective", "individual"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--fraction", "2"), "attack probability must lie in [0, 1]"),
+            (("--fraction", "-0.1"), "attack probability must lie in [0, 1]"),
+            (("--disturbance", "7"), "disturbance must lie in [0, 1/2]"),
+        ],
+        ids=["fraction-high", "fraction-low", "disturbance-high"],
+    )
+    def test_out_of_range_attack_option_exits_2(self, capsys, tmp_path, attack, flags, message):
+        # checked whether or not the chosen attack reads the option
+        code = run_cli(
+            "protocol-run", "--target-data", "10", "--attack", attack, *flags,
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_flag_choice_exits_2(self, capsys):
         # argparse rejects bad choices itself, with the same exit contract
         with pytest.raises(SystemExit) as exc:

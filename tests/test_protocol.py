@@ -1,5 +1,6 @@
 """Session mechanics: round accounting, datasets, estimates, transcripts."""
 
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ import qlabelsec.protocol as protocol_module
 from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.info_theory import eve_noise_from_disturbance
+from qlabelsec.learn_harness import generate_task
 from qlabelsec.protocol import (
     ConceptSource,
     estimate_eta_a,
@@ -265,6 +267,14 @@ class TestInterceptResendSessions:
         assert all(a < b for a, b in zip(observed, observed[1:]))
         assert all(a > b for a, b in zip(eve_rates, eve_rates[1:]))
 
+    def test_cross_basis_fidelity_is_exactly_one_half(self):
+        # one data round whose returning state Eve collapsed into the X basis
+        source = generate_task(8, 6.0, 42).concept_source()
+        session = run_session(
+            source, 1, attack=InterceptResend(basis_policy="randomPerLeg"), seed=0
+        )
+        assert session.ensemble_fidelity == 0.5
+
 
 class TestTranscriptExport:
     def test_round_trip_and_field_contract(self, tmp_path):
@@ -303,3 +313,26 @@ class TestTranscriptExport:
             export_transcript(session, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # sha256 of export_transcript output for 50-label sessions at seed 0.  A
+    # change that moves the session's random stream changes these digests;
+    # such a change updates them and says so in CHANGES.md.
+    @pytest.mark.parametrize(
+        "attack, digest",
+        [
+            (
+                InterceptResend(basis_policy="randomPerLeg"),
+                "9a27559d1fe45e28939287dc9000979cbbefe29ee767f2c41249a8e89943ffa1",
+            ),
+            (
+                InterceptResend(attack_probability=0.5, legs=(2,)),
+                "77d8443567eeb4b06d6cc8b61de4f2ca7636b6b789a8f264bae58a13c37289a0",
+            ),
+        ],
+        ids=["randomPerLeg-f1", "alwaysZ-leg2-f0.5"],
+    )
+    def test_session_stream_is_pinned(self, tmp_path, attack, digest):
+        session = run_session(halfspace_source(), 50, attack=attack, seed=0)
+        path = tmp_path / "transcript.jsonl"
+        export_transcript(session, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
