@@ -4,146 +4,28 @@ Sample-complexity algebra for PAC learning under label noise, the
 information-theoretic disturbance thresholds, an exact one-qubit simulation
 of a label-delivery protocol with eavesdropping, and a desk-scale Monte
 Carlo harness for learning-probability experiments.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package namespace re-exports those lists unchanged.
 """
 
-from .errors import ConfigError, DomainError, ProtocolError, StatisticalCheckError
-from .pac_bounds import (
-    DeltaFloor,
-    ExclusivityVerdict,
-    PacParams,
-    delta_floor,
-    equalizing_epsilon,
-    exclusivity_verdict,
-    gamma,
-    pac_condition_met,
-    random_search_curve,
-    random_search_exponential,
-    sample_bound_noiseless,
-    sample_bound_noisy,
-    search_rate,
-)
-from .info_theory import (
-    ATTACK_KINDS,
-    InfoCurve,
-    binary_entropy,
-    entropy_inverse,
-    eta_star,
-    eve_noise_from_disturbance,
-    holevo_gap,
-    info_curve,
-    mutual_info_authorized,
-    mutual_info_eve,
-)
-from .qubit import (
-    Basis,
-    MeasurementResult,
-    Preparation,
-    apply_oracle,
-    fidelity,
-    measure,
-)
-from .adversary import (
-    AnalyticAttack,
-    BasisPolicy,
-    InterceptResend,
-    NoAttack,
-    infer_label,
-    intercept,
-    theoretical_tradeoff,
-    tradeoff_point,
-)
-from .protocol import (
-    ConceptSource,
-    ProtocolRound,
-    SessionResult,
-    estimate_eta_a,
-    export_transcript,
-    inject_label_noise,
-    run_session,
-)
-from .learn_harness import (
-    LearnerConfig,
-    LearningProbabilityCurve,
-    LearningTrial,
-    SyntheticTask,
-    default_sample_budget,
-    estimate_learning_probability,
-    evaluate_error,
-    generate_task,
-    log_hypothesis_count,
-    noisy_stream,
-    random_halfspace_sampler,
-    random_search_learner,
-    run_trials,
-    train_until,
-    wilson_interval,
-)
-
+# Set before the submodules load: reports (imported by protocol) reads it.
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "DomainError",
-    "ProtocolError",
-    "StatisticalCheckError",
-    "PacParams",
-    "DeltaFloor",
-    "ExclusivityVerdict",
-    "sample_bound_noiseless",
-    "sample_bound_noisy",
-    "gamma",
-    "delta_floor",
-    "search_rate",
-    "random_search_curve",
-    "random_search_exponential",
-    "pac_condition_met",
-    "exclusivity_verdict",
-    "equalizing_epsilon",
-    "ATTACK_KINDS",
-    "InfoCurve",
-    "binary_entropy",
-    "entropy_inverse",
-    "eta_star",
-    "eve_noise_from_disturbance",
-    "holevo_gap",
-    "info_curve",
-    "mutual_info_authorized",
-    "mutual_info_eve",
-    "Basis",
-    "Preparation",
-    "MeasurementResult",
-    "apply_oracle",
-    "measure",
-    "fidelity",
-    "NoAttack",
-    "InterceptResend",
-    "AnalyticAttack",
-    "BasisPolicy",
-    "intercept",
-    "infer_label",
-    "tradeoff_point",
-    "theoretical_tradeoff",
-    "ConceptSource",
-    "ProtocolRound",
-    "SessionResult",
-    "run_session",
-    "estimate_eta_a",
-    "inject_label_noise",
-    "export_transcript",
-    "SyntheticTask",
-    "LearnerConfig",
-    "LearningTrial",
-    "LearningProbabilityCurve",
-    "generate_task",
-    "evaluate_error",
-    "noisy_stream",
-    "train_until",
-    "random_halfspace_sampler",
-    "random_search_learner",
-    "run_trials",
-    "estimate_learning_probability",
-    "wilson_interval",
-    "default_sample_budget",
-    "log_hypothesis_count",
-]
+from . import (  # noqa: E402
+    adversary,
+    errors,
+    info_theory,
+    learn_harness,
+    pac_bounds,
+    protocol,
+    qubit,
+)
+
+_MODULES = (errors, pac_bounds, info_theory, qubit, adversary, protocol, learn_harness)
+
+__all__ = ["__version__"]
+for _module in _MODULES:
+    __all__ += _module.__all__
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module

@@ -30,7 +30,6 @@ __all__ = [
     "pick_policy_basis",
     "infer_label",
     "tradeoff_point",
-    "theoretical_tradeoff",
 ]
 
 BOTH_LEGS = (1, 2)
@@ -188,36 +187,3 @@ def tradeoff_point(strategy) -> tuple[float, float]:
         return strategy.disturbance, strategy.eve_noise
     raise DomainError(f"no trade-off is defined for strategy {strategy!r}")
 
-
-def theoretical_tradeoff(strategy, grid=None) -> list[tuple[float, float]]:
-    """Trade-off curve (eta_a, eta_e) swept over the strategy's parameter.
-
-    For intercept-resend the sweep is over the attack probability, for
-    analytic attacks over the disturbance.  The passive strategy has no
-    curve and is rejected.
-    """
-    if isinstance(strategy, NoAttack):
-        raise DomainError("the passive strategy induces no trade-off curve")
-    if isinstance(strategy, InterceptResend):
-        if grid is None:
-            grid = np.linspace(0.0, 1.0, 21)
-        return [
-            tradeoff_point(
-                InterceptResend(
-                    attack_probability=float(f),
-                    basis_policy=strategy.basis_policy,
-                    legs=strategy.legs,
-                )
-            )
-            for f in grid
-        ]
-    if isinstance(strategy, AnalyticAttack):
-        if grid is None:
-            grid = np.linspace(0.0, 0.5, 51)
-        return [
-            tradeoff_point(
-                AnalyticAttack(curve_kind=strategy.curve_kind, disturbance=float(d))
-            )
-            for d in grid
-        ]
-    raise DomainError(f"unknown strategy {strategy!r}")

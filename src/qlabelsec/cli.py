@@ -297,7 +297,7 @@ def _cmd_protocol_run(opts: dict) -> int:
         abort_threshold=opts["abort_threshold"],
         seed=opts["seed"],
         strict_abort=opts["strict_abort"],
-        keep_rounds=not opts["no_transcript"],
+        keep_rounds=opts["out"] is not None and not opts["no_transcript"],
     )
     results = {
         "eta_a_estimate": session.eta_a_estimate,

@@ -16,6 +16,7 @@ nondecreasing in n by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -354,17 +355,11 @@ def train_until(
     next_eval = config.evaluation_cadence
     while consumed < sample_budget:
         want = min(config.batch_size, sample_budget - consumed)
-        xs, ys = [], []
-        for _ in range(want):
-            try:
-                x, y = next(stream)
-            except StopIteration:
-                break
-            xs.append(x)
-            ys.append(y)
-        if not xs:
+        batch = list(itertools.islice(stream, want))
+        if not batch:
             break
-        consumed += len(xs)
+        consumed += len(batch)
+        xs, ys = zip(*batch)
         model.sgd_step(np.asarray(xs), np.asarray(ys, dtype=np.float64), config.step_size)
         if consumed >= next_eval:
             next_eval += config.evaluation_cadence * (

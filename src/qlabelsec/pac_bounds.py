@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "PacParams",
     "DeltaFloor",
     "ExclusivityVerdict",
     "sample_bound_noiseless",
@@ -61,26 +60,6 @@ def _check_eta(eta: float) -> None:
 def _check_sample_count(n: int, name: str = "n") -> None:
     if n != int(n) or n < 0:
         raise DomainError(f"{name} must be a nonnegative integer, got {n}")
-
-
-@dataclass(frozen=True)
-class PacParams:
-    """Parameter block for one learner: accuracy, confidence, class size, noise.
-
-    epsilon and delta are the usual PAC targets, log_hypothesis_count is
-    ln|H|, and eta is the symmetric label-flip rate seen by this learner.
-    """
-
-    epsilon: float
-    delta: float
-    log_hypothesis_count: float
-    eta: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
-        _check_delta(self.delta)
-        _check_log_count(self.log_hypothesis_count)
-        _check_eta(self.eta)
 
 
 def _ceil_snapped(value: float) -> int:

@@ -13,9 +13,8 @@ counts need no reweighting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .adversary import (
 )
 from .errors import DomainError, ProtocolError
 from .qubit import Preparation, apply_oracle, fidelity, measure
+from .reports import write_jsonl
 
 __all__ = [
     "ConceptSource",
@@ -36,7 +36,6 @@ __all__ = [
     "SessionResult",
     "run_session",
     "estimate_eta_a",
-    "inject_label_noise",
     "export_transcript",
 ]
 
@@ -111,24 +110,6 @@ def estimate_eta_a(check_count: int, check_error_count: int) -> float:
             f"error count {check_error_count} outside [0, {check_count}]"
         )
     return check_error_count / check_count
-
-
-def inject_label_noise(
-    dataset: Sequence[tuple[np.ndarray, int]],
-    eta: float,
-    rng: np.random.Generator,
-) -> list[tuple[np.ndarray, int]]:
-    """Flip each label independently with probability eta.
-
-    Feature vectors are shared, not copied.  Flipping twice with generators
-    at the same state restores the original labels (XOR involution).
-    """
-    if not 0.0 <= eta < 0.5:
-        raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")
-    if eta == 0.0:
-        return [(x, y) for x, y in dataset]
-    flips = rng.random(len(dataset)) < eta
-    return [(x, y ^ int(flip)) for (x, y), flip in zip(dataset, flips)]
 
 
 def run_session(
@@ -290,7 +271,4 @@ def _round_to_json(rnd: ProtocolRound) -> dict:
 
 def export_transcript(session: SessionResult, path) -> None:
     """Write one JSON object per round, in round order, newline-delimited."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rnd in session.rounds:
-            fh.write(json.dumps(_round_to_json(rnd), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (_round_to_json(rnd) for rnd in session.rounds))

@@ -2,17 +2,17 @@
 
 Nothing in here imports the package under test.  Bound algebra is redone in
 mpmath at 50 significant digits; protocol physics is redone by exhaustive
-state-vector branch enumeration with explicit kets and the Pauli X matrix.
-The package itself never builds a vector: its states are the four
-preparations and its physics is a lookup table, so agreement is a genuine
-cross-check, not a tautology.  ``tests/test_qubit.py`` checks every table
-entry against ``_KETS``, ``_PAULI_X`` and ``_measure_branches``.
+state-vector branch enumeration with explicit integer kets and the Pauli X
+matrix, exact in floating point.  The package itself never builds a vector:
+its states are the four preparations and its physics is a lookup table, so
+agreement is a genuine cross-check, not a tautology.  ``tests/test_qubit.py``
+checks every table entry against ``_KETS``, ``_PAULI_X`` and
+``_measure_branches``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import mpmath as mp
 import numpy as np
@@ -112,24 +112,32 @@ def wilson_bounds_by_rootfinding(successes: int, trials: int, z: float = 1.95996
 # protocol physics by exhaustive pure-state branch enumeration
 # ---------------------------------------------------------------------------
 
+# Kets are unnormalized integer vectors, and every Born probability is the
+# ratio |<b|psi>|^2 / (<b|b> <psi|psi>) of small integers.  Each ratio is 0,
+# 1/2 or 1, all exact in floating point, so the enumeration carries no
+# rounding error and never yields a zero-probability branch.
 _KETS = {
-    "Z0": np.array([1.0, 0.0], dtype=complex),
-    "Z1": np.array([0.0, 1.0], dtype=complex),
-    "X+": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
-    "X-": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2),
+    "Z0": np.array([1, 0]),
+    "Z1": np.array([0, 1]),
+    "X+": np.array([1, 1]),
+    "X-": np.array([1, -1]),
 }
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_EIGENKETS = {"Z": (_KETS["Z0"], _KETS["Z1"]), "X": (_KETS["X+"], _KETS["X-"])}
+_PAULI_X = np.array([[0, 1], [1, 0]])
+# CNOT on qubit (x) ancilla, basis order |qubit ancilla>: the qubit controls.
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+def _born(basis_ket: np.ndarray, ket: np.ndarray) -> float:
+    """Exact probability of projecting ket onto basis_ket (neither normalized)."""
+    amp = np.vdot(basis_ket, ket)
+    return float(abs(amp) ** 2 / (np.vdot(basis_ket, basis_ket) * np.vdot(ket, ket)))
 
 
 def _measure_branches(ket: np.ndarray, basis: str):
     """Yield (probability, outcome_bit, collapsed_ket) for a projective measurement."""
-    if basis == "Z":
-        eigenkets = [_KETS["Z0"], _KETS["Z1"]]
-    else:
-        eigenkets = [_KETS["X+"], _KETS["X-"]]
-    for bit, basis_ket in enumerate(eigenkets):
-        amp = np.vdot(basis_ket, ket)
-        prob = float(abs(amp) ** 2)
+    for bit, basis_ket in enumerate(_EIGENKETS[basis]):
+        prob = _born(basis_ket, ket)
         if prob > 0.0:
             yield prob, bit, basis_ket
 
@@ -253,6 +261,25 @@ def authorized_data_error_exact(policy: str, f: float, legs=(1, 2)) -> float:
                                 if bit ^ k_bit != c:
                                     total += base_prob * q1 * pc * q2 * qf
     return total
+
+
+def double_cnot_branches(prep_name: str, c: int):
+    """Yield (probability, qubit_bit, ancilla_bit) for a round under double CNOT.
+
+    The coherent two-leg attack of Wojcik (PRL 90, 157901, 2003): Eve CNOTs
+    the travelling qubit onto a fresh |0> ancilla on leg 1, the oracle applies
+    X^c, Eve CNOTs again on leg 2 and reads the ancilla in Z.  The receiver
+    measures the returning qubit in the preparation basis.  The qubit and
+    ancilla are one 4-dimensional state throughout.
+    """
+    oracle = np.kron(np.linalg.matrix_power(_PAULI_X, c), np.eye(2, dtype=int))
+    state = _CNOT @ oracle @ _CNOT @ np.kron(_KETS[prep_name], _KETS["Z0"])
+    preparation_basis = prep_name[0]  # "Z0" -> "Z", "X+" -> "X"
+    for qubit_bit, qubit_ket in enumerate(_EIGENKETS[preparation_basis]):
+        for ancilla_bit, ancilla_ket in enumerate(_EIGENKETS["Z"]):
+            prob = _born(np.kron(qubit_ket, ancilla_ket), state)
+            if prob > 0.0:
+                yield prob, qubit_bit, ancilla_bit
 
 
 def gaussian_tail_hp(t) -> mp.mpf:

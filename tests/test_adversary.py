@@ -15,7 +15,6 @@ from qlabelsec.adversary import (
     NoAttack,
     infer_label,
     intercept,
-    theoretical_tradeoff,
     tradeoff_point,
 )
 from qlabelsec.errors import DomainError
@@ -192,7 +191,9 @@ class TestTradeoffCurves:
             )
 
     def test_curve_sweeps_the_attack_probability(self):
-        curve = theoretical_tradeoff(InterceptResend(), grid=[0.0, 0.5, 1.0])
+        curve = [
+            tradeoff_point(InterceptResend(attack_probability=f)) for f in [0.0, 0.5, 1.0]
+        ]
         assert curve == [(0.0, 0.5), (0.25, 0.25), (0.5, 0.0)]
 
     def test_analytic_curves_pass_through_their_threshold(self):
@@ -205,10 +206,10 @@ class TestTradeoffCurves:
             assert eta_e == pytest.approx(threshold, abs=1e-4)
 
     def test_analytic_curve_values_come_from_the_information_curve(self):
-        curve = theoretical_tradeoff(
-            AnalyticAttack(curve_kind="collective", disturbance=0.1),
-            grid=[0.0, 0.05, 0.2],
-        )
+        curve = [
+            tradeoff_point(AnalyticAttack(curve_kind="collective", disturbance=d))
+            for d in [0.0, 0.05, 0.2]
+        ]
         for (eta_a, eta_e), d in zip(curve, [0.0, 0.05, 0.2]):
             assert eta_a == d
             assert eta_e == pytest.approx(
@@ -217,7 +218,24 @@ class TestTradeoffCurves:
 
     def test_passive_strategy_has_no_curve(self):
         with pytest.raises(DomainError):
-            theoretical_tradeoff(NoAttack())
+            tradeoff_point(NoAttack())
+
+
+class TestDoubleCnotOracle:
+    """The coherent two-leg attack, which no strategy in the package models.
+
+    Both check and data rounds come back undisturbed while Eve's ancilla
+    holds the label, so the attack sits at (eta_a, eta_e) = (0, 0): outside
+    the per-leg and analytic classes that the exclusivity verdict covers.
+    """
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("state", list(Preparation))
+    def test_every_round_is_undisturbed_and_read(self, state, label):
+        # no check error, and a data round delivers the true label
+        qubit_bit = state.bit if state.is_check else state.bit ^ label
+        branches = list(oracles.double_cnot_branches(state.value, label))
+        assert branches == [(1.0, qubit_bit, label)]
 
 
 class TestSimulationAgreesWithTheory:

@@ -6,9 +6,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import qlabelsec.cli as cli_module
 from qlabelsec.cli import main
 from qlabelsec.info_theory import eve_noise_from_disturbance
 from qlabelsec.pac_bounds import sample_bound_noiseless, sample_bound_noisy
+from qlabelsec.protocol import run_session
 
 
 def run_cli(*argv) -> int:
@@ -124,6 +126,27 @@ class TestProtocolRun:
         )
         capsys.readouterr()
         assert not (tmp_path / "protocol-transcript.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "out, flags, keep_rounds",
+        [(False, (), False), (True, (), True), (True, ("--no-transcript",), False)],
+        ids=["no-out", "out", "out-no-transcript"],
+    )
+    def test_rounds_kept_only_for_a_written_transcript(
+        self, tmp_path, capsys, monkeypatch, out, flags, keep_rounds
+    ):
+        monkeypatch.delenv("QLABELSEC_OUTDIR", raising=False)
+        seen = []
+
+        def recording_run_session(*args, **kwargs):
+            seen.append(kwargs["keep_rounds"])
+            return run_session(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "run_session", recording_run_session)
+        out_flags = ("--out", str(tmp_path)) if out else ()
+        assert run_cli("protocol-run", "--target-data", "20", *out_flags, *flags) == 0
+        capsys.readouterr()
+        assert seen == [keep_rounds]
 
     def test_analytic_attack_runs(self, tmp_path, capsys):
         run_cli(

@@ -10,7 +10,6 @@ import _oracles as oracles
 from qlabelsec.errors import DomainError
 from qlabelsec.pac_bounds import (
     DeltaFloor,
-    PacParams,
     _noiseless_raw,
     _noisy_raw,
     delta_floor,
@@ -108,14 +107,6 @@ class TestSampleBounds:
     def test_rejects_noise_at_or_above_one_half(self, eta):
         with pytest.raises(DomainError):
             sample_bound_noisy(0.1, 0.05, 1.0, eta)
-        with pytest.raises(DomainError):
-            PacParams(epsilon=0.1, delta=0.05, log_hypothesis_count=1.0, eta=eta)
-
-    def test_params_block_validates_on_construction(self):
-        params = PacParams(epsilon=0.1, delta=0.05, log_hypothesis_count=2.0)
-        assert params.eta == 0.0
-        with pytest.raises(DomainError):
-            PacParams(epsilon=0.0, delta=0.05, log_hypothesis_count=2.0)
 
 
 class TestConfidenceFloor:

@@ -16,7 +16,6 @@ from qlabelsec.protocol import (
     ConceptSource,
     estimate_eta_a,
     export_transcript,
-    inject_label_noise,
     run_session,
 )
 
@@ -183,37 +182,6 @@ class TestAbortSemantics:
         assert not session.aborted
 
 
-class TestLabelNoiseInjection:
-    def test_zero_noise_is_identity(self):
-        rng = np.random.default_rng(0)
-        data = [(np.array([float(i)]), i % 2) for i in range(64)]
-        out = inject_label_noise(data, 0.0, rng)
-        assert [y for _, y in out] == [y for _, y in data]
-
-    def test_flip_rate_concentrates(self):
-        rng = np.random.default_rng(1)
-        data = [(np.zeros(1), 0)] * 100_000
-        out = inject_label_noise(data, 0.3, rng)
-        flipped = sum(y for _, y in out)
-        sigma = math.sqrt(0.3 * 0.7 / 100_000)
-        assert abs(flipped / 100_000 - 0.3) <= 4.0 * sigma
-
-    def test_same_seed_double_flip_restores(self):
-        data = [(np.array([float(i)]), i % 2) for i in range(1_000)]
-        once = inject_label_noise(data, 0.25, np.random.default_rng(9))
-        twice = inject_label_noise(once, 0.25, np.random.default_rng(9))
-        assert [y for _, y in twice] == [y for _, y in data]
-
-    def test_features_are_shared_not_copied(self):
-        data = [(np.array([1.0, 2.0]), 1)]
-        out = inject_label_noise(data, 0.4, np.random.default_rng(2))
-        assert out[0][0] is data[0][0]
-
-    def test_rejects_unlearnable_noise(self):
-        with pytest.raises(DomainError):
-            inject_label_noise([(np.zeros(1), 0)], 0.5, np.random.default_rng(0))
-
-
 class TestAnalyticAttackSessions:
     def test_flip_channels_match_the_curve(self):
         d = 0.05
@@ -314,19 +282,20 @@ class TestTranscriptExport:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    # sha256 of export_transcript output for 50-label sessions at seed 0.  A
-    # change that moves the session's random stream changes these digests;
-    # such a change updates them and says so in CHANGES.md.
+    # sha256 of export_transcript output (compact JSONL) for 50-label sessions
+    # at seed 0.  A change that moves the session's random stream or the JSONL
+    # byte format changes these digests; such a change updates them and says
+    # so in CHANGES.md.
     @pytest.mark.parametrize(
         "attack, digest",
         [
             (
                 InterceptResend(basis_policy="randomPerLeg"),
-                "9a27559d1fe45e28939287dc9000979cbbefe29ee767f2c41249a8e89943ffa1",
+                "81f287e9eabc6eddb7d9700a3997612064fc5bfb3c9e70e3513fc493ac4e388f",
             ),
             (
                 InterceptResend(attack_probability=0.5, legs=(2,)),
-                "77d8443567eeb4b06d6cc8b61de4f2ca7636b6b789a8f264bae58a13c37289a0",
+                "7e10a4b0e85da2328a1818baa48310391a06974cb4f6d49b668de059f73464f9",
             ),
         ],
         ids=["randomPerLeg-f1", "alwaysZ-leg2-f0.5"],
