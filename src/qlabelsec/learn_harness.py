@@ -111,12 +111,15 @@ class SyntheticTask:
         offsets = np.outer(sides * (self.separation / 2.0), self.direction)
         return offsets + rng.standard_normal((count, self.dimension))
 
-    def concept_source(self) -> ConceptSource:
-        labeler = self.labeler
-        return ConceptSource(
-            sampler=lambda rng: self.sample_inputs(1, rng)[0],
-            labeler=labeler,
+    def sample_one(self, rng: np.random.Generator) -> np.ndarray:
+        """sample_inputs(1, rng)[0]: the same draws and arithmetic, without the batch arrays."""
+        side = 2.0 * float(rng.integers(2)) - 1.0
+        return (side * (self.separation / 2.0)) * self.direction + rng.standard_normal(
+            self.dimension
         )
+
+    def concept_source(self) -> ConceptSource:
+        return ConceptSource(sampler=self.sample_one, labeler=self.labeler)
 
 
 def generate_task(
