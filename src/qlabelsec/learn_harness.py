@@ -111,15 +111,23 @@ class SyntheticTask:
         offsets = np.outer(sides * (self.separation / 2.0), self.direction)
         return offsets + rng.standard_normal((count, self.dimension))
 
-    def sample_one(self, rng: np.random.Generator) -> np.ndarray:
-        """sample_inputs(1, rng)[0]: the same draws and arithmetic, without the batch arrays."""
-        side = 2.0 * float(rng.integers(2)) - 1.0
-        return (side * (self.separation / 2.0)) * self.direction + rng.standard_normal(
-            self.dimension
-        )
-
     def concept_source(self) -> ConceptSource:
-        return ConceptSource(sampler=self.sample_one, labeler=self.labeler)
+        """One input per sampler call: sample_inputs(1, rng)[0], byte for byte.
+
+        The two cluster offsets are built once, so a call makes the same two
+        draws (side, then the Gaussian row) and one addition.
+        """
+        half = self.separation / 2.0
+        offsets = np.stack([(-half) * self.direction, half * self.direction])
+        dimension = self.dimension
+
+        def sampler(rng: np.random.Generator) -> np.ndarray:
+            side = rng.integers(2)
+            x = rng.standard_normal(dimension)
+            x += offsets[side]
+            return x
+
+        return ConceptSource(sampler=sampler, labeler=self.labeler)
 
 
 def generate_task(

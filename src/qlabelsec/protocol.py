@@ -13,6 +13,7 @@ counts need no reweighting.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,14 +21,14 @@ import numpy as np
 
 from .adversary import (
     AnalyticAttack,
+    BasisPolicy,
     EveRoundRecord,
     InterceptResend,
+    LegRecord,
     NoAttack,
-    infer_label,
-    intercept,
 )
 from .errors import DomainError, ProtocolError
-from .qubit import Preparation, apply_oracle, fidelity, measure
+from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
 from .reports import write_jsonl
 
 __all__ = [
@@ -40,6 +41,28 @@ __all__ = [
 ]
 
 _PREPARATIONS = (Preparation.Z0, Preparation.Z1, Preparation.XPLUS, Preparation.XMINUS)
+_BASES = (Basis.Z, Basis.X)
+
+# qubit's rules as arrays over preparation indices (_PREPARATIONS order) and
+# basis indices (_BASES order), filled by calling qubit's own functions.
+# measure() reads its variate only as a fair coin, 0 below 1/2 and 1 above,
+# so _OUTCOME and _POST_STATE are indexed [state, basis, coin].
+_INDEX = {k: i for i, k in enumerate(_PREPARATIONS)}
+_IS_DATA_ROUND = tuple(not k.is_check for k in _PREPARATIONS)
+_IS_CHECK = np.array([k.is_check for k in _PREPARATIONS])
+_BIT = np.array([k.bit for k in _PREPARATIONS])
+_BASIS = np.array([_BASES.index(k.basis) for k in _PREPARATIONS])
+_ORACLE = np.array(
+    [[_INDEX[apply_oracle(k, c)] for c in (0, 1)] for k in _PREPARATIONS]
+)
+_FIDELITY = np.array([[fidelity(k, r) for r in _PREPARATIONS] for k in _PREPARATIONS])
+_MEASURED = [
+    [[measure(k, b, u) for u in (0.0, 0.5)] for b in _BASES] for k in _PREPARATIONS
+]
+_OUTCOME = np.array([[[m.outcome for m in ms] for ms in row] for row in _MEASURED])
+_POST_STATE = np.array(
+    [[[_INDEX[m.post_state] for m in ms] for ms in row] for row in _MEASURED]
+)
 
 # Hard ceiling on rounds per target example; check rounds consume half the
 # budget in expectation, so 20x cannot be hit by chance at any real size.
@@ -125,8 +148,23 @@ def run_session(
 
     The round type is drawn uniformly over the four preparations, so half of
     all rounds are checks in expectation and the session runs roughly twice
-    the target count.  A single generator seeded here drives every draw:
-    preparations, inputs, attack coins, Born outcomes, and Eve's guesses.
+    the target count.  A single generator seeded here drives every draw, and
+    its stream is a contract (the session pins in the tests guard it).  Each
+    round makes these calls, in this order:
+
+    1. ``integers(4)``: the preparation;
+    2. ``sampler(rng)``, then ``labeler(x)`` (check rounds too);
+    3. under an analytic attack, ``random()`` for the channel flip and, on
+       data rounds, ``random()`` for Eve's flip;
+    4. otherwise: ``random()`` for the attack coin under intercept-resend;
+       on attacked rounds, for leg 1 and then leg 2 where configured, the
+       policy basis ``random()`` (randomPerLeg only) and the measurement
+       ``random()``; the receiver's measurement ``random()``; and on data
+       rounds Eve's guess ``integers(2)``, unless she measured both legs in Z.
+
+    The draw pattern depends only on the preparation, the attack coin and
+    Eve's bases, so one loop records the variates and a table pass over the
+    ``qubit`` lookup tables computes every outcome afterwards.
 
     When an abort threshold is set and the final noise estimate exceeds it,
     the result is flagged; with strict_abort the datasets are additionally
@@ -141,115 +179,258 @@ def run_session(
     if not isinstance(attack, (NoAttack, InterceptResend, AnalyticAttack)):
         raise DomainError(f"unknown attack strategy {attack!r}")
 
-    rng = np.random.default_rng(seed)
-    analytic = isinstance(attack, AnalyticAttack)
-    intercepting = isinstance(attack, InterceptResend)
-    eve_eta = attack.eve_noise if analytic else None
+    draws = _draw_rounds(
+        concept_source, target_data_count, attack, np.random.default_rng(seed)
+    )
+    if isinstance(attack, AnalyticAttack):
+        table = _analytic_pass(draws, attack)
+    else:
+        table = _qubit_pass(draws)
 
-    authorized: list[tuple[np.ndarray, int]] = []
-    eavesdropped: list[tuple[np.ndarray, int]] = []
-    rounds: list[ProtocolRound] = []
-    checks = 0
-    check_errors = 0
-    auth_errors = 0
-    eve_errors = 0
-    fidelity_sum = 0.0
-    round_cap = _ROUND_CAP_FACTOR * target_data_count
-    round_id = 0
-
-    while len(authorized) < target_data_count:
-        if round_id >= round_cap:
-            raise ProtocolError(
-                f"round cap exceeded: {round_cap} rounds produced only "
-                f"{len(authorized)} of {target_data_count} examples"
-            )
-        k = _PREPARATIONS[rng.integers(4)]
-        is_check = k.is_check
-        x = concept_source.sampler(rng)
-        c = int(concept_source.labeler(x))
-        if c not in (0, 1):
-            raise DomainError(f"labeler must return a bit, got {c!r}")
-
-        eve_record = None
-        eve_label = None
-        attacked = False
-
-        if analytic:
-            # No quantum traversal: the attack is a pair of flip channels.
-            attacked = True
-            if is_check:
-                outcome = k.bit ^ int(rng.random() < attack.disturbance)
-            else:
-                outcome_label = c ^ int(rng.random() < attack.disturbance)
-                outcome = outcome_label ^ k.bit
-        else:
-            state = k
-            if intercepting:
-                attacked = rng.random() < attack.attack_probability
-            if attacked:
-                state, rec1 = intercept(state, 1, attack, rng)
-            state = apply_oracle(state, c)
-            if attacked:
-                state, rec2 = intercept(state, 2, attack, rng)
-                eve_record = EveRoundRecord(leg1=rec1, leg2=rec2)
-            if not is_check:
-                fidelity_sum += fidelity(state, _PREPARATIONS[c ^ k.bit])
-            outcome = measure(state, k.basis, rng.random()).outcome
-
-        check_error = None
-        if is_check:
-            checks += 1
-            check_error = outcome != k.bit
-            check_errors += int(check_error)
-        else:
-            label = outcome ^ k.bit
-            authorized.append((x, label))
-            auth_errors += int(label != c)
-            if analytic:
-                eve_label = c ^ int(rng.random() < eve_eta)
-                fidelity_sum += 1.0 - float(label != c)
-            else:
-                eve_label = infer_label(eve_record, rng)
-            eavesdropped.append((x, eve_label))
-            eve_errors += int(eve_label != c)
-
-        if keep_rounds:
-            rounds.append(
-                ProtocolRound(
-                    round_id=round_id,
-                    preparation=k,
-                    is_check=is_check,
-                    input_x=None if is_check else x,
-                    outcome=outcome,
-                    attacked=attacked,
-                    check_error=check_error,
-                    eve_record=eve_record,
-                    eve_label=eve_label,
-                )
-            )
-        round_id += 1
-
+    prep = draws.preparations
+    data = ~_IS_CHECK[prep]
+    truth = draws.labels[data]
+    labels = table.outcomes[data] ^ _BIT[prep[data]]
+    check_errors = int((table.outcomes[~data] != _BIT[prep[~data]]).sum())
+    data_count = len(draws.inputs)
+    checks = len(prep) - data_count
     eta_a = estimate_eta_a(checks, check_errors)
     aborted = abort_threshold is not None and eta_a > abort_threshold
-    data_count = len(authorized)
     result = SessionResult(
-        authorized_dataset=authorized,
-        eavesdropper_dataset=eavesdropped,
+        authorized_dataset=list(zip(draws.inputs, labels.tolist())),
+        eavesdropper_dataset=list(zip(draws.inputs, table.eve_labels.tolist())),
         check_count=checks,
         check_error_count=check_errors,
         eta_a_estimate=eta_a,
         aborted=aborted,
         abort_threshold=abort_threshold,
-        authorized_label_error_rate=auth_errors / data_count,
-        eve_label_error_rate=eve_errors / data_count,
-        ensemble_fidelity=fidelity_sum / data_count,
-        rounds=rounds,
+        authorized_label_error_rate=int((labels != truth).sum()) / data_count,
+        eve_label_error_rate=int((table.eve_labels != truth).sum()) / data_count,
+        ensemble_fidelity=table.fidelity_sum / data_count,
+        rounds=_round_records(draws, table, attack) if keep_rounds else [],
         seed=seed,
     )
     if aborted and strict_abort:
         result.authorized_dataset = []
         result.eavesdropper_dataset = []
     return result
+
+
+@dataclass
+class _Draws:
+    """One session's variates in round order, a column each.
+
+    preparations, labels and finals (the receiver's measurement variate, or
+    the analytic channel variate) hold one entry per round, inputs one per
+    data round, eve one per data round that drew for Eve.  Under
+    intercept-resend, attacked holds each round's attack coin, and for each
+    configured leg z_bases[leg] and variates[leg] hold, per attacked round,
+    whether Eve measured in Z and her measurement variate.
+    """
+
+    preparations: np.ndarray
+    labels: np.ndarray
+    inputs: list[np.ndarray]
+    finals: np.ndarray
+    eve: np.ndarray
+    attacked: np.ndarray | None = None
+    z_bases: dict[int, np.ndarray] = field(default_factory=dict)
+    variates: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def _draw_rounds(
+    concept_source: ConceptSource,
+    target_data_count: int,
+    attack,
+    rng: np.random.Generator,
+) -> _Draws:
+    """Make the session's generator calls (see ``run_session``) and keep them."""
+    integers, random = rng.integers, rng.random
+    sampler, labeler = concept_source.sampler, concept_source.labeler
+    analytic = isinstance(attack, AnalyticAttack)
+    intercepting = isinstance(attack, InterceptResend)
+    if intercepting:
+        f = attack.attack_probability
+        random_policy = attack.basis_policy is BasisPolicy.RANDOM_PER_LEG
+        leg1, leg2 = 1 in attack.legs, 2 in attack.legs
+
+    preparations, labels, inputs, finals, eve = [], [], [], [], []
+    attacked_col, z1_col, u1_col, z2_col, u2_col = [], [], [], [], []
+    data = 0
+    round_cap = _ROUND_CAP_FACTOR * target_data_count
+    for _ in range(round_cap):
+        k = integers(4)
+        x = sampler(rng)
+        c = labeler(x)
+        if c not in (0, 1):
+            raise DomainError(f"labeler must return a bit, got {c!r}")
+        preparations.append(k)
+        labels.append(c)
+        is_data = _IS_DATA_ROUND[k]
+        if analytic:
+            finals.append(random())
+            if is_data:
+                eve.append(random())
+        else:
+            eve_reads = False
+            if intercepting:
+                attacked = random() < f
+                attacked_col.append(attacked)
+                if attacked:
+                    z1 = z2 = True
+                    if leg1:
+                        if random_policy:
+                            z1 = random() < 0.5
+                            z1_col.append(z1)
+                        u1_col.append(random())
+                    if leg2:
+                        if random_policy:
+                            z2 = random() < 0.5
+                            z2_col.append(z2)
+                        u2_col.append(random())
+                    eve_reads = leg1 and leg2 and z1 and z2
+            finals.append(random())
+            if is_data and not eve_reads:
+                eve.append(integers(2))
+        if is_data:
+            inputs.append(x)
+            data += 1
+            if data == target_data_count:
+                break
+    else:
+        raise ProtocolError(
+            f"round cap exceeded: {round_cap} rounds produced only "
+            f"{data} of {target_data_count} examples"
+        )
+
+    draws = _Draws(
+        preparations=np.array(preparations, dtype=np.intp),
+        labels=np.array(labels, dtype=np.intp),
+        inputs=inputs,
+        finals=np.array(finals),
+        eve=np.array(eve),
+    )
+    if intercepting:
+        draws.attacked = np.array(attacked_col, dtype=bool)
+        always_z = np.ones(int(draws.attacked.sum()), dtype=bool)
+        for leg, z_col, u_col in ((1, z1_col, u1_col), (2, z2_col, u2_col)):
+            if leg in attack.legs:
+                z_bases = np.array(z_col, dtype=bool) if random_policy else always_z
+                draws.z_bases[leg] = z_bases
+                draws.variates[leg] = np.array(u_col)
+    return draws
+
+
+@dataclass
+class _Table:
+    """What the table pass computed from one session's draws.
+
+    outcomes holds the receiver's outcome per round, eve_labels Eve's label
+    per data round; legs[leg] holds, per attacked round, the basis index and
+    outcome of Eve's measurement on each configured leg.
+    """
+
+    outcomes: np.ndarray
+    eve_labels: np.ndarray
+    fidelity_sum: float
+    legs: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+
+def _analytic_pass(draws: _Draws, attack: AnalyticAttack) -> _Table:
+    """Two flip channels: one on the returned outcome, one on Eve's copy of c."""
+    data = ~_IS_CHECK[draws.preparations]
+    flips = draws.finals < attack.disturbance
+    outcomes = _BIT[draws.preparations] ^ flips ^ (draws.labels & data)
+    eve_labels = draws.labels[data] ^ (draws.eve < attack.eve_noise)
+    # a data round's fidelity is 1 when its label arrived intact, 0 otherwise
+    return _Table(outcomes, eve_labels, float((~flips[data]).sum()))
+
+
+def _qubit_pass(draws: _Draws) -> _Table:
+    """Every round's state walked through the qubit tables at once."""
+    prep, labels = draws.preparations, draws.labels
+    data = ~_IS_CHECK[prep]
+    attacked = None if draws.attacked is None else np.flatnonzero(draws.attacked)
+    state = prep.copy()
+    legs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    _intercept(state, attacked, draws, 1, legs)
+    state = _ORACLE[state, labels]
+    _intercept(state, attacked, draws, 2, legs)
+    fidelity_sum = float(_FIDELITY[state[data], labels[data] ^ _BIT[prep[data]]].sum())
+    outcomes = _measure(state, slice(None), _BASIS[prep], draws.finals)
+
+    eve = np.zeros(len(prep), dtype=np.intp)
+    guessed = data.copy()
+    if len(legs) == 2:
+        # two Z outcomes XOR to the label; every other data round is a guess
+        reads = draws.z_bases[1] & draws.z_bases[2]
+        eve[attacked[reads]] = legs[1][1][reads] ^ legs[2][1][reads]
+        guessed[attacked[reads]] = False
+    eve[guessed] = draws.eve
+    return _Table(outcomes, eve[data], fidelity_sum, legs)
+
+
+def _intercept(state, attacked, draws: _Draws, leg: int, legs: dict) -> None:
+    """Eve's measure-and-resend on one configured leg of every attacked round."""
+    if leg in draws.variates:
+        basis = (~draws.z_bases[leg]).astype(np.intp)  # _BASES order: Z, X
+        legs[leg] = basis, _measure(state, attacked, basis, draws.variates[leg])
+
+
+def _measure(state: np.ndarray, rounds, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """qubit.measure on state[rounds]: collapse them in place, return outcomes."""
+    key = (state[rounds], basis, (u >= 0.5).astype(np.intp))
+    state[rounds] = _POST_STATE[key]
+    return _OUTCOME[key]
+
+
+def _round_records(draws: _Draws, table: _Table, attack) -> list[ProtocolRound]:
+    """The per-round view of a session, built from its columns."""
+    n = len(draws.preparations)
+    if draws.attacked is None:
+        attacked = [isinstance(attack, AnalyticAttack)] * n
+        eve_records = iter(())
+    else:
+        attacked = draws.attacked.tolist()
+        eve_records = iter(_eve_records(table))
+    inputs = iter(draws.inputs)
+    eve_labels = iter(table.eve_labels.tolist())
+    rounds = []
+    for round_id, k, outcome, hit in zip(
+        range(n), draws.preparations.tolist(), table.outcomes.tolist(), attacked
+    ):
+        preparation = _PREPARATIONS[k]
+        is_check = preparation.is_check
+        rounds.append(
+            ProtocolRound(
+                round_id=round_id,
+                preparation=preparation,
+                is_check=is_check,
+                input_x=None if is_check else next(inputs),
+                outcome=outcome,
+                attacked=hit,
+                check_error=outcome != preparation.bit if is_check else None,
+                eve_record=next(eve_records, None) if hit else None,
+                eve_label=None if is_check else next(eve_labels),
+            )
+        )
+    return rounds
+
+
+def _eve_records(table: _Table) -> list[EveRoundRecord]:
+    """One record per attacked round; an unconfigured leg leaves no record."""
+    records = {
+        leg: [
+            LegRecord(leg=leg, basis=_BASES[b], outcome=o)
+            for b, o in zip(basis.tolist(), outcome.tolist())
+        ]
+        for leg, (basis, outcome) in table.legs.items()
+    }
+    none = itertools.repeat(None)
+    return [
+        EveRoundRecord(leg1=r1, leg2=r2)
+        for r1, r2 in zip(records.get(1, none), records.get(2, none))
+    ]
 
 
 def _round_to_json(rnd: ProtocolRound) -> dict:
@@ -270,5 +451,11 @@ def _round_to_json(rnd: ProtocolRound) -> dict:
 
 
 def export_transcript(session: SessionResult, path) -> None:
-    """Write one JSON object per round, in round order, newline-delimited."""
+    """Write one JSON object per round, in round order, newline-delimited.
+
+    A session run with keep_rounds=False has no rounds to write and raises
+    ProtocolError rather than leave an empty transcript.
+    """
+    if not session.rounds:
+        raise ProtocolError("the session kept no rounds; run it with keep_rounds=True")
     write_jsonl(path, (_round_to_json(rnd) for rnd in session.rounds))

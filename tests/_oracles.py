@@ -1,13 +1,16 @@
 """Independent reference computations used to freeze expected test values.
 
-Nothing in here imports the package under test.  Bound algebra is redone in
-mpmath at 50 significant digits; protocol physics is redone by exhaustive
-state-vector branch enumeration with explicit integer kets and the Pauli X
-matrix, exact in floating point.  The package itself never builds a vector:
-its states are the four preparations and its physics is a lookup table, so
-agreement is a genuine cross-check, not a tautology.  ``tests/test_qubit.py``
-checks every table entry against ``_KETS``, ``_PAULI_X`` and
-``_measure_branches``.
+Bound algebra is redone in mpmath at 50 significant digits; protocol physics
+is redone by exhaustive state-vector branch enumeration with explicit integer
+kets and the Pauli X matrix, exact in floating point.  The package itself
+never builds a vector: its states are the four preparations and its physics
+is a lookup table, so agreement is a genuine cross-check, not a tautology.
+``tests/test_qubit.py`` checks every table entry against ``_KETS``,
+``_PAULI_X`` and ``_measure_branches``.
+
+Only ``reference_session`` uses the package: it is the scalar per-round
+session loop, one ``qubit``/``adversary`` call per step, kept as the referee
+for ``protocol.run_session``'s draw loop and table pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,19 @@ import itertools
 
 import mpmath as mp
 import numpy as np
+
+from qlabelsec import protocol
+from qlabelsec.adversary import (
+    AnalyticAttack,
+    EveRoundRecord,
+    InterceptResend,
+    NoAttack,
+    infer_label,
+    intercept,
+)
+from qlabelsec.errors import DomainError, ProtocolError
+from qlabelsec.protocol import ProtocolRound, SessionResult, estimate_eta_a
+from qlabelsec.qubit import Preparation, apply_oracle, fidelity, measure
 
 mp.mp.dps = 50
 
@@ -285,3 +301,145 @@ def double_cnot_branches(prep_name: str, c: int):
 def gaussian_tail_hp(t) -> mp.mpf:
     """P(Z >= t) for standard normal Z, at oracle precision."""
     return mp.ncdf(-mp.mpf(t))
+
+
+# ---------------------------------------------------------------------------
+# scalar session referee
+# ---------------------------------------------------------------------------
+
+_PREPARATIONS = (Preparation.Z0, Preparation.Z1, Preparation.XPLUS, Preparation.XMINUS)
+
+
+def reference_session(
+    concept_source,
+    target_data_count: int,
+    attack=NoAttack(),
+    abort_threshold: float | None = None,
+    seed: int = 0,
+    strict_abort: bool = False,
+    keep_rounds: bool = True,
+) -> SessionResult:
+    """``run_session`` as one scalar loop: every round walks the qubit.
+
+    Same arguments, generator calls and result as ``protocol.run_session``;
+    only the round cap factor is read from ``protocol`` so a monkeypatched
+    cap applies to both.
+    """
+    if target_data_count < 1:
+        raise DomainError(f"target data count must be >= 1, got {target_data_count}")
+    if abort_threshold is not None and not 0.0 < abort_threshold <= 0.5:
+        raise DomainError(
+            f"abort threshold must lie in (0, 1/2], got {abort_threshold}"
+        )
+    if not isinstance(attack, (NoAttack, InterceptResend, AnalyticAttack)):
+        raise DomainError(f"unknown attack strategy {attack!r}")
+
+    rng = np.random.default_rng(seed)
+    analytic = isinstance(attack, AnalyticAttack)
+    intercepting = isinstance(attack, InterceptResend)
+    eve_eta = attack.eve_noise if analytic else None
+
+    authorized: list[tuple[np.ndarray, int]] = []
+    eavesdropped: list[tuple[np.ndarray, int]] = []
+    rounds: list[ProtocolRound] = []
+    checks = 0
+    check_errors = 0
+    auth_errors = 0
+    eve_errors = 0
+    fidelity_sum = 0.0
+    round_cap = protocol._ROUND_CAP_FACTOR * target_data_count
+    round_id = 0
+
+    while len(authorized) < target_data_count:
+        if round_id >= round_cap:
+            raise ProtocolError(
+                f"round cap exceeded: {round_cap} rounds produced only "
+                f"{len(authorized)} of {target_data_count} examples"
+            )
+        k = _PREPARATIONS[rng.integers(4)]
+        is_check = k.is_check
+        x = concept_source.sampler(rng)
+        c = int(concept_source.labeler(x))
+        if c not in (0, 1):
+            raise DomainError(f"labeler must return a bit, got {c!r}")
+
+        eve_record = None
+        eve_label = None
+        attacked = False
+
+        if analytic:
+            # No quantum traversal: the attack is a pair of flip channels.
+            attacked = True
+            if is_check:
+                outcome = k.bit ^ int(rng.random() < attack.disturbance)
+            else:
+                outcome_label = c ^ int(rng.random() < attack.disturbance)
+                outcome = outcome_label ^ k.bit
+        else:
+            state = k
+            if intercepting:
+                attacked = rng.random() < attack.attack_probability
+            if attacked:
+                state, rec1 = intercept(state, 1, attack, rng)
+            state = apply_oracle(state, c)
+            if attacked:
+                state, rec2 = intercept(state, 2, attack, rng)
+                eve_record = EveRoundRecord(leg1=rec1, leg2=rec2)
+            if not is_check:
+                fidelity_sum += fidelity(state, _PREPARATIONS[c ^ k.bit])
+            outcome = measure(state, k.basis, rng.random()).outcome
+
+        check_error = None
+        if is_check:
+            checks += 1
+            check_error = outcome != k.bit
+            check_errors += int(check_error)
+        else:
+            label = outcome ^ k.bit
+            authorized.append((x, label))
+            auth_errors += int(label != c)
+            if analytic:
+                eve_label = c ^ int(rng.random() < eve_eta)
+                fidelity_sum += 1.0 - float(label != c)
+            else:
+                eve_label = infer_label(eve_record, rng)
+            eavesdropped.append((x, eve_label))
+            eve_errors += int(eve_label != c)
+
+        if keep_rounds:
+            rounds.append(
+                ProtocolRound(
+                    round_id=round_id,
+                    preparation=k,
+                    is_check=is_check,
+                    input_x=None if is_check else x,
+                    outcome=outcome,
+                    attacked=attacked,
+                    check_error=check_error,
+                    eve_record=eve_record,
+                    eve_label=eve_label,
+                )
+            )
+        round_id += 1
+
+    eta_a = estimate_eta_a(checks, check_errors)
+    aborted = abort_threshold is not None and eta_a > abort_threshold
+    data_count = len(authorized)
+    result = SessionResult(
+        authorized_dataset=authorized,
+        eavesdropper_dataset=eavesdropped,
+        check_count=checks,
+        check_error_count=check_errors,
+        eta_a_estimate=eta_a,
+        aborted=aborted,
+        abort_threshold=abort_threshold,
+        authorized_label_error_rate=auth_errors / data_count,
+        eve_label_error_rate=eve_errors / data_count,
+        ensemble_fidelity=fidelity_sum / data_count,
+        rounds=rounds,
+        seed=seed,
+    )
+    if aborted and strict_abort:
+        result.authorized_dataset = []
+        result.eavesdropper_dataset = []
+    return result

@@ -108,6 +108,16 @@ class TestGenerateTask:
         assert a.shape == (50, 8)
         np.testing.assert_array_equal(a, b)
 
+    def test_concept_sampler_is_one_row_of_sample_inputs(self, task):
+        # same draws, same bytes, and the generator left in the same state
+        sampler = task.concept_source().sampler
+        rng, batch_rng = np.random.default_rng(10), np.random.default_rng(10)
+        for _ in range(200):
+            x = sampler(rng)
+            row = task.sample_inputs(1, batch_rng)[0]
+            assert x.dtype == row.dtype and x.tobytes() == row.tobytes()
+        assert rng.random() == batch_rng.random()
+
 
 class TestEvaluateError:
     def test_true_concept_scores_zero(self, task):

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlabelsec.protocol as protocol_module
+from _oracles import reference_session
 from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.info_theory import eve_noise_from_disturbance
@@ -25,6 +28,40 @@ def halfspace_source(dim: int = 2) -> ConceptSource:
         sampler=lambda rng: rng.standard_normal(dim),
         labeler=lambda x: int(x[0] >= 0.0),
     )
+
+
+_SCALAR_FIELDS = (
+    "check_count",
+    "check_error_count",
+    "eta_a_estimate",
+    "aborted",
+    "abort_threshold",
+    "authorized_label_error_rate",
+    "eve_label_error_rate",
+    "ensemble_fidelity",
+    "seed",
+)
+
+
+def session_digest(session) -> str:
+    """sha256 over both datasets (input bytes, labels) and the scalar fields.
+
+    Types are hashed with the values, and floats as float.hex, so a label
+    that turns into a numpy integer or a rate that moves in its last bit
+    changes the digest.
+    """
+    digest = hashlib.sha256()
+    for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
+        digest.update(f"{len(dataset)};".encode())
+        for x, label in dataset:
+            digest.update(f"{x.dtype.str}{x.shape}".encode())
+            digest.update(x.tobytes())
+            digest.update(f"{type(label).__name__}:{label};".encode())
+    for name in _SCALAR_FIELDS:
+        value = getattr(session, name)
+        text = value.hex() if isinstance(value, float) else repr(value)
+        digest.update(f"{name}={type(value).__name__}:{text};".encode())
+    return digest.hexdigest()
 
 
 class TestNoAttackSession:
@@ -131,6 +168,28 @@ class TestRoundAccounting:
         )
         with pytest.raises(DomainError, match="bit"):
             run_session(source, 10, seed=1)
+
+    @pytest.mark.parametrize("value", [0.7, 1.9, -0.4])
+    def test_rejects_fractional_labeler_output(self, value):
+        # int() would floor these to a bit; the raw value is checked first
+        source = ConceptSource(
+            sampler=lambda rng: rng.standard_normal(2), labeler=lambda x: value
+        )
+        with pytest.raises(DomainError, match="bit"):
+            run_session(source, 10, seed=1)
+
+    @pytest.mark.parametrize("one", [True, 1.0, np.int64(1)], ids=repr)
+    def test_accepts_bits_of_any_numeric_type(self, one):
+        def source(bit):
+            return ConceptSource(
+                sampler=lambda rng: rng.standard_normal(2), labeler=lambda x: bit
+            )
+
+        plain, typed = source(1), source(one)
+        attack = AnalyticAttack(curve_kind="collective", disturbance=0.05)
+        expected = run_session(plain, 50, attack=attack, seed=2)
+        session = run_session(typed, 50, attack=attack, seed=2)
+        assert session_digest(session) == session_digest(expected)
 
 
 class TestEtaEstimate:
@@ -271,6 +330,13 @@ class TestTranscriptExport:
             assert record["outcome"] in (0, 1)
             assert set(record["flags"]) == {"attacked", "check_error"}
 
+    def test_session_without_rounds_is_not_exported(self, tmp_path):
+        session = run_session(halfspace_source(), 50, seed=22, keep_rounds=False)
+        path = tmp_path / "transcript.jsonl"
+        with pytest.raises(ProtocolError, match="keep_rounds"):
+            export_transcript(session, path)
+        assert not path.exists()
+
     def test_identical_seed_gives_identical_bytes(self, tmp_path):
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -305,3 +371,140 @@ class TestTranscriptExport:
         path = tmp_path / "transcript.jsonl"
         export_transcript(session, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+_PINNED_ATTACKS = {
+    "none": NoAttack(),
+    "alwaysZ-f1": InterceptResend(),
+    "randomPerLeg-f0.5": InterceptResend(
+        attack_probability=0.5, basis_policy="randomPerLeg"
+    ),
+    "alwaysZ-leg1": InterceptResend(legs=(1,)),
+    "randomPerLeg-leg2-f0.7": InterceptResend(
+        attack_probability=0.7, basis_policy="randomPerLeg", legs=(2,)
+    ),
+    "collective-0.05": AnalyticAttack(curve_kind="collective", disturbance=0.05),
+    "individual-0.08": AnalyticAttack(curve_kind="individual", disturbance=0.08),
+}
+
+_SOURCES = {
+    "halfspace": halfspace_source(),
+    "task": generate_task(8, 6.0, 42).concept_source(),
+}
+
+# session_digest of 200-label sessions at seed 3 with abort threshold 0.11,
+# taken before the session was split into a draw loop and a table pass.  A
+# change that moves the random stream, an input byte, a label or a reported
+# rate changes these digests; such a change updates them and says so in
+# CHANGES.md.
+_SESSION_DIGESTS = {
+    "halfspace/none": "f36cb048f9c2c7059acd24437c78aea24153e2301bc8576c083fae44a79cfaf9",
+    "halfspace/alwaysZ-f1": "ed8dc947b0e1c5b78026bdfa3a0bb1a10ac7895f2d21f6621cf4dcd900c0322c",
+    "halfspace/randomPerLeg-f0.5": "3ab490bae9b8980f4c0ad22ee130eabba5798fb08a8277c2cbbaf82d228daa4b",
+    "halfspace/alwaysZ-leg1": "d5af43cb5702e366cfb1487e41d8936cfdc03644acec68d349769b991737faf9",
+    "halfspace/randomPerLeg-leg2-f0.7": "a41b741950309cebab9984c1aab8da30d5cc8e9041920e8fcb44436de1c4ef11",
+    "halfspace/collective-0.05": "4efbada18b6d5d964c419404540266d2c84838b2d172f9b4de2e5bd5bc01de30",
+    "halfspace/individual-0.08": "db9462f65b66e7ca0888bea5a39f42cbbec4fac84b582fd869d4f77753b924d2",
+    "task/none": "4cb0420cf7a7c65ea1f9412cfa6694fc45fff63ee2ac85ddbac08b8ebc6d4809",
+    "task/alwaysZ-f1": "411ff03655ad17a4521d2ece47cbfd325b48b60d74543fbda3c4a5bb880a9648",
+    "task/randomPerLeg-f0.5": "65f2a689ce72137a2f5b0ddf5e4a5454880be912d18adc7bd6b93d7b695a08fe",
+    "task/alwaysZ-leg1": "7d5121fff425ed0555d229c6b51ffcd9519e922f8617edfa30bbd32b7b79c893",
+    "task/randomPerLeg-leg2-f0.7": "de00bfa63854e44e837be9b536b927cf8fd7781663684630fd0f6230d6a6c200",
+    "task/collective-0.05": "80239a10e3778c1364d5b0d6a5e50bfa6b79922a97fc11f1d20aaefa2629888b",
+    "task/individual-0.08": "b91146eb40ba15ec33aaa5f593be556ca863ee625b73ce94d5e7e4e61b8f63bd",
+}
+
+
+class TestSessionPins:
+    @pytest.mark.parametrize("key", sorted(_SESSION_DIGESTS))
+    def test_whole_session_is_pinned(self, key):
+        source_name, attack_name = key.split("/")
+        session = run_session(
+            _SOURCES[source_name],
+            200,
+            attack=_PINNED_ATTACKS[attack_name],
+            abort_threshold=0.11,
+            seed=3,
+        )
+        assert session_digest(session) == _SESSION_DIGESTS[key]
+
+
+_ATTACKS = st.one_of(
+    st.just(NoAttack()),
+    st.builds(
+        InterceptResend,
+        attack_probability=st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)
+        ),
+        basis_policy=st.sampled_from(["alwaysZ", "randomPerLeg"]),
+        legs=st.sampled_from([(1,), (2,), (1, 2)]),
+    ),
+    st.builds(
+        AnalyticAttack,
+        curve_kind=st.sampled_from(["individual", "collective"]),
+        disturbance=st.floats(0.0, 0.5),
+    ),
+)
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+        )
+    return type(a) is type(b) and a == b
+
+
+class TestAgainstScalarReference:
+    @settings(deadline=None)
+    @given(
+        attack=_ATTACKS,
+        target=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        keep_rounds=st.booleans(),
+        abort_threshold=st.sampled_from([None, 0.05, 0.11, 0.5]),
+        strict_abort=st.booleans(),
+        source_name=st.sampled_from(sorted(_SOURCES)),
+    )
+    def test_session_equals_the_scalar_loop(
+        self,
+        attack,
+        target,
+        seed,
+        keep_rounds,
+        abort_threshold,
+        strict_abort,
+        source_name,
+    ):
+        source = _SOURCES[source_name]
+        results = []
+        for session_fn in (reference_session, run_session):
+            try:
+                results.append(
+                    session_fn(
+                        source,
+                        target,
+                        attack=attack,
+                        abort_threshold=abort_threshold,
+                        seed=seed,
+                        strict_abort=strict_abort,
+                        keep_rounds=keep_rounds,
+                    )
+                )
+            except ProtocolError as err:  # too few check rounds in a tiny session
+                results.append(str(err))
+        expected, got = results
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        for name in _SCALAR_FIELDS:
+            assert _same_value(getattr(got, name), getattr(expected, name)), name
+        for name in ("authorized_dataset", "eavesdropper_dataset"):
+            got_set, expected_set = getattr(got, name), getattr(expected, name)
+            assert len(got_set) == len(expected_set)
+            for (x, label), (x_ref, label_ref) in zip(got_set, expected_set):
+                assert _same_value(x, x_ref) and _same_value(label, label_ref)
+        assert len(got.rounds) == len(expected.rounds)
+        for rnd, ref in zip(got.rounds, expected.rounds):
+            for name in ref.__dataclass_fields__:
+                assert _same_value(getattr(rnd, name), getattr(ref, name)), name
