@@ -20,6 +20,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +60,16 @@ _WILSON_Z_95 = 1.959963984540054
 
 _MIN_TEST_SIZE = 2000
 _MIN_TRIALS = 30
+
+# noisy_stream draws its inputs, labels and flips in chunks of this many rows.
+_CHUNK = 256
+# Largest per-block evaluation temporary, in float64s: held-out rows times
+# hidden units (one for linear models), summed over the block's trials.
+_EVAL_FLOATS = 16_384
+# Largest chunk buffer of a lockstep group, in float64s: trials times
+# _CHUNK rows times dimension.  Larger batches train as several groups, so
+# memory stays bounded whatever the trial count.
+_GROUP_FLOATS = 131_072
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -106,19 +117,25 @@ class SyntheticTask:
     def labeler(self) -> TaskLabeler:
         return TaskLabeler(direction=self.direction)
 
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """The two cluster centres, -separation/2 and +separation/2 along direction."""
+        half = self.separation / 2.0
+        return np.stack([(-half) * self.direction, half * self.direction])
+
     def sample_inputs(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        sides = 2.0 * rng.integers(2, size=count).astype(np.float64) - 1.0
-        offsets = np.outer(sides * (self.separation / 2.0), self.direction)
-        return offsets + rng.standard_normal((count, self.dimension))
+        """count inputs: a fair cluster side per row, then the Gaussian rows."""
+        return self._offsets[rng.integers(2, size=count)] + rng.standard_normal(
+            (count, self.dimension)
+        )
 
     def concept_source(self) -> ConceptSource:
         """One input per sampler call: sample_inputs(1, rng)[0], byte for byte.
 
-        The two cluster offsets are built once, so a call makes the same two
-        draws (side, then the Gaussian row) and one addition.
+        A call makes the same two draws (side, then the Gaussian row) and one
+        addition of an offset row.
         """
-        half = self.separation / 2.0
-        offsets = np.stack([(-half) * self.direction, half * self.direction])
+        offsets = self._offsets
         dimension = self.dimension
 
         def sampler(rng: np.random.Generator) -> np.ndarray:
@@ -199,53 +216,104 @@ def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:
     return float(np.mean(predictions != test_y))
 
 
+def _matvec(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """xs @ v over any leading trial axes, one BLAS call per trial slice.
+
+    Each slice gets the bits of the 2-D ``xs @ v``; einsum, ``(xs * v).sum``
+    or one GEMM over all trials would differ in the last bits.
+    """
+    return np.matmul(xs, v[..., None])[..., 0]
+
+
+def _column(values) -> np.ndarray:
+    """Per-trial scalars as a column that broadcasts over each trial's rows."""
+    return np.asarray(values)[..., None]
+
+
 @dataclass
 class LinearThresholdModel:
-    """Affine score with a hard threshold, trained by logistic SGD."""
+    """Affine score with a hard threshold, trained by logistic SGD.
+
+    The fields may carry a leading trial axis, (T, d) weights and (T,)
+    biases: predict and sgd_step then act on every trial at once, on (T, b, d)
+    inputs or on (n, d) inputs shared by all trials.
+    """
 
     weights: np.ndarray
-    bias: float
+    bias: float | np.ndarray
 
     @property
     def param_count(self) -> int:
         return self.weights.size + 1
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        return (xs @ self.weights + self.bias >= 0.0).astype(np.int64)
+        return (_matvec(xs, self.weights) + _column(self.bias) >= 0.0).astype(np.int64)
 
     def sgd_step(self, xs: np.ndarray, ys: np.ndarray, step_size: float) -> None:
-        residual = _sigmoid(xs @ self.weights + self.bias) - ys
-        self.weights -= step_size * (xs.T @ residual) / len(ys)
-        self.bias -= step_size * float(residual.mean())
+        residual = _sigmoid(_matvec(xs, self.weights) + _column(self.bias)) - ys
+        self.weights -= (
+            step_size * _matvec(np.swapaxes(xs, -1, -2), residual) / ys.shape[-1]
+        )
+        self.bias -= step_size * residual.mean(axis=-1)
 
 
 @dataclass
 class OneHiddenLayerModel:
-    """One tanh hidden layer, logistic output, plain SGD."""
+    """One tanh hidden layer, logistic output, plain SGD.
+
+    Like LinearThresholdModel, the fields may carry a leading trial axis:
+    (T, d, w), (T, w), (T, w) and (T,).
+    """
 
     w1: np.ndarray  # (dimension, width)
     b1: np.ndarray  # (width,)
     w2: np.ndarray  # (width,)
-    b2: float
+    b2: float | np.ndarray
 
     @property
     def param_count(self) -> int:
         return self.w1.size + self.b1.size + self.w2.size + 1
 
+    def _hidden(self, xs: np.ndarray) -> np.ndarray:
+        hidden = np.matmul(xs, self.w1)
+        hidden += self.b1[..., None, :]
+        return np.tanh(hidden, out=hidden)
+
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        hidden = np.tanh(xs @ self.w1 + self.b1)
-        return (hidden @ self.w2 + self.b2 >= 0.0).astype(np.int64)
+        score = _matvec(self._hidden(xs), self.w2) + _column(self.b2)
+        return (score >= 0.0).astype(np.int64)
 
     def sgd_step(self, xs: np.ndarray, ys: np.ndarray, step_size: float) -> None:
-        hidden = np.tanh(xs @ self.w1 + self.b1)
-        residual = (_sigmoid(hidden @ self.w2 + self.b2) - ys) / len(ys)
-        grad_w2 = hidden.T @ residual
-        grad_b2 = float(residual.sum())
-        back = np.outer(residual, self.w2) * (1.0 - hidden**2)
-        self.w1 -= step_size * (xs.T @ back)
-        self.b1 -= step_size * back.sum(axis=0)
+        hidden = self._hidden(xs)
+        residual = (
+            _sigmoid(_matvec(hidden, self.w2) + _column(self.b2)) - ys
+        ) / ys.shape[-1]
+        grad_w2 = _matvec(np.swapaxes(hidden, -1, -2), residual)
+        grad_b2 = residual.sum(axis=-1)
+        back = residual[..., None] * self.w2[..., None, :] * (1.0 - hidden**2)
+        self.w1 -= step_size * np.matmul(np.swapaxes(xs, -1, -2), back)
+        self.b1 -= step_size * back.sum(axis=-2)
         self.w2 -= step_size * grad_w2
         self.b2 -= step_size * grad_b2
+
+
+def _stack(models):
+    """Models of one family as one model with a leading trial axis."""
+    first = models[0]
+    return replace(
+        first, **{name: np.stack([getattr(m, name) for m in models]) for name in vars(first)}
+    )
+
+
+def _take(models, index):
+    """The trials of a model stack at index: an int, a slice or a mask."""
+    return replace(models, **{name: value[index] for name, value in vars(models).items()})
+
+
+def _put(models, index, part) -> None:
+    """Write the trials of part into a model stack at index."""
+    for name, value in vars(models).items():
+        value[index] = getattr(part, name)
 
 
 MODEL_KINDS = ("linear-threshold", "one-hidden-layer")
@@ -275,7 +343,8 @@ class LearnerConfig:
                 f"evaluation cadence must be >= 1, got {self.evaluation_cadence}"
             )
 
-    def build_model(self, dimension: int, rng: np.random.Generator):
+    def build_model(self, dimension: int, rng: np.random.Generator | None):
+        """A fresh model; only the hidden layer draws from rng."""
         if self.model == "linear-threshold":
             return LinearThresholdModel(weights=np.zeros(dimension), bias=0.0)
         width = self.hidden_width
@@ -314,21 +383,36 @@ class LearningTrial:
     final_test_error: float
 
 
+def _check_noise(eta: float) -> None:
+    if not 0.0 <= eta < 0.5:
+        raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")
+
+
+def _check_target_and_budget(epsilon_target: float, sample_budget: int) -> None:
+    if not 0.0 < epsilon_target < 1.0:
+        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
+    if sample_budget < 0:
+        raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
+
+
+def _noisy_chunk(task: SyntheticTask, eta: float, rng: np.random.Generator):
+    """One chunk of a noisy stream: inputs, their concept labels, then the flips."""
+    xs = task.sample_inputs(_CHUNK, rng)
+    labels = task.labeler.predict(xs)
+    if eta > 0.0:
+        labels ^= rng.random(_CHUNK) < eta
+    return xs, labels
+
+
 def noisy_stream(
     task: SyntheticTask, eta: float, seed
 ) -> Iterator[tuple[np.ndarray, int]]:
     """Infinite stream of (input, concept label xor Bernoulli(eta)) pairs."""
-    if not 0.0 <= eta < 0.5:
-        raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")
+    _check_noise(eta)
     rng = np.random.default_rng(seed)
-    labeler = task.labeler
-    chunk = 256
     while True:
-        xs = task.sample_inputs(chunk, rng)
-        labels = labeler.predict(xs)
-        if eta > 0.0:
-            labels = labels ^ (rng.random(chunk) < eta).astype(np.int64)
-        for i in range(chunk):
+        xs, labels = _noisy_chunk(task, eta, rng)
+        for i in range(_CHUNK):
             yield xs[i], int(labels[i])
 
 
@@ -337,6 +421,130 @@ def dataset_stream(
 ) -> Iterator[tuple[np.ndarray, int]]:
     """Finite stream over an already-delivered dataset, in order."""
     return iter(dataset)
+
+
+class _NoisyChunks:
+    """The noisy streams of a batch of trials, drawn chunk by chunk into one buffer.
+
+    Each trial keeps its own generator and noisy_stream's draw pattern.  The
+    trials consume in lockstep, so they cross chunk boundaries together.
+    """
+
+    def __init__(self, task: SyntheticTask, eta: float, seeds: Sequence[int]) -> None:
+        self.task = task
+        self.eta = eta
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.xs = np.empty((len(seeds), _CHUNK, task.dimension))
+        self.ys = np.empty((len(seeds), _CHUNK), dtype=np.int8)
+        self.row = _CHUNK
+
+    def __call__(self, active: np.ndarray, want: int):
+        parts = []
+        while want:
+            if self.row == _CHUNK:
+                for slot in active.tolist():
+                    self.xs[slot], self.ys[slot] = _noisy_chunk(
+                        self.task, self.eta, self.rngs[slot]
+                    )
+                self.row = 0
+            count = min(want, _CHUNK - self.row)
+            rows = slice(self.row, self.row + count)
+            parts.append((self.xs[active, rows], self.ys[active, rows]))
+            self.row += count
+            want -= count
+        xs, ys = (np.concatenate(column, axis=1) for column in zip(*parts))
+        return xs, ys.astype(np.float64)
+
+
+def _stream_draw(sample_stream: Iterable[tuple[np.ndarray, int]]):
+    """The draw function of one trial that reads any sample stream."""
+    stream = iter(sample_stream)
+
+    def draw(active: np.ndarray, want: int):
+        batch = list(itertools.islice(stream, want))
+        if not batch:
+            return None
+        xs, ys = zip(*batch)
+        return np.asarray(xs)[None], np.asarray(ys, dtype=np.float64)[None]
+
+    return draw
+
+
+def _test_errors(models, count: int, task: SyntheticTask, width: int) -> np.ndarray:
+    """Held-out error of each of count stacked trials, a bounded block at a time."""
+    test_x, test_y = task.test_x, task.test_y
+    if len(test_x) == 0:
+        raise DomainError("cannot evaluate on an empty test set")
+    block = max(1, _EVAL_FLOATS // (len(test_x) * width))
+    errors = np.empty(count)
+    for start in range(0, count, block):
+        part = slice(start, start + block)
+        wrong = _take(models, part).predict(test_x) != test_y
+        errors[part] = np.count_nonzero(wrong, axis=-1) / len(test_x)
+    return errors
+
+
+def _train_lockstep(
+    task: SyntheticTask,
+    draw,
+    models,
+    seeds: Sequence[int],
+    epsilon_target: float,
+    config: LearnerConfig,
+    sample_budget: int,
+):
+    """Train a stack of trials together; returns (trials, final model stack).
+
+    The trials share budget, batch size and cadence, so they are always at
+    the same consumed count and evaluate together; each SGD step and each
+    evaluation covers every active trial, and a trial that halts leaves the
+    stack.  draw(active, want) returns the next (T, k, d) inputs and (T, k)
+    labels of the active trial slots, k <= want, or None once the stream is
+    exhausted.  Every trial gets the record and weights of training it alone.
+    """
+    # models is final until the first halt compacts it into a copy; from then
+    # on final keeps the weights each trial had when it left the stack.
+    final = models
+    active = np.arange(len(seeds))
+    width = config.hidden_width if config.model == "one-hidden-layer" else 1
+    trials: list[LearningTrial | None] = [None] * len(seeds)
+
+    def record(slots, done, consumed, halted, errors):
+        _put(final, slots, done)
+        for slot, error in zip(slots.tolist(), errors.tolist()):
+            trials[slot] = LearningTrial(
+                seed=seeds[slot],
+                samples_consumed=consumed,
+                halted=halted,
+                final_test_error=error,
+            )
+
+    consumed = 0
+    next_eval = config.evaluation_cadence
+    errors = None
+    while consumed < sample_budget and len(active):
+        batch = draw(active, min(config.batch_size, sample_budget - consumed))
+        if batch is None:
+            break
+        xs, ys = batch
+        consumed += ys.shape[-1]
+        models.sgd_step(xs, ys, config.step_size)
+        errors = None
+        if consumed >= next_eval:
+            next_eval += config.evaluation_cadence * (
+                1 + (consumed - next_eval) // config.evaluation_cadence
+            )
+            errors = _test_errors(models, len(active), task, width)
+            halted = errors <= epsilon_target
+            if halted.any():
+                record(active[halted], _take(models, halted), consumed, True, errors[halted])
+                kept = ~halted
+                active, models, errors = active[kept], _take(models, kept), errors[kept]
+    if len(active):
+        if errors is None:
+            errors = _test_errors(models, len(active), task, width)
+        record(active, models, consumed, False, errors)
+    return trials, final
 
 
 def train_until(
@@ -356,47 +564,13 @@ def train_until(
     trial unhalted, with a last evaluation recorded for reporting only, so
     the cadence is part of what a halting probability means.
     """
-    if not 0.0 < epsilon_target < 1.0:
-        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
-    if sample_budget < 0:
-        raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
-    model = config.build_model(task.dimension, np.random.default_rng(seed))
-    stream = iter(sample_stream)
-    consumed = 0
-    next_eval = config.evaluation_cadence
-    while consumed < sample_budget:
-        want = min(config.batch_size, sample_budget - consumed)
-        batch = list(itertools.islice(stream, want))
-        if not batch:
-            break
-        consumed += len(batch)
-        xs, ys = zip(*batch)
-        model.sgd_step(np.asarray(xs), np.asarray(ys, dtype=np.float64), config.step_size)
-        if consumed >= next_eval:
-            next_eval += config.evaluation_cadence * (
-                1 + (consumed - next_eval) // config.evaluation_cadence
-            )
-            last_error = evaluate_error(model, task.test_x, task.test_y)
-            if last_error <= epsilon_target:
-                return (
-                    LearningTrial(
-                        seed=seed,
-                        samples_consumed=consumed,
-                        halted=True,
-                        final_test_error=last_error,
-                    ),
-                    model,
-                )
-    last_error = evaluate_error(model, task.test_x, task.test_y)
-    return (
-        LearningTrial(
-            seed=seed,
-            samples_consumed=consumed,
-            halted=False,
-            final_test_error=last_error,
-        ),
-        model,
+    _check_target_and_budget(epsilon_target, sample_budget)
+    models = _stack([config.build_model(task.dimension, np.random.default_rng(seed))])
+    trials, final = _train_lockstep(
+        task, _stream_draw(sample_stream), models, [seed], epsilon_target, config,
+        sample_budget,
     )
+    return trials[0], _take(final, 0)
 
 
 def random_halfspace_sampler(dimension: int) -> Callable[[np.random.Generator], LinearThresholdModel]:
@@ -423,10 +597,7 @@ def random_search_learner(
     the held-out verdict of each candidate, so label noise in the stream
     cannot help or hurt it.  An exhausted trial reports the best error seen.
     """
-    if not 0.0 < epsilon_target < 1.0:
-        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
-    if sample_budget < 0:
-        raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
+    _check_target_and_budget(epsilon_target, sample_budget)
     rng = np.random.default_rng(seed)
     best = math.inf
     for draw in range(1, sample_budget + 1):
@@ -453,19 +624,51 @@ def _trial_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(base_seed, index))
 
 
-def _run_one_trial(args) -> LearningTrial:
-    task, eta, epsilon_target, config, budget, base_seed, index, learner = args
-    seeds = _trial_seed(base_seed, index).generate_state(2)
+def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed, indices):
+    """The gradient trials of the given indices, in lockstep: (trials, final models).
+
+    Trial i streams from the first word of its (base_seed, i) seed pair and
+    draws its initial model from the second, which is also its record seed.
+    Linear models start at zero and draw nothing, so they get no generator.
+    """
+    pairs = [_trial_seed(base_seed, index).generate_state(2).tolist() for index in indices]
+    model_seeds = [pair[1] for pair in pairs]
+    linear = config.model == "linear-threshold"
+    models = _stack([
+        config.build_model(task.dimension, None if linear else np.random.default_rng(seed))
+        for seed in model_seeds
+    ])
+    draw = _NoisyChunks(task, eta, [pair[0] for pair in pairs])
+    return _train_lockstep(
+        task, draw, models, model_seeds, epsilon_target, config, sample_budget
+    )
+
+
+def _split(indices: range, parts: int) -> list[range]:
+    """indices as at most parts contiguous, non-empty ranges of near-equal length."""
+    edges = [len(indices) * k // parts for k in range(parts + 1)]
+    return [indices[a:b] for a, b in zip(edges, edges[1:]) if a < b]
+
+
+def _run_block(job) -> list[LearningTrial]:
+    task, eta, epsilon_target, config, budget, base_seed, learner, indices = job
     if learner == "random-search":
         sampler = random_halfspace_sampler(task.dimension)
-        return random_search_learner(
-            task, epsilon_target, sampler, budget, seed=int(seeds[0])
-        )
-    stream = noisy_stream(task, eta, seed=int(seeds[0]))
-    trial, _ = train_until(
-        task, stream, epsilon_target, config, budget, seed=int(seeds[1])
-    )
-    return trial
+        return [
+            random_search_learner(
+                task, epsilon_target, sampler, budget,
+                seed=int(_trial_seed(base_seed, index).generate_state(2)[0]),
+            )
+            for index in indices
+        ]
+    group = max(1, _GROUP_FLOATS // (_CHUNK * task.dimension))
+    return [
+        trial
+        for part in _split(indices, -(-len(indices) // group))
+        for trial in _gradient_block(
+            task, eta, epsilon_target, config, budget, base_seed, part
+        )[0]
+    ]
 
 
 def run_trials(
@@ -482,22 +685,26 @@ def run_trials(
     """Independent trials with per-index seeds; order is by trial index.
 
     Each trial derives its generators from (base_seed, index) alone, so the
-    result list is identical no matter how many workers ran it.
+    result list is identical no matter how many workers ran it; each worker
+    runs one contiguous block of indices.  Every argument is checked before
+    any trial runs, eta included even when no sample is drawn.
     """
     if learner not in ("gradient", "random-search"):
         raise DomainError(f"learner must be gradient or random-search, got {learner!r}")
+    _check_noise(eta)
+    _check_target_and_budget(epsilon_target, sample_budget)
     if n_trials < 1:
         raise DomainError(f"need at least one trial, got {n_trials}")
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
     jobs = [
-        (task, eta, epsilon_target, config, sample_budget, base_seed, index, learner)
-        for index in range(n_trials)
+        (task, eta, epsilon_target, config, sample_budget, base_seed, learner, block)
+        for block in _split(range(n_trials), workers)
     ]
-    if workers == 1:
-        return [_run_one_trial(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one_trial, jobs, chunksize=max(1, n_trials // (4 * workers))))
+    if len(jobs) == 1:
+        return _run_block(jobs[0])
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        return [trial for block in pool.map(_run_block, jobs) for trial in block]
 
 
 def wilson_interval(

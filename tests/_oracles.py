@@ -8,14 +8,18 @@ is a lookup table, so agreement is a genuine cross-check, not a tautology.
 ``tests/test_qubit.py`` checks every table entry against ``_KETS``,
 ``_PAULI_X`` and ``_measure_branches``.
 
-Only ``reference_session`` uses the package: it is the scalar per-round
+Two referees use the package.  ``reference_session`` is the scalar per-round
 session loop, one ``qubit``/``adversary`` call per step, kept as the referee
-for ``protocol.run_session``'s draw loop and table pass.
+for ``protocol.run_session``'s draw loop and table pass.  ``reference_trial``
+is the per-trial SGD loop with one-model predict/sgd_step methods, kept as
+the referee for ``learn_harness``'s lockstep trial engine.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +34,7 @@ from qlabelsec.adversary import (
     intercept,
 )
 from qlabelsec.errors import DomainError, ProtocolError
+from qlabelsec.learn_harness import LearningTrial
 from qlabelsec.protocol import ProtocolRound, SessionResult, estimate_eta_a
 from qlabelsec.qubit import Preparation, apply_oracle, fidelity, measure
 
@@ -443,3 +448,123 @@ def reference_session(
         result.authorized_dataset = []
         result.eavesdropper_dataset = []
     return result
+
+
+# ---------------------------------------------------------------------------
+# per-trial learning referee
+# ---------------------------------------------------------------------------
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@dataclass
+class ReferenceLinearModel:
+    """One affine threshold model, trained by logistic SGD."""
+
+    weights: np.ndarray
+    bias: float
+
+    def predict(self, xs: np.ndarray) -> np.ndarray:
+        return (xs @ self.weights + self.bias >= 0.0).astype(np.int64)
+
+    def sgd_step(self, xs: np.ndarray, ys: np.ndarray, step_size: float) -> None:
+        residual = _sigmoid(xs @ self.weights + self.bias) - ys
+        self.weights -= step_size * (xs.T @ residual) / len(ys)
+        self.bias -= step_size * float(residual.mean())
+
+
+@dataclass
+class ReferenceHiddenModel:
+    """One tanh hidden layer, logistic output, plain SGD."""
+
+    w1: np.ndarray  # (dimension, width)
+    b1: np.ndarray  # (width,)
+    w2: np.ndarray  # (width,)
+    b2: float
+
+    def predict(self, xs: np.ndarray) -> np.ndarray:
+        hidden = np.tanh(xs @ self.w1 + self.b1)
+        return (hidden @ self.w2 + self.b2 >= 0.0).astype(np.int64)
+
+    def sgd_step(self, xs: np.ndarray, ys: np.ndarray, step_size: float) -> None:
+        hidden = np.tanh(xs @ self.w1 + self.b1)
+        residual = (_sigmoid(hidden @ self.w2 + self.b2) - ys) / len(ys)
+        grad_w2 = hidden.T @ residual
+        grad_b2 = float(residual.sum())
+        back = np.outer(residual, self.w2) * (1.0 - hidden**2)
+        self.w1 -= step_size * (xs.T @ back)
+        self.b1 -= step_size * back.sum(axis=0)
+        self.w2 -= step_size * grad_w2
+        self.b2 -= step_size * grad_b2
+
+
+def reference_model(config, dimension: int, rng: np.random.Generator):
+    """The initial model of a trial, drawn as ``LearnerConfig.build_model`` does."""
+    if config.model == "linear-threshold":
+        return ReferenceLinearModel(weights=np.zeros(dimension), bias=0.0)
+    width = config.hidden_width
+    return ReferenceHiddenModel(
+        w1=rng.normal(0.0, 1.0 / math.sqrt(dimension), size=(dimension, width)),
+        b1=np.zeros(width),
+        w2=rng.normal(0.0, 0.5, size=width),
+        b2=0.0,
+    )
+
+
+def _reference_error(model, test_x: np.ndarray, test_y: np.ndarray) -> float:
+    return float(np.mean(model.predict(test_x) != test_y))
+
+
+def reference_trial(task, sample_stream, epsilon_target, config, sample_budget, seed=0):
+    """``learn_harness.train_until`` as one trial with one model: (trial, model).
+
+    Same arguments, stream consumption, evaluations and result as the
+    lockstep engine's one-trial case.
+    """
+    if not 0.0 < epsilon_target < 1.0:
+        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
+    if sample_budget < 0:
+        raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
+    model = reference_model(config, task.dimension, np.random.default_rng(seed))
+    stream = iter(sample_stream)
+    consumed = 0
+    next_eval = config.evaluation_cadence
+    while consumed < sample_budget:
+        want = min(config.batch_size, sample_budget - consumed)
+        batch = list(itertools.islice(stream, want))
+        if not batch:
+            break
+        consumed += len(batch)
+        xs, ys = zip(*batch)
+        model.sgd_step(np.asarray(xs), np.asarray(ys, dtype=np.float64), config.step_size)
+        if consumed >= next_eval:
+            next_eval += config.evaluation_cadence * (
+                1 + (consumed - next_eval) // config.evaluation_cadence
+            )
+            last_error = _reference_error(model, task.test_x, task.test_y)
+            if last_error <= epsilon_target:
+                return (
+                    LearningTrial(
+                        seed=seed,
+                        samples_consumed=consumed,
+                        halted=True,
+                        final_test_error=last_error,
+                    ),
+                    model,
+                )
+    last_error = _reference_error(model, task.test_x, task.test_y)
+    return (
+        LearningTrial(
+            seed=seed,
+            samples_consumed=consumed,
+            halted=False,
+            final_test_error=last_error,
+        ),
+        model,
+    )

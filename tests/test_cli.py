@@ -234,6 +234,12 @@ class TestLearnCommand:
         assert run_cli("learn", "--trials", "10") == 2
         assert "at least 30" in capsys.readouterr().err
 
+    def test_unlearnable_noise_exits_2_without_samples(self, capsys):
+        assert run_cli(
+            "learn", "--eta", "0.7", "--budget", "0", "--trials", "30", "--grid", "1"
+        ) == 2
+        assert "unlearnable" in capsys.readouterr().err
+
 
 class TestSweepEta:
     def test_single_point_sweep(self, tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Synthetic task geometry, trial mechanics, and halting-curve estimates."""
 
+import hashlib
 import math
-from itertools import islice
+import tracemalloc
+from itertools import islice, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlabelsec import learn_harness
 from qlabelsec.errors import DomainError
+from qlabelsec.info_theory import eve_noise_from_disturbance
 from qlabelsec.learn_harness import (
     CurvePoint,
     LearnerConfig,
@@ -31,10 +35,21 @@ from qlabelsec.learn_harness import (
 )
 from qlabelsec.pac_bounds import random_search_curve, sample_bound_noisy
 
-from _oracles import gaussian_tail_hp, wilson_bounds_by_rootfinding
+from _oracles import gaussian_tail_hp, reference_trial, wilson_bounds_by_rootfinding
 
 # Frozen from the oracle: P(Z >= 3) for the default separation of 6.
 OVERLAP_SEP6_REF = 0.0013498980316300933
+
+
+# sha256 of generate_task(8, 6.0, 42).sample_inputs(count, default_rng(s)) bytes
+# and generator states, s = 0..9, taken before sample_inputs read its offsets
+# from the two-row table.
+_SAMPLE_INPUT_DIGESTS = {
+    1: "44d1b9ee501be74a897b89ec97fe104455f171eb9736141d585db62f065b9261",
+    5: "05bb02ec8578ccc8c808d7a5b8f0b33e4c7019eaab5c3913925fdbaef1251f59",
+    256: "345b3c27008e51bd7cde2e641772b2c084f393b0d64b6b801cf4485530175564",
+    1000: "136bedc2c2ca256cdd7d1e0bbb26b05d3687398e79814326af61644c90b6a06c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +132,16 @@ class TestGenerateTask:
             row = task.sample_inputs(1, batch_rng)[0]
             assert x.dtype == row.dtype and x.tobytes() == row.tobytes()
         assert rng.random() == batch_rng.random()
+
+    @pytest.mark.parametrize("count", sorted(_SAMPLE_INPUT_DIGESTS))
+    def test_sample_inputs_bytes_are_pinned(self, task, count):
+        # bytes of ten draws and the generator state each leaves behind
+        digest = hashlib.sha256()
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            digest.update(task.sample_inputs(count, rng).tobytes())
+            digest.update(repr(rng.bit_generator.state).encode())
+        assert digest.hexdigest() == _SAMPLE_INPUT_DIGESTS[count]
 
 
 class TestEvaluateError:
@@ -487,6 +512,8 @@ class TestRunTrials:
             dict(learner="exhaustive"),
             dict(n_trials=0),
             dict(workers=0),
+            dict(epsilon_target=0.0),
+            dict(sample_budget=-1),
         ],
     )
     def test_rejects_bad_arguments(self, task, kwargs):
@@ -501,6 +528,220 @@ class TestRunTrials:
         base.update(kwargs)
         with pytest.raises(DomainError):
             run_trials(**base)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "learner,eta,budget",
+        [
+            ("gradient", 0.7, 0),
+            ("gradient", -0.1, 0),
+            ("gradient", 0.5, 0),
+            ("random-search", 0.7, 100),
+            ("random-search", -0.1, 0),
+        ],
+    )
+    def test_rejects_unlearnable_noise_even_without_samples(
+        self, task, workers, learner, eta, budget
+    ):
+        # the noise rate is checked up front, not when a stream first draws
+        with pytest.raises(DomainError, match="unlearnable"):
+            run_trials(
+                task, eta, 0.03, LearnerConfig(), budget, 30,
+                workers=workers, learner=learner,
+            )
+
+
+def trials_digest(trials) -> str:
+    """sha256 of every record field, with its type; floats as float.hex."""
+    digest = hashlib.sha256()
+    for t in trials:
+        fields = (t.seed, t.samples_consumed, t.halted, t.final_test_error)
+        digest.update(" ".join(type(v).__name__ for v in fields).encode())
+        digest.update(
+            f" {t.seed} {t.samples_consumed} {t.halted} {t.final_test_error.hex()}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def _eve_noise(eta_a: float) -> float:
+    return min(eve_noise_from_disturbance("collective", eta_a), 0.5 - 1e-12)
+
+
+_HIDDEN = LearnerConfig(model="one-hidden-layer")
+
+# The benchmark's learning batches and two noisier ones: (eta, config,
+# budget, base seed), 150 trials each at epsilon 0.03 on generate_task(8, 6.0, 42).
+_PINNED_BATCHES = {
+    "sweep eta_a=0.01": (0.01, LearnerConfig(), 25, 1001),
+    "sweep eta_e(0.01)": (_eve_noise(0.01), LearnerConfig(), 25, 1002),
+    "sweep eta_a=0.11": (0.11, LearnerConfig(), 25, 1003),
+    "sweep eta_e(0.11)": (_eve_noise(0.11), LearnerConfig(), 25, 1004),
+    "histogram eta_a=0.03": (0.03, LearnerConfig(), 2000, 1005),
+    "histogram eta_e(0.03)": (_eve_noise(0.03), LearnerConfig(), 2000, 1006),
+    "curve hidden eta=0.05": (
+        0.05,
+        _HIDDEN,
+        min(default_sample_budget(0.03, 0.05, log_hypothesis_count(_HIDDEN, 8)), 1600),
+        1007,
+    ),
+    # noisier than the benchmark's batches, so trials cross chunk boundaries
+    "histogram eta=0.4": (0.4, LearnerConfig(), 2000, 1008),
+    "curve hidden eta=0.4": (0.4, _HIDDEN, 1600, 1009),
+}
+
+# trials_digest of each pinned batch, taken from the per-trial loop.
+_RECORD_DIGESTS = {
+    "sweep eta_a=0.01": "684ca408255343b8e4bd50e5aefb76429ad56f777c567543c801e083c4255536",
+    "sweep eta_e(0.01)": "9779f5bc14346796737757cfe3e67e78db757cc3f8a797cccd023fd0089d2752",
+    "sweep eta_a=0.11": "408be656e0e553dc58400bc8225c2b4818a99a75bd1d4cb284f3f36d520c41c1",
+    "sweep eta_e(0.11)": "a19089632c9d083ce6ffe28fb0f6d85d05f4344f0fade9dca97bcc6d59447473",
+    "histogram eta_a=0.03": "5a016fa9fdd1bd077076230361c93dba59f3afdf4e5f2bb490018972ae5f1c8c",
+    "histogram eta_e(0.03)": "c31a8d61e9bea8d003c2d6af9490c036b2ece5e707f95a1132ea4400252b26c7",
+    "curve hidden eta=0.05": "460a6d1efa8ea7f4302a948f3c2bd340f2d10f65bd319a75edd07b42d03e140e",
+    "histogram eta=0.4": "eccd17d42e740676ebec10879fc749cc7cfb46ef88ebd166426bbbd9de6a9727",
+    "curve hidden eta=0.4": "705f2654017c394e4cd506f52f017fed43214b2fb23eb0466bb2f0c307a56014",
+}
+
+
+def _run_pinned(task, key, **kwargs):
+    eta, config, budget, base_seed = _PINNED_BATCHES[key]
+    return run_trials(task, eta, 0.03, config, budget, 150, base_seed=base_seed, **kwargs)
+
+
+class TestRecordPins:
+    @pytest.mark.parametrize("key", sorted(_RECORD_DIGESTS))
+    def test_batch_is_pinned(self, task, key):
+        assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", ["histogram eta_e(0.03)", "curve hidden eta=0.05"])
+    def test_batch_memory_peak_is_bounded(self, task, key):
+        tracemalloc.start()
+        try:
+            _run_pinned(task, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
+
+@pytest.fixture(scope="module")
+def tasks(task):
+    return [task, generate_task(dimension=3, separation=5.0, seed=7)]
+
+
+def _configs():
+    return st.builds(
+        LearnerConfig,
+        model=st.sampled_from(["linear-threshold", "one-hidden-layer"]),
+        hidden_width=st.integers(1, 8),
+        step_size=st.sampled_from([0.05, 0.3, 1.5]),
+        batch_size=st.sampled_from([1, 2, 5, 7, 9, 16, 300]),
+        evaluation_cadence=st.sampled_from([1, 3, 10, 25, 64]),
+    )
+
+
+def _assert_same_model(model, reference):
+    fields = vars(reference)
+    assert set(vars(model)) == set(fields)
+    for name, expected in fields.items():
+        got = getattr(model, name)
+        expected = np.asarray(expected)
+        assert np.asarray(got).dtype == expected.dtype, name
+        assert np.asarray(got).tobytes() == expected.tobytes(), name
+
+
+def _assert_python_record(trial):
+    assert type(trial.seed) is int
+    assert type(trial.samples_consumed) is int
+    assert type(trial.halted) is bool
+    assert type(trial.final_test_error) is float
+
+
+def _reference_batch(task, eta, epsilon, config, budget, base_seed, n_trials):
+    """(trial, model) of each index from the per-trial loop on its own stream."""
+    expected = []
+    for index in range(n_trials):
+        pair = np.random.SeedSequence((base_seed, index)).generate_state(2)
+        stream = noisy_stream(task, eta, seed=int(pair[0]))
+        expected.append(
+            reference_trial(task, stream, epsilon, config, budget, seed=int(pair[1]))
+        )
+    return expected
+
+
+def _assert_block_matches(task, eta, epsilon, config, budget, base_seed, expected):
+    trials, models = learn_harness._gradient_block(
+        task, eta, epsilon, config, budget, base_seed, range(len(expected))
+    )
+    assert trials == [trial for trial, _ in expected]
+    for index, (trial, reference) in enumerate(expected):
+        _assert_python_record(trials[index])
+        _assert_same_model(learn_harness._take(models, index), reference)
+
+
+class TestAgainstPerTrialReference:
+    @pytest.mark.parametrize("model", ["linear-threshold", "one-hidden-layer"])
+    def test_lockstep_batch_equals_the_per_trial_loop_on_a_grid(self, task, model):
+        # budgets off the batch and cadence grids, halting and unhalted
+        # trials, evaluations that straddle a batch, chunks that straddle a
+        # batch (256 is no multiple of 5 or 7)
+        for batch_size, cadence, budget, eta, epsilon in product(
+            (1, 5, 7), (10, 25), (0, 3, 23, 300), (0.0, 0.3), (0.03, 0.2)
+        ):
+            config = LearnerConfig(
+                model=model, batch_size=batch_size, evaluation_cadence=cadence
+            )
+            expected = _reference_batch(task, eta, epsilon, config, budget, 5, 6)
+            _assert_block_matches(task, eta, epsilon, config, budget, 5, expected)
+
+    @given(
+        data=st.data(),
+        config=_configs(),
+        budget=st.one_of(st.just(0), st.integers(1, 300)),
+        eta=st.one_of(st.sampled_from([0.0, 0.1, 0.3]), st.floats(0.0, 0.49)),
+        epsilon=st.one_of(st.sampled_from([0.03, 0.2]), st.floats(0.01, 0.5)),
+        n_trials=st.integers(1, 12),
+        workers=st.sampled_from([1, 2, 3]),
+        base_seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_batch_equals_the_per_trial_loop(
+        self, tasks, data, config, budget, eta, epsilon, n_trials, workers, base_seed
+    ):
+        task = data.draw(st.sampled_from(tasks))
+        expected = _reference_batch(task, eta, epsilon, config, budget, base_seed, n_trials)
+        trials = run_trials(
+            task, eta, epsilon, config, budget, n_trials,
+            base_seed=base_seed, workers=workers,
+        )
+        assert trials == [trial for trial, _ in expected]
+        for trial in trials:
+            _assert_python_record(trial)
+        _assert_block_matches(task, eta, epsilon, config, budget, base_seed, expected)
+
+    @given(
+        data=st.data(),
+        config=_configs(),
+        length=st.integers(0, 60),
+        budget=st.integers(0, 80),
+        epsilon=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_train_until_on_a_finite_dataset_equals_the_per_trial_loop(
+        self, tasks, data, config, length, budget, epsilon, seed
+    ):
+        task = data.draw(st.sampled_from(tasks))
+        dataset = list(islice(noisy_stream(task, 0.2, seed=seed), length))
+        trial, model = train_until(
+            task, dataset_stream(dataset), epsilon, config, budget, seed=seed
+        )
+        expected, reference = reference_trial(
+            task, dataset_stream(dataset), epsilon, config, budget, seed=seed
+        )
+        assert trial == expected
+        _assert_python_record(trial)
+        _assert_same_model(model, reference)
 
 
 class TestDefaultBudget:
