@@ -70,6 +70,10 @@ _EVAL_FLOATS = 16_384
 # _CHUNK rows times dimension.  Larger batches train as several groups, so
 # memory stays bounded whatever the trial count.
 _GROUP_FLOATS = 131_072
+# Hypotheses each random-search trial draws and scores per lockstep step, and
+# trials per random-search lockstep group (each holds a generator of its own).
+_SEARCH_BLOCK = 8
+_SEARCH_GROUP = 1024
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -212,8 +216,8 @@ def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:
     """Misclassification fraction of a hypothesis on a labeled set."""
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
-    predictions = hypothesis.predict(test_x)
-    return float(np.mean(predictions != test_y))
+    wrong = hypothesis.predict(test_x) != test_y
+    return float(np.count_nonzero(wrong) / len(test_x))
 
 
 def _matvec(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -584,6 +588,81 @@ def random_halfspace_sampler(dimension: int) -> Callable[[np.random.Generator], 
     return sample
 
 
+def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
+    """A _search_lockstep scorer for random_halfspace_sampler draws, in blocks.
+
+    One standard_normal((k, d + 1)) call gives the numbers of k sequential
+    sampler calls, each row the d weights then the bias.  Blocks are scored
+    with the stacked _matvec, whose slices carry the bits of one hypothesis's
+    predict, a few trials at a time so that the score temporary stays near
+    _EVAL_FLOATS; scores >= -bias equals scores + bias >= 0 for finite doubles.
+    """
+    test_x, truth = task.test_x, task.test_y.astype(bool)
+    count, dimension = test_x.shape
+
+    def errors(active: list[int], k: int) -> list[list[float]]:
+        if count == 0:
+            raise DomainError("cannot evaluate on an empty test set")
+        out = np.empty((len(active), k))
+        chunk = max(1, _EVAL_FLOATS // (count * k))
+        for start in range(0, len(active), chunk):
+            slots = active[start:start + chunk]
+            draws = np.stack(
+                [rngs[slot].standard_normal((k, dimension + 1)) for slot in slots]
+            )
+            scores = _matvec(test_x, np.ascontiguousarray(draws[..., :dimension]))
+            wrong = (scores >= -draws[..., dimension:]) != truth
+            out[start:start + len(slots)] = wrong.sum(axis=-1, dtype=np.uint32) / count
+        return out.tolist()
+
+    return errors
+
+
+def _search_lockstep(
+    errors, seeds: Sequence[int], epsilon_target: float, sample_budget: int, block: int
+) -> list[LearningTrial]:
+    """Random-search trials in lockstep, under the one random-search halting rule.
+
+    errors(active, k) returns, for each active trial slot in order, the
+    held-out errors of the next k hypotheses it draws from its own generator.
+    Each step scores a block of up to `block` draws per trial, the last block
+    cut at the budget.  A trial halts at its first draw at or below the
+    target and reports that draw's index and error; the rest of its block is
+    discarded.  An unhalted trial reports the budget and the best error over
+    exactly that many draws, 1.0 when it drew none.
+    """
+    trials: list[LearningTrial | None] = [None] * len(seeds)
+    best = [1.0] * len(seeds)
+    active = list(range(len(seeds)))
+    drawn = 0
+    while drawn < sample_budget and active:
+        k = min(block, sample_budget - drawn)
+        searching = []
+        for slot, row in zip(active, errors(active, k)):
+            lowest = min(row)
+            if lowest > epsilon_target:
+                best[slot] = min(best[slot], lowest)
+                searching.append(slot)
+                continue
+            index = [error <= epsilon_target for error in row].index(True)
+            trials[slot] = LearningTrial(
+                seed=seeds[slot],
+                samples_consumed=drawn + index + 1,
+                halted=True,
+                final_test_error=row[index],
+            )
+        active = searching
+        drawn += k
+    for slot in active:
+        trials[slot] = LearningTrial(
+            seed=seeds[slot],
+            samples_consumed=sample_budget,
+            halted=False,
+            final_test_error=best[slot],
+        )
+    return trials
+
+
 def random_search_learner(
     task: SyntheticTask,
     epsilon_target: float,
@@ -596,24 +675,16 @@ def random_search_learner(
     The baseline every learner is measured against: it looks at nothing but
     the held-out verdict of each candidate, so label noise in the stream
     cannot help or hurt it.  An exhausted trial reports the best error seen.
+    This is the one-trial case of the lockstep engine, in blocks of one
+    sampler call.
     """
     _check_target_and_budget(epsilon_target, sample_budget)
     rng = np.random.default_rng(seed)
-    best = math.inf
-    for draw in range(1, sample_budget + 1):
-        hypothesis = hypothesis_sampler(rng)
-        error = evaluate_error(hypothesis, task.test_x, task.test_y)
-        best = min(best, error)
-        if error <= epsilon_target:
-            return LearningTrial(
-                seed=seed, samples_consumed=draw, halted=True, final_test_error=error
-            )
-    return LearningTrial(
-        seed=seed,
-        samples_consumed=sample_budget,
-        halted=False,
-        final_test_error=best if math.isfinite(best) else 1.0,
-    )
+
+    def errors(active: list[int], k: int) -> list[list[float]]:
+        return [[evaluate_error(hypothesis_sampler(rng), task.test_x, task.test_y)]]
+
+    return _search_lockstep(errors, [seed], epsilon_target, sample_budget, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -650,24 +721,34 @@ def _split(indices: range, parts: int) -> list[range]:
     return [indices[a:b] for a, b in zip(edges, edges[1:]) if a < b]
 
 
+def _search_block(task, epsilon_target, sample_budget, base_seed, indices):
+    """The random-search trials of the given indices, in lockstep.
+
+    Trial i draws its hypotheses from the first word of its (base_seed, i)
+    seed pair, which is also its record seed.
+    """
+    seeds = [int(_trial_seed(base_seed, index).generate_state(2)[0]) for index in indices]
+    errors = _halfspace_errors(task, [np.random.default_rng(seed) for seed in seeds])
+    return _search_lockstep(errors, seeds, epsilon_target, sample_budget, _SEARCH_BLOCK)
+
+
 def _run_block(job) -> list[LearningTrial]:
     task, eta, epsilon_target, config, budget, base_seed, learner, indices = job
     if learner == "random-search":
-        sampler = random_halfspace_sampler(task.dimension)
-        return [
-            random_search_learner(
-                task, epsilon_target, sampler, budget,
-                seed=int(_trial_seed(base_seed, index).generate_state(2)[0]),
-            )
-            for index in indices
-        ]
-    group = max(1, _GROUP_FLOATS // (_CHUNK * task.dimension))
+        group = _SEARCH_GROUP
+
+        def run(part):
+            return _search_block(task, epsilon_target, budget, base_seed, part)
+    else:
+        group = max(1, _GROUP_FLOATS // (_CHUNK * task.dimension))
+
+        def run(part):
+            return _gradient_block(
+                task, eta, epsilon_target, config, budget, base_seed, part
+            )[0]
+
     return [
-        trial
-        for part in _split(indices, -(-len(indices) // group))
-        for trial in _gradient_block(
-            task, eta, epsilon_target, config, budget, base_seed, part
-        )[0]
+        trial for part in _split(indices, -(-len(indices) // group)) for trial in run(part)
     ]
 
 

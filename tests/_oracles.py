@@ -8,11 +8,14 @@ is a lookup table, so agreement is a genuine cross-check, not a tautology.
 ``tests/test_qubit.py`` checks every table entry against ``_KETS``,
 ``_PAULI_X`` and ``_measure_branches``.
 
-Two referees use the package.  ``reference_session`` is the scalar per-round
+Three referees use the package.  ``reference_session`` is the scalar per-round
 session loop, one ``qubit``/``adversary`` call per step, kept as the referee
 for ``protocol.run_session``'s draw loop and table pass.  ``reference_trial``
 is the per-trial SGD loop with one-model predict/sgd_step methods, kept as
 the referee for ``learn_harness``'s lockstep trial engine.
+``reference_search`` is the per-draw random-search loop, one sampler call and
+one held-out evaluation per draw, kept as the referee for the lockstep
+random-search engine.
 """
 
 from __future__ import annotations
@@ -567,4 +570,42 @@ def reference_trial(task, sample_stream, epsilon_target, config, sample_budget, 
             final_test_error=last_error,
         ),
         model,
+    )
+
+
+def reference_halfspace_sampler(dimension: int):
+    """``learn_harness.random_halfspace_sampler`` with the one-model class."""
+
+    def sample(rng: np.random.Generator) -> ReferenceLinearModel:
+        return ReferenceLinearModel(
+            weights=rng.standard_normal(dimension), bias=float(rng.standard_normal())
+        )
+
+    return sample
+
+
+def reference_search(task, epsilon_target, hypothesis_sampler, sample_budget, seed=0):
+    """``learn_harness.random_search_learner`` as a loop of one draw at a time.
+
+    Halts at the first draw at or below the target; an exhausted trial
+    reports the best error seen, 1.0 when it drew nothing.
+    """
+    if not 0.0 < epsilon_target < 1.0:
+        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
+    if sample_budget < 0:
+        raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for draw in range(1, sample_budget + 1):
+        error = _reference_error(hypothesis_sampler(rng), task.test_x, task.test_y)
+        best = min(best, error)
+        if error <= epsilon_target:
+            return LearningTrial(
+                seed=seed, samples_consumed=draw, halted=True, final_test_error=error
+            )
+    return LearningTrial(
+        seed=seed,
+        samples_consumed=sample_budget,
+        halted=False,
+        final_test_error=best if math.isfinite(best) else 1.0,
     )

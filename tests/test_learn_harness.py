@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import islice, product
 
 import numpy as np
@@ -35,7 +36,14 @@ from qlabelsec.learn_harness import (
 )
 from qlabelsec.pac_bounds import random_search_curve, sample_bound_noisy
 
-from _oracles import gaussian_tail_hp, reference_trial, wilson_bounds_by_rootfinding
+from _oracles import (
+    ReferenceLinearModel,
+    gaussian_tail_hp,
+    reference_halfspace_sampler,
+    reference_search,
+    reference_trial,
+    wilson_bounds_by_rootfinding,
+)
 
 # Frozen from the oracle: P(Z >= 3) for the default separation of 6.
 OVERLAP_SEP6_REF = 0.0013498980316300933
@@ -569,8 +577,9 @@ def _eve_noise(eta_a: float) -> float:
 
 _HIDDEN = LearnerConfig(model="one-hidden-layer")
 
-# The benchmark's learning batches and two noisier ones: (eta, config,
-# budget, base seed), 150 trials each at epsilon 0.03 on generate_task(8, 6.0, 42).
+# The benchmark's learning batches, two noisier ones and three random-search
+# batches: (eta, config, budget, base seed[, run_trials options]), 150 trials
+# at epsilon 0.03 on generate_task(8, 6.0, 42) unless the options say otherwise.
 _PINNED_BATCHES = {
     "sweep eta_a=0.01": (0.01, LearnerConfig(), 25, 1001),
     "sweep eta_e(0.01)": (_eve_noise(0.01), LearnerConfig(), 25, 1002),
@@ -587,9 +596,23 @@ _PINNED_BATCHES = {
     # noisier than the benchmark's batches, so trials cross chunk boundaries
     "histogram eta=0.4": (0.4, LearnerConfig(), 2000, 1008),
     "curve hidden eta=0.4": (0.4, _HIDDEN, 1600, 1009),
+    # the benchmark's random-search batch and `learn --learner random-search`
+    # at its defaults
+    "search eta=0": (
+        0.0, LearnerConfig(), 1600, 1010, dict(learner="random-search")
+    ),
+    "search learn defaults": (
+        0.0, LearnerConfig(), 1600, 0, dict(learner="random-search", n_trials=100)
+    ),
+    # a budget of 4 blocks and 5 draws, where most trials run out and report
+    # their best error
+    "search epsilon=0.005 budget=37": (
+        0.0, LearnerConfig(), 37, 1011, dict(learner="random-search", epsilon_target=0.005)
+    ),
 }
 
-# trials_digest of each pinned batch, taken from the per-trial loop.
+# trials_digest of each pinned batch, taken from the per-trial loop (gradient)
+# and the per-draw loop (random search).
 _RECORD_DIGESTS = {
     "sweep eta_a=0.01": "684ca408255343b8e4bd50e5aefb76429ad56f777c567543c801e083c4255536",
     "sweep eta_e(0.01)": "9779f5bc14346796737757cfe3e67e78db757cc3f8a797cccd023fd0089d2752",
@@ -600,12 +623,25 @@ _RECORD_DIGESTS = {
     "curve hidden eta=0.05": "460a6d1efa8ea7f4302a948f3c2bd340f2d10f65bd319a75edd07b42d03e140e",
     "histogram eta=0.4": "eccd17d42e740676ebec10879fc749cc7cfb46ef88ebd166426bbbd9de6a9727",
     "curve hidden eta=0.4": "705f2654017c394e4cd506f52f017fed43214b2fb23eb0466bb2f0c307a56014",
+    "search eta=0": "5edc516feec8723dac5a6e08136c1ae94cd5aaf95db06f099a8729e2998f1de1",
+    "search learn defaults": "cfa358b93c392ceb6b13400584b446fdbc77120ba5cb0c56dea0f0704cdaa599",
+    "search epsilon=0.005 budget=37": (
+        "c27c56550a837ffd2ddf89309834c2bdd457de82d06d4bd43f11cba1c41e8f9e"
+    ),
 }
 
 
+def _pinned_options(key):
+    """run_trials arguments of a pinned batch, all by keyword."""
+    eta, config, budget, base_seed, *options = _PINNED_BATCHES[key]
+    return {
+        "eta": eta, "epsilon_target": 0.03, "config": config, "sample_budget": budget,
+        "n_trials": 150, "base_seed": base_seed, **(options[0] if options else {}),
+    }
+
+
 def _run_pinned(task, key, **kwargs):
-    eta, config, budget, base_seed = _PINNED_BATCHES[key]
-    return run_trials(task, eta, 0.03, config, budget, 150, base_seed=base_seed, **kwargs)
+    return run_trials(task, **_pinned_options(key), **kwargs)
 
 
 class TestRecordPins:
@@ -742,6 +778,229 @@ class TestAgainstPerTrialReference:
         assert trial == expected
         _assert_python_record(trial)
         _assert_same_model(model, reference)
+
+
+def _search_seed(base_seed, index):
+    return int(np.random.SeedSequence((base_seed, index)).generate_state(2)[0])
+
+
+def _reference_search_batch(task, epsilon, budget, base_seed, n_trials):
+    """The record of each index from the per-draw loop on its own generator."""
+    sampler = reference_halfspace_sampler(task.dimension)
+    return [
+        reference_search(task, epsilon, sampler, budget, seed=_search_seed(base_seed, index))
+        for index in range(n_trials)
+    ]
+
+
+def _run_search(task, epsilon, budget, base_seed, n_trials, **kwargs):
+    return run_trials(
+        task, 0.0, epsilon, LearnerConfig(), budget, n_trials,
+        base_seed=base_seed, learner="random-search", **kwargs,
+    )
+
+
+def _assert_records_match(trials, expected):
+    assert len(trials) == len(expected)
+    for index, (trial, reference) in enumerate(zip(trials, expected)):
+        assert trial == reference, index
+        _assert_python_record(trial)
+
+
+_SEARCH_PINS = sorted(key for key in _PINNED_BATCHES if key.startswith("search"))
+
+
+class TestAgainstPerDrawReference:
+    @pytest.mark.parametrize("key", _SEARCH_PINS)
+    def test_pinned_batch_equals_the_per_draw_loop(self, task, key):
+        options = _pinned_options(key)
+        expected = _reference_search_batch(
+            task, options["epsilon_target"], options["sample_budget"],
+            options["base_seed"], options["n_trials"],
+        )
+        _assert_records_match(run_trials(task, **options), expected)
+
+    @given(
+        data=st.data(),
+        budget=st.one_of(st.just(0), st.integers(1, 40), st.sampled_from([200, 1600])),
+        epsilon=st.one_of(st.sampled_from([0.005, 0.03, 0.3]), st.floats(0.001, 0.6)),
+        n_trials=st.integers(1, 12),
+        workers=st.sampled_from([1, 2]),
+        base_seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_lockstep_batch_equals_the_per_draw_loop(
+        self, tasks, data, budget, epsilon, n_trials, workers, base_seed
+    ):
+        task = data.draw(st.sampled_from(tasks))
+        expected = _reference_search_batch(task, epsilon, budget, base_seed, n_trials)
+        trials = _run_search(task, epsilon, budget, base_seed, n_trials, workers=workers)
+        _assert_records_match(trials, expected)
+
+    @given(
+        data=st.data(),
+        p=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        budget=st.integers(0, 60),
+        epsilon=st.floats(0.001, 0.6),
+        seed=st.integers(0, 2**63),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_per_call_learner_equals_the_per_draw_loop(
+        self, tasks, data, p, budget, epsilon, seed
+    ):
+        task = data.draw(st.sampled_from(tasks))
+        trial = random_search_learner(task, epsilon, _bernoulli_sampler(task, p), budget, seed)
+        assert trial == reference_search(
+            task, epsilon, _bernoulli_sampler(task, p), budget, seed
+        )
+        _assert_python_record(trial)
+        trial = random_search_learner(
+            task, epsilon, random_halfspace_sampler(task.dimension), budget, seed
+        )
+        assert trial == reference_search(
+            task, epsilon, reference_halfspace_sampler(task.dimension), budget, seed
+        )
+        _assert_python_record(trial)
+
+
+def _scripted(*sequences):
+    """A search scorer that hands out each trial's given errors, block by block."""
+    streams = [iter(sequence) for sequence in sequences]
+    blocks = []
+
+    def errors(active, k):
+        blocks.append(k)
+        return [[next(streams[slot]) for _ in range(k)] for slot in active]
+
+    return errors, blocks
+
+
+def _first_block_errors(task, seed):
+    """Held-out errors of the first 8 hypotheses a trial seed draws."""
+    rng = np.random.default_rng(seed)
+    sampler = reference_halfspace_sampler(task.dimension)
+    return [
+        float(np.mean(sampler(rng).predict(task.test_x) != task.test_y)) for _ in range(8)
+    ]
+
+
+class TestSearchEngine:
+    def test_zero_budget_reports_error_one(self, task):
+        assert _run_search(task, 0.03, 0, 5, 3) == [
+            LearningTrial(_search_seed(5, i), 0, False, 1.0) for i in range(3)
+        ]
+        trial = random_search_learner(task, 0.03, _always_good(task), 0, seed=3)
+        assert trial == LearningTrial(3, 0, False, 1.0)
+        errors, blocks = _scripted([0.0])
+        assert learn_harness._search_lockstep(errors, [1], 0.03, 0, 8) == [
+            LearningTrial(1, 0, False, 1.0)
+        ]
+        assert blocks == []
+
+    def test_first_of_two_hits_in_a_block_wins(self, task):
+        # the later hit has the lower error, so a block minimum would pick it
+        errors, blocks = _scripted([0.5, 0.02, 0.4, 0.01, 0.5, 0.5, 0.5, 0.5])
+        trials = learn_harness._search_lockstep(errors, [7], 0.03, 100, 8)
+        assert trials == [LearningTrial(7, 2, True, 0.02)]
+        assert blocks == [8]
+        # the same on real draws: a trial whose first block holds two hits,
+        # the first one worse than a later one
+        epsilon = 0.3
+        for index in range(200):
+            found = _first_block_errors(task, _search_seed(9, index))
+            hits = [error for error in found if error <= epsilon]
+            if len(hits) >= 2 and hits[0] > min(hits):
+                break
+        else:
+            pytest.fail("no seed with two unequal hits in its first block")
+        trial = _run_search(task, epsilon, 100, 9, index + 1)[index]
+        assert trial.samples_consumed == found.index(hits[0]) + 1
+        assert trial.final_test_error == hits[0]
+        assert trial == _reference_search_batch(task, epsilon, 100, 9, index + 1)[index]
+
+    def test_hit_on_the_last_draw_of_the_budget(self, task):
+        # the last block is cut at the budget; a hit right after it is never drawn
+        errors, blocks = _scripted([0.5] * 10 + [0.01])
+        assert learn_harness._search_lockstep(errors, [4], 0.03, 11, 8) == [
+            LearningTrial(4, 11, True, 0.01)
+        ]
+        assert blocks == [8, 3]
+        errors, blocks = _scripted([0.5] * 9 + [0.4, 0.45, 0.01])
+        assert learn_harness._search_lockstep(errors, [4], 0.03, 11, 8) == [
+            LearningTrial(4, 11, False, 0.4)
+        ]
+        assert blocks == [8, 3]
+        # real trials, off the block grid: at a budget of exactly their
+        # halting draw they halt on it, one draw less and they run out
+        checked = 0
+        for base_seed in range(40):
+            reference = _reference_search_batch(task, 0.03, 1600, base_seed, 1)[0]
+            halt = reference.samples_consumed
+            if not reference.halted or halt <= 8 or halt % 8 == 0:
+                continue
+            for budget in (halt, halt - 1):
+                expected = _reference_search_batch(task, 0.03, budget, base_seed, 1)
+                assert _run_search(task, 0.03, budget, base_seed, 1) == expected
+                assert expected[0].halted == (budget == halt)
+            checked += 1
+        assert checked >= 5
+
+    def test_worker_count_does_not_change_records(self, task):
+        key = "search epsilon=0.005 budget=37"
+        serial = _run_pinned(task, key)
+        assert _run_pinned(task, key, workers=2) == serial
+        assert trials_digest(serial) == _RECORD_DIGESTS[key]
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("_SEARCH_BLOCK", 1), ("_SEARCH_BLOCK", 3), ("_SEARCH_BLOCK", 16),
+         ("_SEARCH_GROUP", 7), ("_EVAL_FLOATS", 1), ("_EVAL_FLOATS", 10**6)],
+    )
+    def test_block_sizes_do_not_change_records(self, task, monkeypatch, name, value):
+        monkeypatch.setattr(learn_harness, name, value)
+        for key in ("search eta=0", "search epsilon=0.005 budget=37"):
+            assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
+
+    def test_points_on_the_plane_score_as_predict_does(self, task):
+        # a score of exactly -bias predicts 1, as in predict
+        axis = np.eye(8)[0]
+        block = np.array([[*axis, 0.0], [*axis, -1.0], [*-axis, 0.0]])
+
+        class Fixed:
+            def standard_normal(self, shape):
+                return block[: shape[0]]
+
+        edge = replace(
+            task, test_x=np.stack([0.0 * axis, axis, -axis]), test_y=np.array([0, 1, 1])
+        )
+        expected = []
+        for row in block:
+            model = ReferenceLinearModel(weights=row[:8], bias=row[8])
+            expected.append(float(np.mean(model.predict(edge.test_x) != edge.test_y)))
+        assert expected == [2 / 3, 1 / 3, 2 / 3]
+        assert learn_harness._halfspace_errors(edge, [Fixed()])([0], 3) == [expected]
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_block_draw_is_sequential_sampler_calls(self, k):
+        # a (k, d + 1) block holds k sampler draws, each row weights then
+        # bias, and leaves the generator where the k calls leave it
+        sampler = random_halfspace_sampler(8)
+        rng, block_rng = np.random.default_rng(12), np.random.default_rng(12)
+        block = block_rng.standard_normal((k, 9))
+        for row in block:
+            hypothesis = sampler(rng)
+            assert hypothesis.weights.tobytes() == row[:8].tobytes()
+            assert hypothesis.bias == row[8]
+        assert rng.bit_generator.state == block_rng.bit_generator.state
+
+    def test_batch_memory_peak_is_bounded(self, task):
+        tracemalloc.start()
+        try:
+            _run_pinned(task, "search eta=0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDefaultBudget:
