@@ -61,15 +61,17 @@ _WILSON_Z_95 = 1.959963984540054
 _MIN_TEST_SIZE = 2000
 _MIN_TRIALS = 30
 
-# noisy_stream draws its inputs, labels and flips in chunks of this many rows.
+# noisy_stream draws its rows in blocks of this many.
 _CHUNK = 256
 # Largest per-block evaluation temporary, in float64s: held-out rows times
 # hidden units (one for linear models), summed over the block's trials.
 _EVAL_FLOATS = 16_384
-# Largest chunk buffer of a lockstep group, in float64s: trials times
-# _CHUNK rows times dimension.  Larger batches train as several groups, so
-# memory stays bounded whatever the trial count.
+# Largest input draw of a lockstep step, in float64s: trials times rows times
+# dimension.  Trials whose one batch would exceed it train as several groups,
+# so memory stays bounded whatever the trial count.
 _GROUP_FLOATS = 131_072
+# Scale of a 53-bit integer to a double in [0, 1).
+_UNIT = 2.0**-53
 # Hypotheses each random-search trial draws and scores per lockstep step, and
 # trials per random-search lockstep group (each holds a generator of its own).
 _SEARCH_BLOCK = 8
@@ -95,7 +97,10 @@ class TaskLabeler:
         return int(float(x @ self.direction) >= 0.0)
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        return (xs @ self.direction >= 0.0).astype(np.int64)
+        return self._decide(xs).astype(np.int64)
+
+    def _decide(self, xs: np.ndarray) -> np.ndarray:
+        return xs @ self.direction >= 0.0
 
 
 @dataclass(frozen=True)
@@ -213,10 +218,16 @@ def generate_task(
 
 
 def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:
-    """Misclassification fraction of a hypothesis on a labeled set."""
+    """Misclassification fraction of a hypothesis on a labeled set.
+
+    A TaskLabeler meets bool labels with bools, skipping predict's int64 cast.
+    """
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
-    wrong = hypothesis.predict(test_x) != test_y
+    if isinstance(hypothesis, TaskLabeler) and np.asarray(test_y).dtype == bool:
+        wrong = hypothesis._decide(test_x) != test_y
+    else:
+        wrong = hypothesis.predict(test_x) != test_y
     return float(np.count_nonzero(wrong) / len(test_x))
 
 
@@ -399,25 +410,66 @@ def _check_target_and_budget(epsilon_target: float, sample_budget: int) -> None:
         raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
 
 
-def _noisy_chunk(task: SyntheticTask, eta: float, rng: np.random.Generator):
-    """One chunk of a noisy stream: inputs, their concept labels, then the flips."""
-    xs = task.sample_inputs(_CHUNK, rng)
-    labels = task.labeler.predict(xs)
-    if eta > 0.0:
-        labels ^= rng.random(_CHUNK) < eta
-    return xs, labels
+def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, bitgen):
+    """Rows [start, start + count) of each seed's noisy stream: (T, count, d)
+    inputs and (T, count) labels, 0.0 or 1.0.
+
+    Row r of seed s is words [rW, (r + 1)W) of the random_raw stream of a
+    Philox keyed by the 64-bit words (s, 0), W = 4 * ceil((d' + 2) / 4) for
+    d' = d rounded up to even; bitgen is a Philox reused with its state set
+    per seed.  Word 0's top bit is the cluster side; word 1's top 53 bits are
+    u in [0, 1), and the label flips iff u < eta; the next d' words pair up as
+    Box-Muller (u1, u2), u1 in (0, 1].  Every step, the label's dot product
+    included, is elementwise on fresh arrays, so a row's bits do not depend
+    on what is drawn with it.
+    """
+    dimension, pairs = task.dimension, (task.dimension + 1) // 2
+    width = 4 * -(-(2 * pairs + 2) // 4)
+    state = bitgen.state
+    state["state"]["counter"][:] = (start * width // 4, 0, 0, 0)
+    state["state"]["key"][1], state["buffer_pos"] = 0, 4
+    words = np.empty((len(seeds), count, width), dtype=np.uint64)
+    for row, seed in zip(words.reshape(len(seeds), -1), seeds):
+        state["state"]["key"][0] = seed
+        bitgen.state = state
+        row[:] = bitgen.random_raw(count * width)
+    # Box-Muller in place, so that a draw holds few large temporaries
+    radius = ((words[..., 2:2 + 2 * pairs:2] >> np.uint64(11)) + np.uint64(1)) * _UNIT
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = (words[..., 3:3 + 2 * pairs:2] >> np.uint64(11)) * _UNIT
+    angle *= 2.0 * math.pi
+    normals = np.empty(radius.shape + (2,))
+    np.multiply(radius, np.cos(angle), out=normals[..., 0])
+    np.multiply(radius, np.sin(angle, out=angle), out=normals[..., 1])
+    xs = normals.reshape(radius.shape[:-1] + (2 * pairs,))[..., :dimension]
+    xs = xs + task._offsets[words[..., 0] >> np.uint64(63)]
+    score = xs[..., 0] * task.direction[0]
+    for axis in range(1, dimension):
+        score += xs[..., axis] * task.direction[axis]
+    labels = (score >= 0.0) ^ ((words[..., 1] >> np.uint64(11)) * _UNIT < eta)
+    return xs, labels.astype(np.float64)
 
 
 def noisy_stream(
-    task: SyntheticTask, eta: float, seed
+    task: SyntheticTask, eta: float, seed: int
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """Infinite stream of (input, concept label xor Bernoulli(eta)) pairs."""
+    """Infinite stream of (input, concept label xor Bernoulli(eta)) pairs.
+
+    The one-seed view of the rows run_trials draws (see _noisy_rows); seed
+    is an int in [0, 2**64).
+    """
     _check_noise(eta)
-    rng = np.random.default_rng(seed)
-    while True:
-        xs, labels = _noisy_chunk(task, eta, rng)
-        for i in range(_CHUNK):
-            yield xs[i], int(labels[i])
+    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not integral or not 0 <= seed < 2**64:
+        raise DomainError(f"stream seed must be an int in [0, 2**64), got {seed!r}")
+    bitgen = np.random.Philox(0)
+    blocks = (
+        _noisy_rows(task, eta, [int(seed)], start, _CHUNK, bitgen)
+        for start in itertools.count(0, _CHUNK)
+    )
+    return ((x, int(y)) for xs, ys in blocks for x, y in zip(xs[0], ys[0].tolist()))
 
 
 def dataset_stream(
@@ -427,48 +479,15 @@ def dataset_stream(
     return iter(dataset)
 
 
-class _NoisyChunks:
-    """The noisy streams of a batch of trials, drawn chunk by chunk into one buffer.
-
-    Each trial keeps its own generator and noisy_stream's draw pattern.  The
-    trials consume in lockstep, so they cross chunk boundaries together.
-    """
-
-    def __init__(self, task: SyntheticTask, eta: float, seeds: Sequence[int]) -> None:
-        self.task = task
-        self.eta = eta
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.xs = np.empty((len(seeds), _CHUNK, task.dimension))
-        self.ys = np.empty((len(seeds), _CHUNK), dtype=np.int8)
-        self.row = _CHUNK
-
-    def __call__(self, active: np.ndarray, want: int):
-        parts = []
-        while want:
-            if self.row == _CHUNK:
-                for slot in active.tolist():
-                    self.xs[slot], self.ys[slot] = _noisy_chunk(
-                        self.task, self.eta, self.rngs[slot]
-                    )
-                self.row = 0
-            count = min(want, _CHUNK - self.row)
-            rows = slice(self.row, self.row + count)
-            parts.append((self.xs[active, rows], self.ys[active, rows]))
-            self.row += count
-            want -= count
-        xs, ys = (np.concatenate(column, axis=1) for column in zip(*parts))
-        return xs, ys.astype(np.float64)
-
-
 def _stream_draw(sample_stream: Iterable[tuple[np.ndarray, int]]):
     """The draw function of one trial that reads any sample stream."""
     stream = iter(sample_stream)
 
-    def draw(active: np.ndarray, want: int):
-        batch = list(itertools.islice(stream, want))
-        if not batch:
+    def draw(active: np.ndarray, start: int, count: int):
+        rows = list(itertools.islice(stream, count))
+        if not rows:
             return None
-        xs, ys = zip(*batch)
+        xs, ys = zip(*rows)
         return np.asarray(xs)[None], np.asarray(ys, dtype=np.float64)[None]
 
     return draw
@@ -502,15 +521,18 @@ def _train_lockstep(
     The trials share budget, batch size and cadence, so they are always at
     the same consumed count and evaluate together; each SGD step and each
     evaluation covers every active trial, and a trial that halts leaves the
-    stack.  draw(active, want) returns the next (T, k, d) inputs and (T, k)
-    labels of the active trial slots, k <= want, or None once the stream is
-    exhausted.  Every trial gets the record and weights of training it alone.
+    stack.  A step draws the rows up to the next evaluation, in whole batches
+    cut at the budget and at _GROUP_FLOATS: draw(active, start, count) returns
+    the (T, k, d) inputs and (T, k) labels of rows [start, start + k) of the
+    active trial slots, k <= count, or None once the stream is exhausted.
+    Every trial gets the record and weights of training it alone.
     """
     # models is final until the first halt compacts it into a copy; from then
     # on final keeps the weights each trial had when it left the stack.
     final = models
     active = np.arange(len(seeds))
     width = config.hidden_width if config.model == "one-hidden-layer" else 1
+    batch = config.batch_size
     trials: list[LearningTrial | None] = [None] * len(seeds)
 
     def record(slots, done, consumed, halted, errors):
@@ -527,12 +549,16 @@ def _train_lockstep(
     next_eval = config.evaluation_cadence
     errors = None
     while consumed < sample_budget and len(active):
-        batch = draw(active, min(config.batch_size, sample_budget - consumed))
-        if batch is None:
+        ahead = batch * -(-(next_eval - consumed) // batch)
+        bound = batch * max(1, _GROUP_FLOATS // (len(active) * task.dimension * batch))
+        drawn = draw(active, consumed, min(ahead, bound, sample_budget - consumed))
+        if drawn is None:
             break
-        xs, ys = batch
+        xs, ys = drawn
+        for start in range(0, ys.shape[-1], batch):
+            rows = slice(start, start + batch)
+            models.sgd_step(np.ascontiguousarray(xs[:, rows]), ys[:, rows], config.step_size)
         consumed += ys.shape[-1]
-        models.sgd_step(xs, ys, config.step_size)
         errors = None
         if consumed >= next_eval:
             next_eval += config.evaluation_cadence * (
@@ -680,9 +706,10 @@ def random_search_learner(
     """
     _check_target_and_budget(epsilon_target, sample_budget)
     rng = np.random.default_rng(seed)
+    truth = task.test_y.astype(bool)
 
     def errors(active: list[int], k: int) -> list[list[float]]:
-        return [[evaluate_error(hypothesis_sampler(rng), task.test_x, task.test_y)]]
+        return [[evaluate_error(hypothesis_sampler(rng), task.test_x, truth)]]
 
     return _search_lockstep(errors, [seed], epsilon_target, sample_budget, 1)[0]
 
@@ -703,13 +730,19 @@ def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed,
     Linear models start at zero and draw nothing, so they get no generator.
     """
     pairs = [_trial_seed(base_seed, index).generate_state(2).tolist() for index in indices]
+    stream_seeds = [pair[0] for pair in pairs]
     model_seeds = [pair[1] for pair in pairs]
     linear = config.model == "linear-threshold"
     models = _stack([
         config.build_model(task.dimension, None if linear else np.random.default_rng(seed))
         for seed in model_seeds
     ])
-    draw = _NoisyChunks(task, eta, [pair[0] for pair in pairs])
+    bitgen = np.random.Philox(0)
+
+    def draw(active: np.ndarray, start: int, count: int):
+        seeds = [stream_seeds[slot] for slot in active.tolist()]
+        return _noisy_rows(task, eta, seeds, start, count, bitgen)
+
     return _train_lockstep(
         task, draw, models, model_seeds, epsilon_target, config, sample_budget
     )
@@ -740,7 +773,7 @@ def _run_block(job) -> list[LearningTrial]:
         def run(part):
             return _search_block(task, epsilon_target, budget, base_seed, part)
     else:
-        group = max(1, _GROUP_FLOATS // (_CHUNK * task.dimension))
+        group = max(1, _GROUP_FLOATS // (config.batch_size * task.dimension))
 
         def run(part):
             return _gradient_block(

@@ -169,6 +169,20 @@ class TestEvaluateError:
         with pytest.raises(DomainError, match="empty"):
             evaluate_error(task.labeler, np.empty((0, 8)), np.empty(0))
 
+    def test_bool_labels_give_the_same_fraction(self, task):
+        truth = task.test_y.astype(bool)
+        hypotheses = [
+            task.labeler,
+            TaskLabeler(direction=-task.direction),
+            TaskLabeler(direction=np.roll(task.direction, 1)),
+            LinearThresholdModel(weights=np.roll(task.direction, 2), bias=0.5),
+        ]
+        for hypothesis in hypotheses:
+            error = evaluate_error(hypothesis, task.test_x, truth)
+            assert type(error) is float
+            assert error == evaluate_error(hypothesis, task.test_x, task.test_y)
+            assert error == float(np.mean(hypothesis.predict(task.test_x) != task.test_y))
+
 
 class TestModels:
     def test_linear_param_count(self):
@@ -250,6 +264,145 @@ class TestStreams:
         replayed = list(dataset_stream(data))
         assert len(replayed) == 7
         np.testing.assert_array_equal(replayed[0][0], data[0][0])
+
+
+class _RecordingPhilox:
+    """A Philox bit generator that keeps every array of raw words it hands out."""
+
+    def __init__(self):
+        self.inner = np.random.Philox(0)
+        self.draws = []
+
+    @property
+    def state(self):
+        return self.inner.state
+
+    @state.setter
+    def state(self, value):
+        self.inner.state = value
+
+    def random_raw(self, size):
+        words = self.inner.random_raw(size)
+        self.draws.append(words)
+        return words
+
+
+def _row_width(dimension):
+    """Words per stream row: side, flip, d rounded up to even, in blocks of 4."""
+    return 4 * math.ceil((dimension + dimension % 2 + 2) / 4)
+
+
+def _reference_row(task, eta, words):
+    """(input, flip) of one stream row from its raw words, one scalar at a time."""
+    side = int(words[0]) >> 63
+    normals = []
+    for k in range(2, 2 + task.dimension + task.dimension % 2, 2):
+        radius = math.sqrt(-2.0 * math.log(((int(words[k]) >> 11) + 1) * 2.0**-53))
+        angle = 2.0 * math.pi * ((int(words[k + 1]) >> 11) * 2.0**-53)
+        normals += [radius * math.cos(angle), radius * math.sin(angle)]
+    half = task.separation / 2.0 if side else -task.separation / 2.0
+    x = [half * c + z for c, z in zip(task.direction.tolist(), normals)]
+    return x, (int(words[1]) >> 11) * 2.0**-53 < eta
+
+
+def _concept_label(task, x):
+    """The concept on a row, its dot product summed in axis order."""
+    score = x[0] * task.direction[0]
+    for axis in range(1, task.dimension):
+        score += x[axis] * task.direction[axis]
+    return score >= 0.0
+
+
+class TestStreamRows:
+    @pytest.mark.parametrize("dimension", [2, 3, 8])
+    def test_raw_words_are_numpy_philox(self, dimension):
+        # numpy's own Philox is the referee for the words; a scalar loop over
+        # those words is the referee for the rows
+        task = generate_task(dimension, 6.0, 1)
+        width = _row_width(dimension)
+        seeds = [0, 5, 2**32 + 7, 2**64 - 1]
+        bitgen = _RecordingPhilox()
+        xs, ys = learn_harness._noisy_rows(task, 0.3, seeds, 3, 5, bitgen)
+        assert xs.shape == (4, 5, dimension) and ys.shape == (4, 5)
+        assert len(bitgen.draws) == len(seeds)
+        for seed, words, x_rows, y_rows in zip(seeds, bitgen.draws, xs, ys):
+            key = np.array([seed, 0], dtype=np.uint64)
+            fresh = np.random.Philox(key=key).random_raw(8 * width)[3 * width:]
+            assert words.tolist() == fresh.tolist()
+            for row, x, y in zip(fresh.reshape(5, width), x_rows, y_rows):
+                expected, flip = _reference_row(task, 0.3, row)
+                np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
+                assert y == float(_concept_label(task, x) != flip)
+
+    @pytest.mark.parametrize("size", [1, 7, 25, 256])
+    def test_rows_do_not_depend_on_the_draw_size_or_company(self, tasks, size):
+        seeds = [3, 11, 2**40, 99]
+        for task in tasks:
+            whole = learn_harness._noisy_rows(task, 0.2, seeds, 0, 512, np.random.Philox(0))
+            bitgen = np.random.Philox(1)
+            parts = [
+                learn_harness._noisy_rows(task, 0.2, seeds, at, min(size, 512 - at), bitgen)
+                for at in range(0, 512, size)
+            ]
+            for got, expected in zip(zip(*parts), whole):
+                assert np.concatenate(got, axis=1).tobytes() == expected.tobytes()
+            order = [2, 0, 3]
+            xs, ys = learn_harness._noisy_rows(
+                task, 0.2, [seeds[i] for i in order], 100, size, bitgen
+            )
+            assert xs.tobytes() == whole[0][order, 100:100 + size].tobytes()
+            assert ys.tobytes() == whole[1][order, 100:100 + size].tobytes()
+
+    def test_stream_block_size_does_not_change_the_stream(self, task, monkeypatch):
+        expected = list(islice(noisy_stream(task, 0.2, seed=8), 600))
+        monkeypatch.setattr(learn_harness, "_CHUNK", 7)
+        for (x, y), (xe, ye) in zip(islice(noisy_stream(task, 0.2, seed=8), 600), expected):
+            assert x.tobytes() == xe.tobytes() and y == ye and type(y) is int
+
+    def test_every_eta_sees_the_same_inputs_with_nested_flips(self, task):
+        rows = {
+            eta: list(islice(noisy_stream(task, eta, seed=21), 5000))
+            for eta in (0.0, 0.05, 0.2)
+        }
+        flips = {}
+        for eta in (0.05, 0.2):
+            assert all(
+                x.tobytes() == x0.tobytes() for (x, _), (x0, _) in zip(rows[eta], rows[0.0])
+            )
+            flips[eta] = {
+                i for i, ((_, y), (_, y0)) in enumerate(zip(rows[eta], rows[0.0])) if y != y0
+            }
+        assert flips[0.05] <= flips[0.2]
+        assert 0 < len(flips[0.05]) < len(flips[0.2])
+
+    def test_sides_and_normals_follow_their_laws(self, task):
+        # 10^5 rows: a fair side bit, and standard normals with mean 0,
+        # variance 1, kurtosis 3 and uncorrelated Box-Muller partners, each
+        # within 4 sigma
+        bitgen = _RecordingPhilox()
+        xs, _ = learn_harness._noisy_rows(task, 0.0, list(range(100)), 0, 1000, bitgen)
+        words = np.stack(bitgen.draws).reshape(100, 1000, -1)
+        sides = words[..., 0] >> np.uint64(63)
+        assert abs(float(sides.mean()) - 0.5) < 4 * 0.5 / math.sqrt(sides.size)
+        normals = xs - task._offsets[sides]
+        z = normals.ravel()
+        assert abs(float(z.mean())) < 4 / math.sqrt(z.size)
+        assert abs(float(np.mean(z**2)) - 1.0) < 4 * math.sqrt(2.0 / z.size)
+        assert abs(float(np.mean(z**4)) - 3.0) < 4 * math.sqrt(96.0 / z.size)
+        pair = normals[..., 0] * normals[..., 1]
+        assert abs(float(pair.mean())) < 4 / math.sqrt(pair.size)
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, "3", None, True, -1, 2**64, np.float64(2.0), np.int64(-3)]
+    )
+    def test_rejects_bad_seeds(self, task, seed):
+        with pytest.raises(DomainError, match="stream seed"):
+            noisy_stream(task, 0.1, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.uint32(7)])
+    def test_accepts_every_64_bit_seed(self, task, seed):
+        x, y = next(noisy_stream(task, 0.1, seed))
+        assert x.shape == (8,) and y in (0, 1)
 
 
 class TestTrainUntil:
@@ -593,7 +746,8 @@ _PINNED_BATCHES = {
         min(default_sample_budget(0.03, 0.05, log_hypothesis_count(_HIDDEN, 8)), 1600),
         1007,
     ),
-    # noisier than the benchmark's batches, so trials cross chunk boundaries
+    # noisier than the benchmark's batches, so trials run past noisy_stream's
+    # 256-row blocks
     "histogram eta=0.4": (0.4, LearnerConfig(), 2000, 1008),
     "curve hidden eta=0.4": (0.4, _HIDDEN, 1600, 1009),
     # the benchmark's random-search batch and `learn --learner random-search`
@@ -611,18 +765,18 @@ _PINNED_BATCHES = {
     ),
 }
 
-# trials_digest of each pinned batch, taken from the per-trial loop (gradient)
-# and the per-draw loop (random search).
+# trials_digest of each pinned batch, taken from the per-trial loop (gradient,
+# on the Philox row streams) and the per-draw loop (random search).
 _RECORD_DIGESTS = {
-    "sweep eta_a=0.01": "684ca408255343b8e4bd50e5aefb76429ad56f777c567543c801e083c4255536",
-    "sweep eta_e(0.01)": "9779f5bc14346796737757cfe3e67e78db757cc3f8a797cccd023fd0089d2752",
-    "sweep eta_a=0.11": "408be656e0e553dc58400bc8225c2b4818a99a75bd1d4cb284f3f36d520c41c1",
-    "sweep eta_e(0.11)": "a19089632c9d083ce6ffe28fb0f6d85d05f4344f0fade9dca97bcc6d59447473",
-    "histogram eta_a=0.03": "5a016fa9fdd1bd077076230361c93dba59f3afdf4e5f2bb490018972ae5f1c8c",
-    "histogram eta_e(0.03)": "c31a8d61e9bea8d003c2d6af9490c036b2ece5e707f95a1132ea4400252b26c7",
-    "curve hidden eta=0.05": "460a6d1efa8ea7f4302a948f3c2bd340f2d10f65bd319a75edd07b42d03e140e",
-    "histogram eta=0.4": "eccd17d42e740676ebec10879fc749cc7cfb46ef88ebd166426bbbd9de6a9727",
-    "curve hidden eta=0.4": "705f2654017c394e4cd506f52f017fed43214b2fb23eb0466bb2f0c307a56014",
+    "sweep eta_a=0.01": "dd5dcff663d8a5dbb865468a3f10de873afcfc2d7f0f56611c72693934eff153",
+    "sweep eta_e(0.01)": "cf68287032d41a29cd60132361c3f84c842be82f9aae9e5549167f16bf2046c6",
+    "sweep eta_a=0.11": "2f160f618bfdc95f5faab763df8b1907014c6245775b45479e9d8584aca4899b",
+    "sweep eta_e(0.11)": "f6b47b9fce0f34e01814b5b0a099ac5a85dfb0ae2041a6e1a5a8eac51d8bedba",
+    "histogram eta_a=0.03": "7db780bf1945346e13d2ecc72f39f5e812315f89af245d8d81a0b97999c07be3",
+    "histogram eta_e(0.03)": "dbc4ad2b6c9aa8e3583ca4ecc4fa828c1579f1cb9bb39e6624c15a03a377df95",
+    "curve hidden eta=0.05": "82eeb9aafba8f478f3c875a47283f23c6a505e9c4b2f38f1b44f97bce08fae79",
+    "histogram eta=0.4": "42fc346621ff770106ecd93ef88cffb451b3d9bb0a0b0d849ef919ae57d9deb9",
+    "curve hidden eta=0.4": "148b08c3b87826a29112ca072cc67f98e8b3982f72f42ba619759054714b4311",
     "search eta=0": "5edc516feec8723dac5a6e08136c1ae94cd5aaf95db06f099a8729e2998f1de1",
     "search learn defaults": "cfa358b93c392ceb6b13400584b446fdbc77120ba5cb0c56dea0f0704cdaa599",
     "search epsilon=0.005 budget=37": (
@@ -648,6 +802,37 @@ class TestRecordPins:
     @pytest.mark.parametrize("key", sorted(_RECORD_DIGESTS))
     def test_batch_is_pinned(self, task, key):
         assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
+
+    @pytest.mark.parametrize("size", [1, 7, 25, 256])
+    def test_refill_size_and_order_do_not_change_records(self, task, monkeypatch, size):
+        # every engine draw served from whole refills of `size` rows, the
+        # active trials drawn in a shuffled order
+        rows = learn_harness._noisy_rows
+
+        def refill(task, eta, seeds, start, count, bitgen):
+            order = np.random.default_rng(start).permutation(len(seeds))
+            first = start // size * size
+            blocks = [
+                rows(task, eta, [seeds[i] for i in order], at, size, bitgen)
+                for at in range(first, start + count, size)
+            ]
+            back = np.argsort(order)
+            return tuple(
+                np.concatenate(column, axis=1)[back, start - first:start - first + count]
+                for column in zip(*blocks)
+            )
+
+        monkeypatch.setattr(learn_harness, "_noisy_rows", refill)
+        for key in ("sweep eta_e(0.01)", "curve hidden eta=0.05", "histogram eta=0.4"):
+            assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
+
+    @pytest.mark.parametrize("value", [1, 4000, 10**7])
+    def test_group_bound_does_not_change_records(self, task, monkeypatch, value):
+        # 1: one trial per group and one batch per step; 4000: two groups of
+        # at most 100 trials, one batch per step; 10**7: whole evaluations
+        monkeypatch.setattr(learn_harness, "_GROUP_FLOATS", value)
+        for key in ("sweep eta_a=0.11", "curve hidden eta=0.05"):
+            assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
 
     @pytest.mark.parametrize("key", ["histogram eta_e(0.03)", "curve hidden eta=0.05"])
     def test_batch_memory_peak_is_bounded(self, task, key):
