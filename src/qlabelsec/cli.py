@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
-from .errors import ConfigError, DomainError, ProtocolError, StatisticalCheckError
+from .errors import ConfigError, DomainError, ProtocolError, StatisticalCheckError, check_seed
 from .info_theory import eta_star, eve_noise_from_disturbance, info_curve
 from .learn_harness import (
     LearnerConfig,
@@ -208,6 +208,7 @@ def _eve_noise(kind: str, eta_a: float) -> float:
 
 
 def _point_seed(seed: int, *path: int) -> int:
+    check_seed(seed)
     return int(np.random.SeedSequence(entropy=(seed, *path)).generate_state(1)[0])
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed check."""
+
+import numbers
 
 __all__ = ["DomainError", "ConfigError", "ProtocolError", "StatisticalCheckError"]
 
@@ -17,3 +19,9 @@ class ProtocolError(RuntimeError):
 
 class StatisticalCheckError(AssertionError):
     """A Monte-Carlo self-check fell outside its tolerance band."""
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise DomainError unless seed is a non-negative int; package-internal."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {seed!r}")

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_seed
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
 
@@ -76,6 +76,10 @@ _UNIT = 2.0**-53
 # trials per random-search lockstep group (each holds a generator of its own).
 _SEARCH_BLOCK = 8
 _SEARCH_GROUP = 1024
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): (initial, multiplier) of
+# the pool and output hashes, the mix multipliers and the pool size.
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 4
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -176,6 +180,7 @@ def generate_task(
         raise DomainError(f"separation must be positive, got {separation}")
     if test_size < _MIN_TEST_SIZE:
         raise DomainError(f"test set needs at least {_MIN_TEST_SIZE} points, got {test_size}")
+    check_seed(seed, "task seed")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dimension)
     direction /= math.sqrt(float(direction @ direction))
@@ -262,7 +267,12 @@ class LinearThresholdModel:
         return self.weights.size + 1
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        return (_matvec(xs, self.weights) + _column(self.bias) >= 0.0).astype(np.int64)
+        return self._decide(xs).astype(np.int64)
+
+    def _decide(self, xs: np.ndarray) -> np.ndarray:
+        score = _matvec(xs, self.weights)
+        score += _column(self.bias)
+        return score >= 0.0
 
     def sgd_step(self, xs: np.ndarray, ys: np.ndarray, step_size: float) -> None:
         residual = _sigmoid(_matvec(xs, self.weights) + _column(self.bias)) - ys
@@ -461,9 +471,9 @@ def noisy_stream(
     is an int in [0, 2**64).
     """
     _check_noise(eta)
-    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not integral or not 0 <= seed < 2**64:
-        raise DomainError(f"stream seed must be an int in [0, 2**64), got {seed!r}")
+    check_seed(seed, "stream seed")
+    if seed >= 2**64:
+        raise DomainError(f"stream seed must be below 2**64, got {seed!r}")
     bitgen = np.random.Philox(0)
     blocks = (
         _noisy_rows(task, eta, [int(seed)], start, _CHUNK, bitgen)
@@ -498,11 +508,14 @@ def _test_errors(models, count: int, task: SyntheticTask, width: int) -> np.ndar
     test_x, test_y = task.test_x, task.test_y
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
+    linear = isinstance(models, LinearThresholdModel)  # bools meet bools: no int64 cast
+    truth = test_y.astype(bool) if linear else test_y
     block = max(1, _EVAL_FLOATS // (len(test_x) * width))
     errors = np.empty(count)
     for start in range(0, count, block):
         part = slice(start, start + block)
-        wrong = _take(models, part).predict(test_x) != test_y
+        trials = _take(models, part)
+        wrong = (trials._decide(test_x) if linear else trials.predict(test_x)) != truth
         errors[part] = np.count_nonzero(wrong, axis=-1) / len(test_x)
     return errors
 
@@ -718,8 +731,50 @@ def random_search_learner(
 # trial batches and learning-probability curves
 # ---------------------------------------------------------------------------
 
-def _trial_seed(base_seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=(base_seed, index))
+def _hasher(const: int, multiplier: int):
+    """seed_seq_fe's hash of uint32 arrays; each call steps its running constant."""
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * multiplier & 0xFFFFFFFF
+        value *= np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return x ^ x >> np.uint32(16)
+
+
+def _seed_pairs(base_seed: int, indices) -> np.ndarray:
+    """(T, 2) uint32: row t is SeedSequence((base_seed, indices[t])).generate_state(2).
+
+    SeedSequence hashes each int's little-endian 32-bit words (one at least)
+    with constants that never depend on the data, so every step is one
+    elementwise op over all rows.  An index in [0, 2**32) has no high word:
+    inside the pool of 4 it hashes as 0, past it it is skipped.
+    """
+    check_seed(base_seed, "base seed")
+    seed, index = int(base_seed), np.asarray(indices, dtype=np.uint64).reshape(-1)
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    entropy = [
+        np.full(len(index), seed >> shift & 0xFFFFFFFF, np.uint32)
+        for shift in range(0, max(1, seed.bit_length()), 32)
+    ] + [index.astype(np.uint32), high]
+    hashmix = _hasher(*_HASH_A)
+    padded = entropy + [np.zeros_like(high)] * _POOL_SIZE
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
+    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        present = high != 0 if word is high else True
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(present, _mix(pool[dst], hashmix(word)), pool[dst])
+    output = _hasher(*_HASH_B)
+    return np.stack([output(pool[0]), output(pool[1])], axis=1)
 
 
 def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed, indices):
@@ -729,19 +784,18 @@ def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed,
     draws its initial model from the second, which is also its record seed.
     Linear models start at zero and draw nothing, so they get no generator.
     """
-    pairs = [_trial_seed(base_seed, index).generate_state(2).tolist() for index in indices]
-    stream_seeds = [pair[0] for pair in pairs]
-    model_seeds = [pair[1] for pair in pairs]
-    linear = config.model == "linear-threshold"
-    models = _stack([
-        config.build_model(task.dimension, None if linear else np.random.default_rng(seed))
-        for seed in model_seeds
-    ])
+    pairs = _seed_pairs(base_seed, indices)
+    model_seeds = pairs[:, 1].tolist()
+    if config.model == "linear-threshold":
+        shape = (len(pairs), task.dimension)
+        models = LinearThresholdModel(weights=np.zeros(shape), bias=np.zeros(shape[0]))
+    else:
+        rngs = map(np.random.default_rng, model_seeds)
+        models = _stack([config.build_model(task.dimension, rng) for rng in rngs])
     bitgen = np.random.Philox(0)
 
     def draw(active: np.ndarray, start: int, count: int):
-        seeds = [stream_seeds[slot] for slot in active.tolist()]
-        return _noisy_rows(task, eta, seeds, start, count, bitgen)
+        return _noisy_rows(task, eta, pairs[active, 0].tolist(), start, count, bitgen)
 
     return _train_lockstep(
         task, draw, models, model_seeds, epsilon_target, config, sample_budget
@@ -760,7 +814,7 @@ def _search_block(task, epsilon_target, sample_budget, base_seed, indices):
     Trial i draws its hypotheses from the first word of its (base_seed, i)
     seed pair, which is also its record seed.
     """
-    seeds = [int(_trial_seed(base_seed, index).generate_state(2)[0]) for index in indices]
+    seeds = _seed_pairs(base_seed, indices)[:, 0].tolist()
     errors = _halfspace_errors(task, [np.random.default_rng(seed) for seed in seeds])
     return _search_lockstep(errors, seeds, epsilon_target, sample_budget, _SEARCH_BLOCK)
 
@@ -811,6 +865,7 @@ def run_trials(
         raise DomainError(f"need at least one trial, got {n_trials}")
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
+    check_seed(base_seed, "base seed")
     jobs = [
         (task, eta, epsilon_target, config, sample_budget, base_seed, learner, block)
         for block in _split(range(n_trials), workers)

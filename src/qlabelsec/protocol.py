@@ -27,7 +27,7 @@ from .adversary import (
     LegRecord,
     NoAttack,
 )
-from .errors import DomainError, ProtocolError
+from .errors import DomainError, ProtocolError, check_seed
 from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
 from .reports import write_jsonl
 
@@ -178,6 +178,7 @@ def run_session(
         )
     if not isinstance(attack, (NoAttack, InterceptResend, AnalyticAttack)):
         raise DomainError(f"unknown attack strategy {attack!r}")
+    check_seed(seed)
 
     draws = _draw_rounds(
         concept_source, target_data_count, attack, np.random.default_rng(seed)

@@ -449,3 +449,40 @@ class TestSelfcheck:
     def test_impossible_tolerance_exits_3(self, capsys):
         assert run_cli("selfcheck", "--max-sigma", "0.001") == 3
         assert "selfcheck failed" in capsys.readouterr().err
+
+
+class TestSeedValidation:
+    """A seed that is not a non-negative integer exits 2 before any output file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("learn", "--trials", "30"),
+            ("sweep-eta", "--trials", "30"),
+            ("histograms", "--trials", "30"),
+            ("protocol-run", "--target-data", "100"),
+            ("selfcheck",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("learn", "--trials", "30"),
+            ("sweep-eta", "--trials", "30"),
+            ("histograms", "--trials", "30"),
+            ("protocol-run", "--target-data", "100"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_task_seed_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--task-seed", "-1", "--out", str(out)) == 2
+        assert "task seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

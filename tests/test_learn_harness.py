@@ -8,7 +8,7 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlabelsec import learn_harness
@@ -58,6 +58,10 @@ _SAMPLE_INPUT_DIGESTS = {
     256: "345b3c27008e51bd7cde2e641772b2c084f393b0d64b6b801cf4485530175564",
     1000: "136bedc2c2ca256cdd7d1e0bbb26b05d3687398e79814326af61644c90b6a06c",
 }
+
+
+# Seeds every seeded entry point rejects with DomainError.
+_BAD_SEEDS = [-1, -(2**70), 1.5, 2.0, "3", None, True, np.float64(4.0), np.int64(-2)]
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,11 @@ class TestGenerateTask:
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(DomainError):
             generate_task(**kwargs)
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(DomainError, match="task seed must be a non-negative integer"):
+            generate_task(dimension=8, separation=6.0, seed=seed)
 
     def test_sample_inputs_shape_and_determinism(self, task):
         a = task.sample_inputs(50, np.random.default_rng(9))
@@ -710,6 +719,74 @@ class TestRunTrials:
                 task, eta, 0.03, LearnerConfig(), budget, 30,
                 workers=workers, learner=learner,
             )
+
+    @pytest.mark.parametrize("learner", ["gradient", "random-search"])
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_rejects_a_bad_base_seed_before_any_trial_runs(
+        self, task, monkeypatch, seed, learner
+    ):
+        def no_trials(job):
+            raise AssertionError("a trial block ran")
+
+        monkeypatch.setattr(learn_harness, "_run_block", no_trials)
+        with pytest.raises(DomainError, match="base seed must be a non-negative integer"):
+            run_trials(
+                task, 0.0, 0.03, LearnerConfig(), 100, 30,
+                base_seed=seed, workers=2, learner=learner,
+            )
+
+
+_NARROW_INDEX = st.integers(0, 2**32 - 1)
+_WIDE_INDEX = st.integers(2**32, 2**64 - 1)
+_EDGE_INDEX = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1])
+
+
+def _assert_seed_pairs(base_seed, indices):
+    pairs = learn_harness._seed_pairs(base_seed, indices)
+    assert pairs.shape == (len(indices), 2)
+    assert pairs.dtype == np.uint32
+    for row, index in zip(pairs, indices):
+        expected = np.random.SeedSequence((base_seed, index)).generate_state(2)
+        assert row.dtype == expected.dtype
+        assert row.tolist() == expected.tolist(), (base_seed, index)
+    as_array = learn_harness._seed_pairs(base_seed, np.array(indices, dtype=np.uint64))
+    assert as_array.tobytes() == pairs.tobytes()
+
+
+class TestSeedPairs:
+    """The bulk seed hash against numpy's SeedSequence, one index at a time."""
+
+    @given(
+        base_seed=st.integers(0, 2**160 - 1),
+        indices=st.lists(st.one_of(_NARROW_INDEX, _WIDE_INDEX, _EDGE_INDEX), max_size=40),
+    )
+    @example(base_seed=0, indices=[])
+    @example(base_seed=7, indices=[2**32 + 5, 3, 2**64 - 1, 0, 2**32 - 1, 149, 75])
+    @example(base_seed=2**160 - 1, indices=[2**32, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_unordered_mixed_width_indices(self, base_seed, indices):
+        _assert_seed_pairs(base_seed, indices)
+
+    @given(
+        base_seed=st.integers(0, 2**160 - 1),
+        start=st.one_of(st.integers(0, 300), st.integers(2**32 - 40, 2**32 + 40)),
+        length=st.integers(0, 80),
+    )
+    @example(base_seed=5, start=75, length=75)  # the second half of a two-worker split
+    @settings(max_examples=100, deadline=None)
+    def test_contiguous_blocks(self, base_seed, start, length):
+        _assert_seed_pairs(base_seed, range(start, start + length))
+
+    @pytest.mark.parametrize(
+        "base_seed", [np.uint32(9), np.int64(2**40), np.uint64(2**64 - 1)], ids=repr
+    )
+    def test_numpy_int_base_seeds(self, base_seed):
+        _assert_seed_pairs(base_seed, [0, 1, 2**32 + 3])
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_rejects_bad_base_seeds(self, seed):
+        with pytest.raises(DomainError, match="base seed"):
+            learn_harness._seed_pairs(seed, [0])
 
 
 def trials_digest(trials) -> str:

@@ -162,6 +162,13 @@ class TestRoundAccounting:
         with pytest.raises(DomainError):
             run_session(halfspace_source(), 10, attack="loud", seed=1)
 
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "3", None, True, np.float64(2.0), np.int64(-1)], ids=repr
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            run_session(halfspace_source(), 10, seed=seed)
+
     def test_rejects_non_binary_labeler(self):
         source = ConceptSource(
             sampler=lambda rng: rng.standard_normal(2), labeler=lambda x: 2
