@@ -559,6 +559,7 @@ def _cmd_histograms(opts: dict) -> int:
 
 
 def _cmd_selfcheck(opts: dict) -> int:
+    check_seed(opts["seed"])  # before any check prints a line
     max_sigma = opts["max_sigma"]
 
     curve = info_curve("collective")

@@ -468,7 +468,9 @@ class TestSeedValidation:
     def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 2
-        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "seed must be a non-negative integer, got -1" in captured.err
+        assert captured.out == ""
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
