@@ -5,7 +5,9 @@ individual qubits: the attacker measures a traversing state in a basis chosen
 by policy and resends the collapsed eigenstate.  ``AnalyticAttack`` is never
 simulated; it stands for the individual/collective attack classes whose
 effect is known only through their information curves, and sessions model it
-as a pair of classical flip channels.
+as a pair of classical flip channels.  ``protocol`` runs both; this module
+holds their parameters, Eve's per-round records and the closed-form
+trade-off points.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError
 from .info_theory import eve_noise_from_disturbance
-from .qubit import Basis, Preparation, measure
+from .qubit import Basis
 
 __all__ = [
     "BasisPolicy",
@@ -26,9 +26,6 @@ __all__ = [
     "AnalyticAttack",
     "LegRecord",
     "EveRoundRecord",
-    "intercept",
-    "pick_policy_basis",
-    "infer_label",
     "tradeoff_point",
 ]
 
@@ -117,52 +114,6 @@ class EveRoundRecord:
 
     leg1: LegRecord | None = None
     leg2: LegRecord | None = None
-
-
-def pick_policy_basis(policy: BasisPolicy, rng: np.random.Generator) -> Basis:
-    if policy is BasisPolicy.ALWAYS_Z:
-        return Basis.Z
-    return Basis.Z if rng.random() < 0.5 else Basis.X
-
-
-def intercept(
-    state: Preparation,
-    leg_index: int,
-    strategy: InterceptResend,
-    rng: np.random.Generator,
-) -> tuple[Preparation, LegRecord | None]:
-    """Measure-and-resend on one leg of an attacked round.
-
-    The caller draws the round's attack coin, so none is drawn here.  A leg
-    outside the strategy's target set passes untouched and leaves no record.
-    """
-    if leg_index not in (1, 2):
-        raise DomainError(f"leg index must be 1 or 2, got {leg_index}")
-    if not isinstance(strategy, InterceptResend):
-        raise DomainError(f"intercept requires an InterceptResend strategy, got {strategy!r}")
-    if leg_index not in strategy.legs:
-        return state, None
-    basis = pick_policy_basis(strategy.basis_policy, rng)
-    outcome, post_state = measure(state, basis, rng.random())
-    return post_state, LegRecord(leg=leg_index, basis=basis, outcome=outcome)
-
-
-def infer_label(record: EveRoundRecord | None, rng: np.random.Generator) -> int:
-    """Eve's label estimate for a data round.
-
-    The oracle flips the computational bit by the label, so two Z outcomes
-    XOR to the label exactly.  With anything less she has no usable
-    correlation and guesses uniformly.
-    """
-    if (
-        record is not None
-        and record.leg1 is not None
-        and record.leg2 is not None
-        and record.leg1.basis is Basis.Z
-        and record.leg2.basis is Basis.Z
-    ):
-        return record.leg1.outcome ^ record.leg2.outcome
-    return int(rng.integers(2))
 
 
 def tradeoff_point(strategy) -> tuple[float, float]:

@@ -13,7 +13,8 @@ counts need no reweighting.
 
 from __future__ import annotations
 
-import itertools
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +30,6 @@ from .adversary import (
 )
 from .errors import DomainError, ProtocolError, check_seed
 from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
-from .reports import write_jsonl
 
 __all__ = [
     "ConceptSource",
@@ -99,13 +99,16 @@ class ProtocolRound:
 class SessionResult:
     """Everything one session produced.
 
-    The two datasets are lists of (feature vector, label bit).  Label-error
-    rates are measured against the concept's true labels and exist for
-    diagnostics; a real eavesdropper's victim could not compute them.
+    The two datasets are read-only sequences of (feature vector, label bit):
+    rows of one read-only (n, d) input array that both share, and Python int
+    labels.  rounds builds each ProtocolRound when it is read, and is empty
+    for a session run with keep_rounds=False.  Label-error rates are
+    measured against the concept's true labels and exist for diagnostics; a
+    real eavesdropper's victim could not compute them.
     """
 
-    authorized_dataset: list[tuple[np.ndarray, int]]
-    eavesdropper_dataset: list[tuple[np.ndarray, int]]
+    authorized_dataset: Sequence[tuple[np.ndarray, int]]
+    eavesdropper_dataset: Sequence[tuple[np.ndarray, int]]
     check_count: int
     check_error_count: int
     eta_a_estimate: float
@@ -114,7 +117,7 @@ class SessionResult:
     authorized_label_error_rate: float
     eve_label_error_rate: float
     ensemble_fidelity: float
-    rounds: list[ProtocolRound] = field(repr=False)
+    rounds: Sequence[ProtocolRound] = field(repr=False)
     seed: int = 0
 
     @property
@@ -169,6 +172,9 @@ def run_session(
     When an abort threshold is set and the final noise estimate exceeds it,
     the result is flagged; with strict_abort the datasets are additionally
     emptied so a pipeline cannot train on data the check rounds condemned.
+    keep_rounds=False keeps no per-round columns, so the result has no
+    rounds and ``export_transcript`` refuses it; the datasets and rates are
+    the same either way.
     """
     if target_data_count < 1:
         raise DomainError(f"target data count must be >= 1, got {target_data_count}")
@@ -188,18 +194,18 @@ def run_session(
     else:
         table = _qubit_pass(draws)
 
-    prep = draws.preparations
+    prep, inputs = draws.preparations, draws.inputs
     data = ~_IS_CHECK[prep]
     truth = draws.labels[data]
     labels = table.outcomes[data] ^ _BIT[prep[data]]
     check_errors = int((table.outcomes[~data] != _BIT[prep[~data]]).sum())
-    data_count = len(draws.inputs)
+    data_count = len(inputs)
     checks = len(prep) - data_count
     eta_a = estimate_eta_a(checks, check_errors)
     aborted = abort_threshold is not None and eta_a > abort_threshold
     result = SessionResult(
-        authorized_dataset=list(zip(draws.inputs, labels.tolist())),
-        eavesdropper_dataset=list(zip(draws.inputs, table.eve_labels.tolist())),
+        authorized_dataset=_Dataset(inputs, labels),
+        eavesdropper_dataset=_Dataset(inputs, table.eve_labels),
         check_count=checks,
         check_error_count=check_errors,
         eta_a_estimate=eta_a,
@@ -208,12 +214,12 @@ def run_session(
         authorized_label_error_rate=int((labels != truth).sum()) / data_count,
         eve_label_error_rate=int((table.eve_labels != truth).sum()) / data_count,
         ensemble_fidelity=table.fidelity_sum / data_count,
-        rounds=_round_records(draws, table, attack) if keep_rounds else [],
+        rounds=_Rounds(draws, table) if keep_rounds else (),
         seed=seed,
     )
     if aborted and strict_abort:
-        result.authorized_dataset = []
-        result.eavesdropper_dataset = []
+        result.authorized_dataset = _Dataset(inputs[:0], labels[:0])
+        result.eavesdropper_dataset = result.authorized_dataset
     return result
 
 
@@ -221,20 +227,21 @@ def run_session(
 class _Draws:
     """One session's variates in round order, a column each.
 
-    preparations, labels and finals (the receiver's measurement variate, or
-    the analytic channel variate) hold one entry per round, inputs one per
-    data round, eve one per data round that drew for Eve.  Under
-    intercept-resend, attacked holds each round's attack coin, and for each
-    configured leg z_bases[leg] and variates[leg] hold, per attacked round,
-    whether Eve measured in Z and her measurement variate.
+    preparations, labels, finals (the receiver's measurement variate, or the
+    analytic channel variate) and attacked (the attack coin under
+    intercept-resend; every round under an analytic attack, none without an
+    attack) hold one entry per round, inputs (a read-only (n, d) array) one
+    row per data round, eve one entry per data round that drew for Eve.  For
+    each configured leg z_bases[leg] and variates[leg] hold, per attacked
+    round, whether Eve measured in Z and her measurement variate.
     """
 
     preparations: np.ndarray
     labels: np.ndarray
-    inputs: list[np.ndarray]
+    inputs: np.ndarray
     finals: np.ndarray
     eve: np.ndarray
-    attacked: np.ndarray | None = None
+    attacked: np.ndarray
     z_bases: dict[int, np.ndarray] = field(default_factory=dict)
     variates: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -304,15 +311,19 @@ def _draw_rounds(
             f"{data} of {target_data_count} examples"
         )
 
+    inputs = np.stack(inputs)
+    inputs.flags.writeable = False
+    if not intercepting:  # an analytic attack hits every round, no attack none
+        attacked_col = np.full(len(preparations), analytic)
     draws = _Draws(
         preparations=np.array(preparations, dtype=np.intp),
         labels=np.array(labels, dtype=np.intp),
         inputs=inputs,
         finals=np.array(finals),
         eve=np.array(eve),
+        attacked=np.array(attacked_col, dtype=bool),
     )
     if intercepting:
-        draws.attacked = np.array(attacked_col, dtype=bool)
         always_z = np.ones(int(draws.attacked.sum()), dtype=bool)
         for leg, z_col, u_col in ((1, z1_col, u1_col), (2, z2_col, u2_col)):
             if leg in attack.legs:
@@ -351,7 +362,7 @@ def _qubit_pass(draws: _Draws) -> _Table:
     """Every round's state walked through the qubit tables at once."""
     prep, labels = draws.preparations, draws.labels
     data = ~_IS_CHECK[prep]
-    attacked = None if draws.attacked is None else np.flatnonzero(draws.attacked)
+    attacked = np.flatnonzero(draws.attacked)
     state = prep.copy()
     legs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     _intercept(state, attacked, draws, 1, legs)
@@ -385,78 +396,114 @@ def _measure(state: np.ndarray, rounds, basis: np.ndarray, u: np.ndarray) -> np.
     return _OUTCOME[key]
 
 
-def _round_records(draws: _Draws, table: _Table, attack) -> list[ProtocolRound]:
-    """The per-round view of a session, built from its columns."""
-    n = len(draws.preparations)
-    if draws.attacked is None:
-        attacked = [isinstance(attack, AnalyticAttack)] * n
-        eve_records = iter(())
-    else:
-        attacked = draws.attacked.tolist()
-        eve_records = iter(_eve_records(table))
-    inputs = iter(draws.inputs)
-    eve_labels = iter(table.eve_labels.tolist())
-    rounds = []
-    for round_id, k, outcome, hit in zip(
-        range(n), draws.preparations.tolist(), table.outcomes.tolist(), attacked
-    ):
-        preparation = _PREPARATIONS[k]
-        is_check = preparation.is_check
-        rounds.append(
-            ProtocolRound(
-                round_id=round_id,
-                preparation=preparation,
-                is_check=is_check,
-                input_x=None if is_check else next(inputs),
-                outcome=outcome,
-                attacked=hit,
-                check_error=outcome != preparation.bit if is_check else None,
-                eve_record=next(eve_records, None) if hit else None,
-                eve_label=None if is_check else next(eve_labels),
-            )
+class _Dataset(Sequence):
+    """(feature vector, label) pairs over a read-only (n, d) input array.
+
+    Both parties' datasets share the one input array, so a row is a read-only
+    view; labels come out as Python ints.
+    """
+
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray):
+        self._inputs, self._labels = inputs, labels
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._inputs[i], int(self._labels[i])
+
+    def __iter__(self):
+        return zip(self._inputs, self._labels.tolist())
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+class _Rounds(Sequence):
+    """A session's rounds, each ProtocolRound built from the columns when read.
+
+    It keeps the columns it reads (see ``_Draws`` and ``_Table``), not the
+    draws' variates.
+    """
+
+    def __init__(self, draws: _Draws, table: _Table):
+        self.preparations, self.outcomes = draws.preparations, table.outcomes
+        self.attacked, self.legs = draws.attacked, table.legs
+        self.inputs, self.eve_labels = draws.inputs, table.eve_labels
+
+    def __len__(self) -> int:
+        return len(self.preparations)
+
+    @functools.cached_property
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per round, its index among the data rounds and among the attacked ones."""
+        data = ~_IS_CHECK[self.preparations]
+        return np.cumsum(data) - 1, np.cumsum(self.attacked) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # a Python int; negatives count from the end
+        preparation = _PREPARATIONS[self.preparations[i]]
+        is_check, outcome = preparation.is_check, int(self.outcomes[i])
+        d, a = (positions[i] for positions in self._positions)
+        eve_record = None
+        if self.attacked[i] and self.legs:  # an analytic attack leaves no record
+            legs = {  # and an unconfigured leg none
+                leg: LegRecord(leg=leg, basis=_BASES[basis[a]], outcome=int(outcome[a]))
+                for leg, (basis, outcome) in self.legs.items()
+            }
+            eve_record = EveRoundRecord(leg1=legs.get(1), leg2=legs.get(2))
+        return ProtocolRound(
+            round_id=i,
+            preparation=preparation,
+            is_check=is_check,
+            input_x=None if is_check else self.inputs[d],
+            outcome=outcome,
+            attacked=bool(self.attacked[i]),
+            check_error=outcome != preparation.bit if is_check else None,
+            eve_record=eve_record,
+            eve_label=None if is_check else int(self.eve_labels[d]),
         )
-    return rounds
 
 
-def _eve_records(table: _Table) -> list[EveRoundRecord]:
-    """One record per attacked round; an unconfigured leg leaves no record."""
-    records = {
-        leg: [
-            LegRecord(leg=leg, basis=_BASES[b], outcome=o)
-            for b, o in zip(basis.tolist(), outcome.tolist())
-        ]
-        for leg, (basis, outcome) in table.legs.items()
-    }
-    none = itertools.repeat(None)
-    return [
-        EveRoundRecord(leg1=r1, leg2=r2)
-        for r1, r2 in zip(records.get(1, none), records.get(2, none))
-    ]
-
-
-def _round_to_json(rnd: ProtocolRound) -> dict:
-    eve_basis = None
-    if rnd.eve_record is not None:
-        eve_basis = [
-            rnd.eve_record.leg1.basis.value if rnd.eve_record.leg1 else None,
-            rnd.eve_record.leg2.basis.value if rnd.eve_record.leg2 else None,
-        ]
-    return {
-        "round_id": rnd.round_id,
-        "k": rnd.preparation.value,
-        "is_check": rnd.is_check,
-        "outcome": rnd.outcome,
-        "eve_basis": eve_basis,
-        "flags": {"attacked": rnd.attacked, "check_error": rnd.check_error},
-    }
+# A transcript line (compact, key-sorted JSON) is a head set by the attack
+# (quiet; attacked with no record; attacked with each leg's basis index, 2 for
+# an unconfigured leg), a tail set by 2 * k + outcome, and the round id.
+_JSON_BOOL = ("false", "true")
+_JSON_BASES = tuple(f'"{b.value}"' for b in _BASES) + ("null",)
+_HEADS = tuple(
+    f'{{"eve_basis":{basis},"flags":{{"attacked":{attacked},"check_error":'
+    for basis, attacked in [("null", "false"), ("null", "true")]
+    + [(f"[{b1},{b2}]", "true") for b1 in _JSON_BASES for b2 in _JSON_BASES]
+)
+_TAILS = tuple(
+    f'{_JSON_BOOL[o != k.bit] if k.is_check else "null"}}},'
+    f'"is_check":{_JSON_BOOL[k.is_check]},"k":"{k.value}","outcome":{o},"round_id":'
+    for k in _PREPARATIONS
+    for o in (0, 1)
+)
 
 
 def export_transcript(session: SessionResult, path) -> None:
     """Write one JSON object per round, in round order, newline-delimited.
 
-    A session run with keep_rounds=False has no rounds to write and raises
-    ProtocolError rather than leave an empty transcript.
+    Lines are compact and key-sorted, formatted straight from the session's
+    round columns.  A session run with keep_rounds=False has no rounds to
+    write and raises ProtocolError rather than leave an empty transcript.
     """
-    if not session.rounds:
+    rounds = session.rounds
+    if not rounds:
         raise ProtocolError("the session kept no rounds; run it with keep_rounds=True")
-    write_jsonl(path, (_round_to_json(rnd) for rnd in session.rounds))
+    heads = rounds.attacked.astype(np.intp)
+    if rounds.legs:
+        basis1, basis2 = (rounds.legs[leg][0] if leg in rounds.legs else 2 for leg in (1, 2))
+        heads[rounds.attacked] = 2 + 3 * basis1 + basis2
+    tails = 2 * rounds.preparations + rounds.outcomes
+    with open(path, "w") as fh:
+        fh.writelines(
+            f"{_HEADS[h]}{_TAILS[t]}{i}}}\n"
+            for i, (h, t) in enumerate(zip(heads.tolist(), tails.tolist()))
+        )

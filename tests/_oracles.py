@@ -8,9 +8,13 @@ is a lookup table, so agreement is a genuine cross-check, not a tautology.
 ``tests/test_qubit.py`` checks every table entry against ``_KETS``,
 ``_PAULI_X`` and ``_measure_branches``.
 
-Three referees use the package.  ``reference_session`` is the scalar per-round
-session loop, one ``qubit``/``adversary`` call per step, kept as the referee
-for ``protocol.run_session``'s draw loop and table pass.  ``reference_trial``
+Four referees use the package.  ``reference_session`` is the scalar per-round
+session loop, one ``qubit`` call or interception step per round, kept as the
+referee for ``protocol.run_session``'s draw loop and table pass, with
+``intercept``, ``pick_policy_basis`` and ``infer_label`` as its per-round
+attack steps.  ``reference_transcript`` formats those rounds one
+``json.dumps`` each, the referee for ``protocol.export_transcript``'s column
+writer.  ``reference_trial``
 is the per-trial SGD loop with one-model predict/sgd_step methods, kept as
 the referee for ``learn_harness``'s lockstep trial engine.
 ``reference_search`` is the per-draw random-search loop, one sampler call and
@@ -21,6 +25,7 @@ random-search engine.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -30,16 +35,16 @@ import numpy as np
 from qlabelsec import protocol
 from qlabelsec.adversary import (
     AnalyticAttack,
+    BasisPolicy,
     EveRoundRecord,
     InterceptResend,
+    LegRecord,
     NoAttack,
-    infer_label,
-    intercept,
 )
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.learn_harness import LearningTrial
 from qlabelsec.protocol import ProtocolRound, SessionResult, estimate_eta_a
-from qlabelsec.qubit import Preparation, apply_oracle, fidelity, measure
+from qlabelsec.qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 mp.mp.dps = 50
 
@@ -318,6 +323,52 @@ def gaussian_tail_hp(t) -> mp.mpf:
 _PREPARATIONS = (Preparation.Z0, Preparation.Z1, Preparation.XPLUS, Preparation.XMINUS)
 
 
+def pick_policy_basis(policy: BasisPolicy, rng: np.random.Generator) -> Basis:
+    if policy is BasisPolicy.ALWAYS_Z:
+        return Basis.Z
+    return Basis.Z if rng.random() < 0.5 else Basis.X
+
+
+def intercept(
+    state: Preparation,
+    leg_index: int,
+    strategy: InterceptResend,
+    rng: np.random.Generator,
+) -> tuple[Preparation, LegRecord | None]:
+    """Measure-and-resend on one leg of an attacked round.
+
+    The caller draws the round's attack coin, so none is drawn here.  A leg
+    outside the strategy's target set passes untouched and leaves no record.
+    """
+    if leg_index not in (1, 2):
+        raise DomainError(f"leg index must be 1 or 2, got {leg_index}")
+    if not isinstance(strategy, InterceptResend):
+        raise DomainError(f"intercept requires an InterceptResend strategy, got {strategy!r}")
+    if leg_index not in strategy.legs:
+        return state, None
+    basis = pick_policy_basis(strategy.basis_policy, rng)
+    outcome, post_state = measure(state, basis, rng.random())
+    return post_state, LegRecord(leg=leg_index, basis=basis, outcome=outcome)
+
+
+def infer_label(record: EveRoundRecord | None, rng: np.random.Generator) -> int:
+    """Eve's label estimate for a data round.
+
+    The oracle flips the computational bit by the label, so two Z outcomes
+    XOR to the label exactly.  With anything less she has no usable
+    correlation and guesses uniformly.
+    """
+    if (
+        record is not None
+        and record.leg1 is not None
+        and record.leg2 is not None
+        and record.leg1.basis is Basis.Z
+        and record.leg2.basis is Basis.Z
+    ):
+        return record.leg1.outcome ^ record.leg2.outcome
+    return int(rng.integers(2))
+
+
 def reference_session(
     concept_source,
     target_data_count: int,
@@ -451,6 +502,32 @@ def reference_session(
         result.authorized_dataset = []
         result.eavesdropper_dataset = []
     return result
+
+
+def _round_to_json(rnd: ProtocolRound) -> dict:
+    eve_basis = None
+    if rnd.eve_record is not None:
+        eve_basis = [
+            rnd.eve_record.leg1.basis.value if rnd.eve_record.leg1 else None,
+            rnd.eve_record.leg2.basis.value if rnd.eve_record.leg2 else None,
+        ]
+    return {
+        "round_id": rnd.round_id,
+        "k": rnd.preparation.value,
+        "is_check": rnd.is_check,
+        "outcome": rnd.outcome,
+        "eve_basis": eve_basis,
+        "flags": {"attacked": rnd.attacked, "check_error": rnd.check_error},
+    }
+
+
+def reference_transcript(rounds) -> bytes:
+    """``protocol.export_transcript``'s bytes: one compact, key-sorted
+    ``json.dumps`` object per round, newline-terminated."""
+    return "".join(
+        json.dumps(_round_to_json(rnd), sort_keys=True, separators=(",", ":")) + "\n"
+        for rnd in rounds
+    ).encode()
 
 
 # ---------------------------------------------------------------------------

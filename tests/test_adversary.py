@@ -13,8 +13,6 @@ from qlabelsec.adversary import (
     InterceptResend,
     LegRecord,
     NoAttack,
-    infer_label,
-    intercept,
     tradeoff_point,
 )
 from qlabelsec.errors import DomainError
@@ -70,7 +68,7 @@ class TestStrategyValidation:
 class TestIntercept:
     def test_collapses_hadamard_state_to_computational(self):
         rng = np.random.default_rng(5)
-        state, record = intercept(Preparation.XPLUS, 1, InterceptResend(), rng)
+        state, record = oracles.intercept(Preparation.XPLUS, 1, InterceptResend(), rng)
         assert record is not None
         assert record.basis is Basis.Z
         assert record.leg == 1
@@ -79,7 +77,7 @@ class TestIntercept:
 
     def test_computational_state_passes_undisturbed_but_recorded(self):
         rng = np.random.default_rng(6)
-        state, record = intercept(Preparation.Z0, 2, InterceptResend(), rng)
+        state, record = oracles.intercept(Preparation.Z0, 2, InterceptResend(), rng)
         assert state is Preparation.Z0
         assert record == LegRecord(leg=2, basis=Basis.Z, outcome=0)
 
@@ -89,7 +87,7 @@ class TestIntercept:
         for policy, draws in (("alwaysZ", 1), ("randomPerLeg", 2)):
             strategy = InterceptResend(attack_probability=0.0, basis_policy=policy)
             rng, replay = np.random.default_rng(7), np.random.default_rng(7)
-            _, record = intercept(Preparation.XMINUS, 1, strategy, rng)
+            _, record = oracles.intercept(Preparation.XMINUS, 1, strategy, rng)
             assert record is not None
             replay.random(draws)
             assert rng.random() == replay.random()
@@ -105,7 +103,9 @@ class TestIntercept:
 
     def test_unconfigured_leg_passes(self):
         rng = np.random.default_rng(8)
-        state, record = intercept(Preparation.XPLUS, 2, InterceptResend(legs=(1,)), rng)
+        state, record = oracles.intercept(
+            Preparation.XPLUS, 2, InterceptResend(legs=(1,)), rng
+        )
         assert state is Preparation.XPLUS
         assert record is None
         session = run_session(
@@ -118,9 +118,9 @@ class TestIntercept:
     def test_rejects_bad_leg_and_strategy(self):
         rng = np.random.default_rng(9)
         with pytest.raises(DomainError):
-            intercept(Preparation.Z0, 3, InterceptResend(), rng)
+            oracles.intercept(Preparation.Z0, 3, InterceptResend(), rng)
         with pytest.raises(DomainError):
-            intercept(Preparation.Z0, 1, NoAttack(), rng)
+            oracles.intercept(Preparation.Z0, 1, NoAttack(), rng)
 
 
 class TestInferLabel:
@@ -131,7 +131,7 @@ class TestInferLabel:
                 record = EveRoundRecord(
                     leg1=LegRecord(1, Basis.Z, o1), leg2=LegRecord(2, Basis.Z, o2)
                 )
-                assert infer_label(record, rng) == o1 ^ o2
+                assert oracles.infer_label(record, rng) == o1 ^ o2
 
     @pytest.mark.parametrize(
         "record",
@@ -150,7 +150,7 @@ class TestInferLabel:
     def test_anything_less_is_a_uniform_guess(self, record):
         rng = np.random.default_rng(42)
         n = 10_000
-        ones = sum(infer_label(record, rng) for _ in range(n))
+        ones = sum(oracles.infer_label(record, rng) for _ in range(n))
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 4.0 * sigma
 

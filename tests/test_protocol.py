@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlabelsec.protocol as protocol_module
-from _oracles import reference_session
+from _oracles import reference_session, reference_transcript
 from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.info_theory import eve_noise_from_disturbance
@@ -379,6 +379,37 @@ class TestTranscriptExport:
         export_transcript(session, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            NoAttack(),
+            InterceptResend(),
+            InterceptResend(attack_probability=0.5),
+            InterceptResend(attack_probability=0.5, basis_policy="randomPerLeg"),
+            InterceptResend(legs=(1,)),
+            InterceptResend(attack_probability=0.5, basis_policy="randomPerLeg", legs=(2,)),
+            AnalyticAttack(curve_kind="collective", disturbance=0.05),
+            AnalyticAttack(curve_kind="individual", disturbance=0.08),
+        ],
+        ids=[
+            "none",
+            "alwaysZ-f1",
+            "alwaysZ-f0.5",
+            "randomPerLeg-f0.5",
+            "alwaysZ-leg1",
+            "randomPerLeg-leg2-f0.5",
+            "collective",
+            "individual",
+        ],
+    )
+    def test_column_writer_equals_the_per_round_referee(self, tmp_path, attack, seed):
+        source = _SOURCES["task"]
+        path = tmp_path / "transcript.jsonl"
+        export_transcript(run_session(source, 2_000, attack=attack, seed=seed), path)
+        expected = reference_session(source, 2_000, attack=attack, seed=seed)
+        assert path.read_bytes() == reference_transcript(expected.rounds)
+
 
 _PINNED_ATTACKS = {
     "none": NoAttack(),
@@ -420,6 +451,84 @@ _SESSION_DIGESTS = {
     "task/collective-0.05": "80239a10e3778c1364d5b0d6a5e50bfa6b79922a97fc11f1d20aaefa2629888b",
     "task/individual-0.08": "b91146eb40ba15ec33aaa5f593be556ca863ee625b73ce94d5e7e4e61b8f63bd",
 }
+
+
+class TestSessionViews:
+    def session(self, **kwargs):
+        attack = InterceptResend(attack_probability=0.5, basis_policy="randomPerLeg")
+        return run_session(halfspace_source(), 300, attack=attack, seed=31, **kwargs)
+
+    def test_labels_are_python_ints(self):
+        session = self.session()
+        for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
+            assert all(type(label) is int for _, label in dataset)
+            assert type(dataset[0][1]) is int and type(dataset[-1][1]) is int
+
+    def test_dataset_rows_are_read_only(self):
+        session = self.session()
+        x, _ = session.authorized_dataset[0]
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+        for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
+            x, _ = next(iter(dataset))
+            with pytest.raises(ValueError, match="read-only"):
+                x[:] = 0.0
+
+    def test_dataset_indexing_matches_iteration(self):
+        dataset = self.session().eavesdropper_dataset
+        pairs = list(dataset)
+        assert len(pairs) == len(dataset) == 300
+        for i in (0, 1, 299, -1, -300):
+            x, label = dataset[i]
+            assert np.array_equal(x, pairs[i][0]) and label == pairs[i][1]
+        assert [label for _, label in dataset[10:20]] == [p[1] for p in pairs[10:20]]
+        for i in (300, -301):
+            with pytest.raises(IndexError):
+                dataset[i]
+
+    def test_rounds_index_from_either_end(self):
+        rounds = self.session().rounds
+        n = len(rounds)
+        assert n == sum(1 for _ in rounds)
+        assert rounds[-1].round_id == n - 1 and not rounds[-1].is_check
+        assert rounds[-n].round_id == 0
+        assert [r.round_id for r in rounds[-5:]] == list(range(n - 5, n))
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rounds[i]
+
+    def test_random_access_equals_iteration(self):
+        session = self.session()
+        rounds = session.rounds
+        by_iteration = list(rounds)
+        for i in (len(rounds) - 1, 0, len(rounds) // 2, 1, -2):
+            got, ref = rounds[i], by_iteration[i]
+            for name in ref.__dataclass_fields__:
+                assert _same_value(getattr(got, name), getattr(ref, name)), name
+        data_rounds = [r for r in by_iteration if not r.is_check]
+        for rnd, (x, label) in zip(data_rounds, session.eavesdropper_dataset):
+            assert rnd.input_x is not None and np.array_equal(rnd.input_x, x)
+            assert rnd.eve_label == label
+
+    def test_no_kept_rounds_leaves_datasets_intact(self):
+        kept, bare = self.session(), self.session(keep_rounds=False)
+        assert len(bare.rounds) == 0
+        assert session_digest(bare) == session_digest(kept)
+
+    def test_strictly_aborted_datasets_are_empty_views(self):
+        session = run_session(
+            halfspace_source(),
+            500,
+            attack=InterceptResend(),
+            abort_threshold=0.11,
+            seed=17,
+            strict_abort=True,
+        )
+        for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
+            assert dataset == [] and len(dataset) == 0 and list(dataset) == []
+            with pytest.raises(IndexError):
+                dataset[0]
+        assert len(session.rounds) == session.check_count + 500
 
 
 class TestSessionPins:
