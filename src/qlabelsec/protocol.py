@@ -172,9 +172,8 @@ def run_session(
     When an abort threshold is set and the final noise estimate exceeds it,
     the result is flagged; with strict_abort the datasets are additionally
     emptied so a pipeline cannot train on data the check rounds condemned.
-    keep_rounds=False keeps no per-round columns, so the result has no
-    rounds and ``export_transcript`` refuses it; the datasets and rates are
-    the same either way.
+    keep_rounds=False keeps no round columns: the result has no rounds (so
+    ``export_transcript`` refuses it) and the same datasets and rates.
     """
     if target_data_count < 1:
         raise DomainError(f"target data count must be >= 1, got {target_data_count}")
@@ -262,7 +261,7 @@ def _draw_rounds(
         random_policy = attack.basis_policy is BasisPolicy.RANDOM_PER_LEG
         leg1, leg2 = 1 in attack.legs, 2 in attack.legs
 
-    preparations, labels, inputs, finals, eve = [], [], [], [], []
+    preparations, labels, finals, eve = [], [], [], []
     attacked_col, z1_col, u1_col, z2_col, u2_col = [], [], [], [], []
     data = 0
     round_cap = _ROUND_CAP_FACTOR * target_data_count
@@ -301,7 +300,9 @@ def _draw_rounds(
             if is_data and not eve_reads:
                 eve.append(integers(2))
         if is_data:
-            inputs.append(x)
+            if data == 0:  # one array for every input, with the first one's shape
+                inputs = np.empty((target_data_count, *np.shape(x)), np.asarray(x).dtype)
+            inputs[data] = x
             data += 1
             if data == target_data_count:
                 break
@@ -311,7 +312,6 @@ def _draw_rounds(
             f"{data} of {target_data_count} examples"
         )
 
-    inputs = np.stack(inputs)
     inputs.flags.writeable = False
     if not intercepting:  # an analytic attack hits every round, no attack none
         attacked_col = np.full(len(preparations), analytic)
