@@ -510,11 +510,6 @@ class TestSessionViews:
             assert rnd.input_x is not None and np.array_equal(rnd.input_x, x)
             assert rnd.eve_label == label
 
-    def test_no_kept_rounds_leaves_datasets_intact(self):
-        kept, bare = self.session(), self.session(keep_rounds=False)
-        assert len(bare.rounds) == 0
-        assert session_digest(bare) == session_digest(kept)
-
     def test_strictly_aborted_datasets_are_empty_views(self):
         session = run_session(
             halfspace_source(),
