@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -60,6 +60,8 @@ _WILSON_Z_95 = 1.959963984540054
 
 _MIN_TEST_SIZE = 2000
 _MIN_TRIALS = 30
+# Points in generate_task's cluster-overlap probe.
+_PROBE_POINTS = 100_000
 
 # noisy_stream draws its rows in blocks of this many.
 _CHUNK = 256
@@ -70,6 +72,9 @@ _EVAL_FLOATS = 16_384
 # dimension.  Trials whose one batch would exceed it train as several groups,
 # so memory stays bounded whatever the trial count.
 _GROUP_FLOATS = 131_072
+# Largest input block of generate_task's overlap probe, in float64s: rows
+# times dimension.
+_PROBE_FLOATS = 32_768
 # Scale of a 53-bit integer to a double in [0, 1).
 _UNIT = 2.0**-53
 # Hypotheses each random-search trial draws and scores per lockstep step, and
@@ -160,6 +165,13 @@ class SyntheticTask:
         return ConceptSource(sampler=sampler, labeler=self.labeler)
 
 
+def _check_count(value, name: str, minimum: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
 def generate_task(
     dimension: int,
     separation: float,
@@ -172,14 +184,16 @@ def generate_task(
     When epsilon_target is given, the cluster-vs-concept overlap must stay
     below epsilon_target / 2 both analytically and in a fresh 10^5-sample
     estimate; otherwise trials could stall for geometric reasons and noise
-    comparisons would be confounded.
+    comparisons would be confounded.  Every argument is checked before the
+    first draw.  The probe draws its points in row blocks of at most
+    _PROBE_FLOATS floats, so its memory does not grow with 10^5 * dimension.
     """
-    if dimension < 2:
-        raise DomainError(f"dimension must be >= 2, got {dimension}")
-    if not separation > 0.0:
-        raise DomainError(f"separation must be positive, got {separation}")
-    if test_size < _MIN_TEST_SIZE:
-        raise DomainError(f"test set needs at least {_MIN_TEST_SIZE} points, got {test_size}")
+    _check_count(dimension, "dimension", 2)
+    if not 0.0 < separation < math.inf:
+        raise DomainError(f"separation must be positive and finite, got {separation}")
+    _check_count(test_size, "test set size", _MIN_TEST_SIZE)
+    if epsilon_target is not None and not 0.0 < epsilon_target < 1.0:
+        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
     check_seed(seed, "task seed")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dimension)
@@ -197,18 +211,17 @@ def generate_task(
         seed=seed,
     )
     # measured overlap: fraction of cluster draws landing across the midplane
-    probe_sides = rng.integers(2, size=100_000)
-    sides = 2.0 * probe_sides.astype(np.float64) - 1.0
-    xs = np.outer(sides * (separation / 2.0), direction) + rng.standard_normal(
-        (100_000, dimension)
-    )
-    measured = float(np.mean((xs @ direction >= 0.0).astype(np.int64) != probe_sides))
+    probe_sides = rng.integers(2, size=_PROBE_POINTS)
+    block = max(1, _PROBE_FLOATS // dimension)
+    crossed = 0
+    for start in range(0, _PROBE_POINTS, block):
+        sides = probe_sides[start : start + block]
+        xs = rng.standard_normal((len(sides), dimension))
+        xs += task._offsets[sides]
+        crossed += int(np.count_nonzero((xs @ direction >= 0.0) != sides))
+    measured = crossed / _PROBE_POINTS
 
     if epsilon_target is not None:
-        if not 0.0 < epsilon_target < 1.0:
-            raise DomainError(
-                f"epsilon target must lie in (0, 1), got {epsilon_target}"
-            )
         bound = epsilon_target / 2.0
         if analytic >= bound or measured >= bound:
             raise DomainError(
@@ -872,6 +885,8 @@ def run_trials(
     ]
     if len(jobs) == 1:
         return _run_block(jobs[0])
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return [trial for block in pool.map(_run_block, jobs) for trial in block]
 

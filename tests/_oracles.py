@@ -8,7 +8,7 @@ is a lookup table, so agreement is a genuine cross-check, not a tautology.
 ``tests/test_qubit.py`` checks every table entry against ``_KETS``,
 ``_PAULI_X`` and ``_measure_branches``.
 
-Four referees use the package.  ``reference_session`` is the scalar per-round
+Five referees use the package.  ``reference_session`` is the scalar per-round
 session loop, one ``qubit`` call or interception step per round, kept as the
 referee for ``protocol.run_session``'s draw loop and table pass, with
 ``intercept``, ``pick_policy_basis`` and ``infer_label`` as its per-round
@@ -19,7 +19,9 @@ is the per-trial SGD loop with one-model predict/sgd_step methods, kept as
 the referee for ``learn_harness``'s lockstep trial engine.
 ``reference_search`` is the per-draw random-search loop, one sampler call and
 one held-out evaluation per draw, kept as the referee for the lockstep
-random-search engine.
+random-search engine.  ``reference_task`` is ``generate_task`` with its
+one-shot 10^5-point overlap probe, kept as the referee for the block-wise
+probe.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -41,8 +43,8 @@ from qlabelsec.adversary import (
     LegRecord,
     NoAttack,
 )
-from qlabelsec.errors import DomainError, ProtocolError
-from qlabelsec.learn_harness import LearningTrial
+from qlabelsec.errors import DomainError, ProtocolError, check_seed
+from qlabelsec.learn_harness import _MIN_TEST_SIZE, LearningTrial, SyntheticTask
 from qlabelsec.protocol import ProtocolRound, SessionResult, estimate_eta_a
 from qlabelsec.qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
@@ -528,6 +530,70 @@ def reference_transcript(rounds) -> bytes:
         json.dumps(_round_to_json(rnd), sort_keys=True, separators=(",", ":")) + "\n"
         for rnd in rounds
     ).encode()
+
+
+def reference_task(
+    dimension: int,
+    separation: float,
+    seed: int,
+    test_size: int = _MIN_TEST_SIZE,
+    epsilon_target: float | None = None,
+) -> SyntheticTask:
+    """``learn_harness.generate_task`` with its one-shot overlap probe.
+
+    Builds a task, rejecting geometries too overlapped for the target.
+
+    When epsilon_target is given, the cluster-vs-concept overlap must stay
+    below epsilon_target / 2 both analytically and in a fresh 10^5-sample
+    estimate; otherwise trials could stall for geometric reasons and noise
+    comparisons would be confounded.
+    """
+    if dimension < 2:
+        raise DomainError(f"dimension must be >= 2, got {dimension}")
+    if not separation > 0.0:
+        raise DomainError(f"separation must be positive, got {separation}")
+    if test_size < _MIN_TEST_SIZE:
+        raise DomainError(f"test set needs at least {_MIN_TEST_SIZE} points, got {test_size}")
+    check_seed(seed, "task seed")
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(dimension)
+    direction /= math.sqrt(float(direction @ direction))
+    analytic = 0.5 * math.erfc(separation / (2.0 * math.sqrt(2.0)))
+
+    task = SyntheticTask(
+        dimension=dimension,
+        separation=separation,
+        direction=direction,
+        test_x=np.empty((0, dimension)),
+        test_y=np.empty(0, dtype=np.int64),
+        analytic_overlap=analytic,
+        measured_overlap=0.0,
+        seed=seed,
+    )
+    # measured overlap: fraction of cluster draws landing across the midplane
+    probe_sides = rng.integers(2, size=100_000)
+    sides = 2.0 * probe_sides.astype(np.float64) - 1.0
+    xs = np.outer(sides * (separation / 2.0), direction) + rng.standard_normal(
+        (100_000, dimension)
+    )
+    measured = float(np.mean((xs @ direction >= 0.0).astype(np.int64) != probe_sides))
+
+    if epsilon_target is not None:
+        if not 0.0 < epsilon_target < 1.0:
+            raise DomainError(
+                f"epsilon target must lie in (0, 1), got {epsilon_target}"
+            )
+        bound = epsilon_target / 2.0
+        if analytic >= bound or measured >= bound:
+            raise DomainError(
+                f"separation {separation} leaves overlap "
+                f"{max(analytic, measured):.4g} >= {bound:.4g}; the accuracy "
+                f"target {epsilon_target} is not cleanly reachable"
+            )
+
+    test_x = task.sample_inputs(test_size, rng)
+    test_y = task.labeler.predict(test_x)
+    return replace(task, test_x=test_x, test_y=test_y, measured_overlap=measured)
 
 
 # ---------------------------------------------------------------------------

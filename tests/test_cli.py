@@ -488,3 +488,23 @@ class TestSeedValidation:
         assert run_cli(*argv, "--task-seed", "-1", "--out", str(out)) == 2
         assert "task seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestTaskValidation:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("learn", "--trials", "30"),
+            ("sweep-eta", "--trials", "30"),
+            ("histograms", "--trials", "30"),
+            ("protocol-run", "--target-data", "10"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_separation_exits_2(self, capsys, tmp_path, argv, value):
+        # an infinite separation once built infinite inputs and an all-zero curve
+        out = tmp_path / "out"
+        assert run_cli(*argv, f"--separation={value}", "--out", str(out)) == 2
+        assert "separation must be positive and finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

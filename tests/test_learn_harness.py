@@ -41,6 +41,7 @@ from _oracles import (
     gaussian_tail_hp,
     reference_halfspace_sampler,
     reference_search,
+    reference_task,
     reference_trial,
     wilson_bounds_by_rootfinding,
 )
@@ -62,6 +63,14 @@ _SAMPLE_INPUT_DIGESTS = {
 
 # Seeds every seeded entry point rejects with DomainError.
 _BAD_SEEDS = [-1, -(2**70), 1.5, 2.0, "3", None, True, np.float64(4.0), np.int64(-2)]
+
+
+def _assert_same_task(task, expected):
+    for name in ("direction", "test_x", "test_y"):
+        got, want = getattr(task, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert task.measured_overlap == expected.measured_overlap
+    assert task.analytic_overlap == expected.analytic_overlap
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +132,68 @@ class TestGenerateTask:
             dict(dimension=8, separation=6.0, seed=0, test_size=100),
             dict(dimension=8, separation=6.0, seed=0, epsilon_target=0.0),
             dict(dimension=8, separation=6.0, seed=0, epsilon_target=1.0),
+            dict(dimension=8, separation=6.0, seed=0, epsilon_target=1.5),
+            dict(dimension=8, separation=6.0, seed=0, epsilon_target=-0.1),
+            dict(dimension=8, separation=6.0, seed=0, epsilon_target=math.nan),
+            dict(dimension=8.0, separation=6.0, seed=0),
+            dict(dimension=8.5, separation=6.0, seed=0),
+            dict(dimension="8", separation=6.0, seed=0),
+            dict(dimension=True, separation=6.0, seed=0),
+            dict(dimension=8, separation=6.0, seed=0, test_size=2000.5),
+            dict(dimension=8, separation=6.0, seed=0, test_size=2000.0),
+            dict(dimension=8, separation=math.inf, seed=0),
+            dict(dimension=8, separation=-math.inf, seed=0),
+            dict(dimension=8, separation=math.nan, seed=0),
         ],
+        ids=repr,
     )
-    def test_rejects_bad_arguments(self, kwargs):
+    def test_rejects_bad_arguments(self, kwargs, monkeypatch):
+        # every check runs before the first draw: no generator is ever built
+        def no_generator(*args, **kwargs):
+            raise AssertionError("generate_task drew before checking its arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         with pytest.raises(DomainError):
             generate_task(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        t = generate_task(dimension=np.int64(3), separation=5.0, seed=7, test_size=np.int32(2000))
+        assert t.test_x.shape == (2000, 3)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("separation", [6.0, 4.0])
+    @pytest.mark.parametrize("dimension", [2, 3, 8, 17, 64])
+    def test_block_probe_matches_the_one_shot_referee(self, dimension, separation, seed):
+        # no probe block divides 10^5, so every grid point ends on a short block
+        assert learn_harness._PROBE_POINTS % (learn_harness._PROBE_FLOATS // dimension)
+        for test_size, epsilon_target in product([2000, 5003], [None, 0.03]):
+            args = (dimension, separation, seed, test_size, epsilon_target)
+            try:
+                expected = reference_task(*args)
+            except DomainError as exc:
+                # separation 4 is too overlapped for 0.03: the same verdict and figure
+                with pytest.raises(DomainError) as got:
+                    generate_task(*args)
+                assert str(got.value) == str(exc)
+                continue
+            _assert_same_task(generate_task(*args), expected)
+
+    @pytest.mark.parametrize("floats", [77, 8_000, 10**6], ids=["block 9", "block 1000", "one block"])
+    def test_probe_is_independent_of_block_size(self, floats, monkeypatch):
+        monkeypatch.setattr(learn_harness, "_PROBE_FLOATS", floats)
+        _assert_same_task(generate_task(8, 6.0, 42), reference_task(8, 6.0, 42))
+
+    def test_probe_memory_peak_is_bounded_by_the_block(self):
+        # the one-shot probe held three (10^5, 8) float64 arrays, about 19 MB;
+        # a first call also imports numpy's seeding modules, so warm up first
+        generate_task(dimension=8, separation=6.0, seed=42)
+        tracemalloc.start()
+        try:
+            generate_task(dimension=8, separation=6.0, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
     def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):

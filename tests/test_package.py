@@ -1,5 +1,10 @@
 """The package namespace: each public name is declared once, in its module."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import qlabelsec
 from qlabelsec import (
     adversary,
@@ -26,3 +31,18 @@ def test_every_name_resolves():
         for name in module.__all__:
             assert getattr(qlabelsec, name) is getattr(module, name)
     assert isinstance(qlabelsec.__version__, str)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only run_trials with workers > 1 imports the pool and multiprocessing
+    src = str(Path(qlabelsec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, qlabelsec, qlabelsec.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
