@@ -885,7 +885,8 @@ def run_trials(
     ]
     if len(jobs) == 1:
         return _run_block(jobs[0])
-    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+    # imported here, so that importing the package loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return [trial for block in pool.map(_run_block, jobs) for trial in block]
