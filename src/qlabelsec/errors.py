@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the seed check."""
+"""Exception types shared across the package, and the seed and count checks."""
 
 import numbers
 
@@ -25,3 +25,14 @@ def check_seed(seed, name: str = "seed") -> None:
     """Raise DomainError unless seed is a non-negative int; package-internal."""
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise DomainError unless value is an int of at least minimum; package-internal.
+
+    numpy integers pass; bools and floats, integral ones included, do not.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_seed
+from .errors import DomainError, check_count, check_seed
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
 
@@ -66,8 +65,10 @@ _PROBE_POINTS = 100_000
 # noisy_stream draws its rows in blocks of this many.
 _CHUNK = 256
 # Largest per-block evaluation temporary, in float64s: held-out rows times
-# hidden units (one for linear models), summed over the block's trials.
-_EVAL_FLOATS = 16_384
+# hidden units (one for linear models), summed over the block's trials.  A
+# linear block is one GEMM whose result is this size, 32 hypotheses against
+# a 2000-point held-out set.
+_EVAL_FLOATS = 65_536
 # Largest input draw of a lockstep step, in float64s: trials times rows times
 # dimension.  Trials whose one batch would exceed it train as several groups,
 # so memory stays bounded whatever the trial count.
@@ -75,7 +76,7 @@ _GROUP_FLOATS = 131_072
 # Largest input block of generate_task's overlap probe, in float64s: rows
 # times dimension.
 _PROBE_FLOATS = 32_768
-# Scale of a 53-bit integer to a double in [0, 1).
+# Scale of a 53-bit integer to a double in [0, 1); also the unit roundoff u.
 _UNIT = 2.0**-53
 # Hypotheses each random-search trial draws and scores per lockstep step, and
 # trials per random-search lockstep group (each holds a generator of its own).
@@ -136,6 +137,21 @@ class SyntheticTask:
         return TaskLabeler(direction=self.direction)
 
     @cached_property
+    def _signed_columns(self) -> tuple[np.ndarray, float]:
+        """(d + 1, n) columns s_i * (x_i, 1) of the held-out set, s_i = 2 y_i - 1,
+        and the largest 1-norm among them.
+
+        A hypothesis (w, b) misclassifies held-out row i iff (w, b) . column i
+        is negative, except at zero, where a score of 0 predicts 1;
+        _linear_wrong leaves such ties to LinearThresholdModel._decide.
+        """
+        signs = 2.0 * self.test_y - 1.0
+        columns = np.empty((self.dimension + 1, len(signs)))
+        np.multiply(self.test_x.T, signs, out=columns[:-1])
+        columns[-1] = signs
+        return columns, float(np.abs(columns).sum(axis=0).max(initial=0.0))
+
+    @cached_property
     def _offsets(self) -> np.ndarray:
         """The two cluster centres, -separation/2 and +separation/2 along direction."""
         half = self.separation / 2.0
@@ -165,13 +181,6 @@ class SyntheticTask:
         return ConceptSource(sampler=sampler, labeler=self.labeler)
 
 
-def _check_count(value, name: str, minimum: int) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-
-
 def generate_task(
     dimension: int,
     separation: float,
@@ -188,10 +197,10 @@ def generate_task(
     first draw.  The probe draws its points in row blocks of at most
     _PROBE_FLOATS floats, so its memory does not grow with 10^5 * dimension.
     """
-    _check_count(dimension, "dimension", 2)
+    check_count(dimension, "dimension", 2)
     if not 0.0 < separation < math.inf:
         raise DomainError(f"separation must be positive and finite, got {separation}")
-    _check_count(test_size, "test set size", _MIN_TEST_SIZE)
+    check_count(test_size, "test set size", _MIN_TEST_SIZE)
     if epsilon_target is not None and not 0.0 < epsilon_target < 1.0:
         raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
     check_seed(seed, "task seed")
@@ -252,8 +261,12 @@ def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:
 def _matvec(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """xs @ v over any leading trial axes, one BLAS call per trial slice.
 
-    Each slice gets the bits of the 2-D ``xs @ v``; einsum, ``(xs * v).sum``
-    or one GEMM over all trials would differ in the last bits.
+    Each slice gets the bits of the 2-D ``xs @ v``.  einsum, ``(xs * v).sum``
+    or one GEMM over all trials sum in other orders, but every order of a
+    d-term dot product lies within gamma_d * sum_j |x_j v_j| of the exact
+    value, gamma_d = d u / (1 - d u), u = 2**-53 (plus d * 2**-1074 for
+    underflow); _linear_wrong uses that bound to score held-out sets with one
+    GEMM and still agree with this product's sign bit for bit.
     """
     return np.matmul(xs, v[..., None])[..., 0]
 
@@ -370,16 +383,11 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.model not in MODEL_KINDS:
             raise DomainError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.hidden_width < 1:
-            raise DomainError(f"hidden width must be >= 1, got {self.hidden_width}")
+        check_count(self.hidden_width, "hidden width", 1)
         if not self.step_size > 0.0:
             raise DomainError(f"step size must be positive, got {self.step_size}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.evaluation_cadence < 1:
-            raise DomainError(
-                f"evaluation cadence must be >= 1, got {self.evaluation_cadence}"
-            )
+        check_count(self.batch_size, "batch size", 1)
+        check_count(self.evaluation_cadence, "evaluation cadence", 1)
 
     def build_model(self, dimension: int, rng: np.random.Generator | None):
         """A fresh model; only the hidden layer draws from rng."""
@@ -429,8 +437,7 @@ def _check_noise(eta: float) -> None:
 def _check_target_and_budget(epsilon_target: float, sample_budget: int) -> None:
     if not 0.0 < epsilon_target < 1.0:
         raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
-    if sample_budget < 0:
-        raise DomainError(f"sample budget must be >= 0, got {sample_budget}")
+    check_count(sample_budget, "sample budget", 0)
 
 
 def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, bitgen):
@@ -516,19 +523,59 @@ def _stream_draw(sample_stream: Iterable[tuple[np.ndarray, int]]):
     return draw
 
 
+def _linear_wrong(task: SyntheticTask, weights: np.ndarray, biases: np.ndarray):
+    """Held-out misclassification counts of h linear hypotheses: (h, d), (h,) -> (h,).
+
+    Each block of hypotheses is one GEMM z = [W | b] @ columns over the
+    task's signed columns s_i (x_i, 1); row i is wrong iff z_i < 0.  The
+    GEMM sums in its own order, so its z_i may differ in the last bits from
+    LinearThresholdModel._decide, which thresholds fl(fl(x_i . w) + b) at 0.
+    Both lie within gamma_{d+1} * sum_j |a_j c_j| + (d + 1) * 2**-1074 of the
+    exact value (Higham 2002, section 3.1), and sum_j |a_j c_j| <= max_j |a_j|
+    * C, C the largest column 1-norm; max_j |a_j| is exact, so the bound
+    cannot underflow.  A hypothesis whose every |z_i| exceeds
+    tol = 4 (d + 1) u max_j |a_j| C + (d + 1) * 2**-1072, about twice the
+    sum of both errors (the slack covers the rounding of C and of tol), gets
+    the exact verdict from the GEMM: z_i and _decide's score then share the
+    sign of the exact value.  Any other hypothesis (a tie, a margin under
+    tol, NaN or inf, or a scale at which a partial sum could overflow) is
+    scored by _decide itself.  So the counts equal _decide's whatever the
+    BLAS, its thread count or the block size.
+    """
+    columns, largest = task._signed_columns
+    terms, count = columns.shape
+    if count == 0:
+        raise DomainError("cannot evaluate on an empty test set")
+    rounding, underflow = 4.0 * terms * _UNIT, terms * 2.0**-1072
+    wrong = np.empty(len(biases), dtype=np.int64)
+    rows = max(1, _EVAL_FLOATS // count)
+    for start in range(0, len(biases), rows):
+        part = slice(start, start + rows)
+        hypotheses = np.column_stack((weights[part], biases[part]))
+        scale = np.abs(hypotheses).max(axis=1) * largest
+        z = hypotheses @ columns
+        wrong[part] = (z < 0.0).sum(axis=1, dtype=np.int32)  # int32: faster than intp
+        margin = np.abs(z, out=z).min(axis=1)
+        exact = (margin > scale * rounding + underflow) & (scale < 2.0**1020)
+        slow = start + np.flatnonzero(~exact)
+        if len(slow):
+            model = LinearThresholdModel(weights=weights[slow], bias=biases[slow])
+            wrong[slow] = np.count_nonzero(model._decide(task.test_x) != task.test_y, axis=-1)
+    return wrong
+
+
 def _test_errors(models, count: int, task: SyntheticTask, width: int) -> np.ndarray:
     """Held-out error of each of count stacked trials, a bounded block at a time."""
     test_x, test_y = task.test_x, task.test_y
+    if isinstance(models, LinearThresholdModel):
+        return _linear_wrong(task, models.weights, models.bias) / len(test_x)
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
-    linear = isinstance(models, LinearThresholdModel)  # bools meet bools: no int64 cast
-    truth = test_y.astype(bool) if linear else test_y
     block = max(1, _EVAL_FLOATS // (len(test_x) * width))
     errors = np.empty(count)
     for start in range(0, count, block):
         part = slice(start, start + block)
-        trials = _take(models, part)
-        wrong = (trials._decide(test_x) if linear else trials.predict(test_x)) != truth
+        wrong = _take(models, part).predict(test_x) != test_y
         errors[part] = np.count_nonzero(wrong, axis=-1) / len(test_x)
     return errors
 
@@ -644,13 +691,13 @@ def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
     """A _search_lockstep scorer for random_halfspace_sampler draws, in blocks.
 
     One standard_normal((k, d + 1)) call gives the numbers of k sequential
-    sampler calls, each row the d weights then the bias.  Blocks are scored
-    with the stacked _matvec, whose slices carry the bits of one hypothesis's
-    predict, a few trials at a time so that the score temporary stays near
-    _EVAL_FLOATS; scores >= -bias equals scores + bias >= 0 for finite doubles.
+    sampler calls, each row the d weights then the bias.  The draws of a few
+    trials at a time, about _EVAL_FLOATS / n hypotheses, are scored by one
+    _linear_wrong call, which certifies each verdict against the one
+    hypothesis's predict; scores >= -bias there equals scores + bias >= 0,
+    since normal draws are finite.
     """
-    test_x, truth = task.test_x, task.test_y.astype(bool)
-    count, dimension = test_x.shape
+    count, dimension = task.test_x.shape
 
     def errors(active: list[int], k: int) -> list[list[float]]:
         if count == 0:
@@ -659,12 +706,11 @@ def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
         chunk = max(1, _EVAL_FLOATS // (count * k))
         for start in range(0, len(active), chunk):
             slots = active[start:start + chunk]
-            draws = np.stack(
+            draws = np.concatenate(
                 [rngs[slot].standard_normal((k, dimension + 1)) for slot in slots]
             )
-            scores = _matvec(test_x, np.ascontiguousarray(draws[..., :dimension]))
-            wrong = (scores >= -draws[..., dimension:]) != truth
-            out[start:start + len(slots)] = wrong.sum(axis=-1, dtype=np.uint32) / count
+            wrong = _linear_wrong(task, draws[:, :dimension], draws[:, dimension])
+            out[start:start + len(slots)] = wrong.reshape(len(slots), k) / count
         return out.tolist()
 
     return errors
@@ -874,10 +920,8 @@ def run_trials(
         raise DomainError(f"learner must be gradient or random-search, got {learner!r}")
     _check_noise(eta)
     _check_target_and_budget(epsilon_target, sample_budget)
-    if n_trials < 1:
-        raise DomainError(f"need at least one trial, got {n_trials}")
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers}")
+    check_count(n_trials, "trial count", 1)
+    check_count(workers, "worker count", 1)
     check_seed(base_seed, "base seed")
     jobs = [
         (task, eta, epsilon_target, config, sample_budget, base_seed, learner, block)

@@ -28,7 +28,7 @@ from .adversary import (
     LegRecord,
     NoAttack,
 )
-from .errors import DomainError, ProtocolError, check_seed
+from .errors import DomainError, ProtocolError, check_count, check_seed
 from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 __all__ = [
@@ -175,8 +175,7 @@ def run_session(
     keep_rounds=False keeps no round columns: the result has no rounds (so
     ``export_transcript`` refuses it) and the same datasets and rates.
     """
-    if target_data_count < 1:
-        raise DomainError(f"target data count must be >= 1, got {target_data_count}")
+    check_count(target_data_count, "target data count", 1)
     if abort_threshold is not None and not 0.0 < abort_threshold <= 0.5:
         raise DomainError(
             f"abort threshold must lie in (0, 1/2], got {abort_threshold}"

@@ -301,11 +301,22 @@ class TestModels:
             dict(step_size=0.0),
             dict(batch_size=0),
             dict(evaluation_cadence=0),
+            dict(hidden_width=2.0),
+            dict(batch_size=2.5),
+            dict(batch_size=True),
+            dict(evaluation_cadence=25.0),
         ],
+        ids=repr,
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):
             LearnerConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        config = LearnerConfig(
+            hidden_width=np.int64(4), batch_size=np.int32(5), evaluation_cadence=np.int64(25)
+        )
+        assert config == LearnerConfig(hidden_width=4, batch_size=5, evaluation_cadence=25)
 
 
 class TestStreams:
@@ -557,9 +568,10 @@ class TestTrainUntil:
         with pytest.raises(DomainError):
             train_until(task, noisy_stream(task, 0.0, seed=0), eps, LearnerConfig(), 10)
 
-    def test_rejects_negative_budget(self, task):
-        with pytest.raises(DomainError):
-            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), -1)
+    @pytest.mark.parametrize("budget", [-1, 10.5, 10.0, True], ids=repr)
+    def test_rejects_a_budget_that_is_not_a_non_negative_int(self, task, budget):
+        with pytest.raises(DomainError, match="sample budget"):
+            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), budget)
 
 
 def _always_good(task):
@@ -600,6 +612,11 @@ class TestRandomSearch:
         trial = random_search_learner(task, 0.03, _always_good(task), 0, seed=3)
         assert not trial.halted
         assert trial.samples_consumed == 0
+
+    @pytest.mark.parametrize("budget", [10.5, 10.0, True, -1], ids=repr)
+    def test_rejects_a_budget_that_is_not_a_non_negative_int(self, task, budget):
+        with pytest.raises(DomainError, match="sample budget"):
+            random_search_learner(task, 0.03, _always_good(task), budget, seed=3)
 
     def test_halting_times_follow_the_survival_law(self, task):
         # consumed counts under a known per-draw rate, against 1 - (1-p)^n
@@ -750,7 +767,14 @@ class TestRunTrials:
             dict(workers=0),
             dict(epsilon_target=0.0),
             dict(sample_budget=-1),
+            dict(n_trials=30.5),
+            dict(n_trials=2.0),
+            dict(n_trials=True),
+            dict(workers=1.5),
+            dict(sample_budget=100.5),
+            dict(sample_budget=np.float64(100.0)),
         ],
+        ids=repr,
     )
     def test_rejects_bad_arguments(self, task, kwargs):
         base = dict(
@@ -764,6 +788,13 @@ class TestRunTrials:
         base.update(kwargs)
         with pytest.raises(DomainError):
             run_trials(**base)
+
+    @pytest.mark.parametrize("learner", ["gradient", "random-search"])
+    def test_accepts_numpy_integer_counts(self, task, learner):
+        counts = dict(sample_budget=np.int64(40), n_trials=np.int32(3), workers=np.int64(1))
+        plain = {name: int(value) for name, value in counts.items()}
+        got = run_trials(task, 0.0, 0.2, LearnerConfig(), learner=learner, **counts)
+        assert got == run_trials(task, 0.0, 0.2, LearnerConfig(), learner=learner, **plain)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -1285,8 +1316,12 @@ class TestSearchEngine:
          ("_SEARCH_GROUP", 7), ("_EVAL_FLOATS", 1), ("_EVAL_FLOATS", 10**6)],
     )
     def test_block_sizes_do_not_change_records(self, task, monkeypatch, name, value):
+        # linear gradient batches are scored in _EVAL_FLOATS blocks too
         monkeypatch.setattr(learn_harness, name, value)
-        for key in ("search eta=0", "search epsilon=0.005 budget=37"):
+        for key in (
+            "search eta=0", "search epsilon=0.005 budget=37", "sweep eta_a=0.11",
+            "histogram eta=0.4",
+        ):
             assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
 
     def test_points_on_the_plane_score_as_predict_does(self, task):
@@ -1329,6 +1364,111 @@ class TestSearchEngine:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+@pytest.fixture(scope="module")
+def scorer_tasks():
+    return {d: generate_task(dimension=d, separation=3.0, seed=60 + d) for d in (2, 3, 8, 64)}
+
+
+def _referee_wrong(task, weights, biases):
+    """Wrong counts of each hypothesis from its own predict, one BLAS call each."""
+    return [
+        int(np.count_nonzero(
+            ReferenceLinearModel(weights=w, bias=b).predict(task.test_x) != task.test_y
+        ))
+        for w, b in zip(weights, biases)
+    ]
+
+
+# Hypotheses _linear_wrong must score as the per-hypothesis product does:
+# normal draws, exact ties (the bias cancels one row's product to zero) and
+# their one-ulp neighbours, zero weights, and non-finite entries.
+_KINDS = ["normal", "tie", "tie up", "tie down", "zero", "zero tie", "inf", "nan"]
+
+
+def _hypotheses(task, kinds, scale, rng):
+    count, dimension = task.test_x.shape
+    weights = rng.standard_normal((len(kinds), dimension)) * scale
+    biases = rng.standard_normal(len(kinds)) * scale
+    for h, kind in enumerate(kinds):
+        if kind.startswith("zero"):
+            weights[h] = 0.0
+            biases[h] = 0.0 if kind == "zero tie" else biases[h]
+        elif kind.startswith("tie"):
+            tie = -(task.test_x @ weights[h])[rng.integers(count)]
+            step = {"tie": 0.0, "tie up": math.inf, "tie down": -math.inf}[kind]
+            biases[h] = np.nextafter(tie, step) if step else tie
+        elif kind in ("inf", "nan"):
+            value = np.nan if kind == "nan" else rng.choice([math.inf, -math.inf])
+            column = rng.integers(dimension + 1)
+            if column == dimension:
+                biases[h] = value
+            else:
+                weights[h, column] = value
+    return weights, biases
+
+
+class TestLinearScorer:
+    @given(
+        dimension=st.sampled_from([2, 3, 8, 64]),
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=40),
+        scale=st.sampled_from([1.0, 1e-3, 1e3, 1e-300, 1e-310, 1e-320, 1e300, 1e306]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(dimension=8, kinds=["tie", "tie up", "tie down", "zero tie"], scale=1.0, seed=0)
+    @example(dimension=64, kinds=["normal"] * 40, scale=1e-310, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_counts_equal_the_per_hypothesis_product(
+        self, scorer_tasks, dimension, kinds, scale, seed
+    ):
+        task = scorer_tasks[dimension]
+        weights, biases = _hypotheses(task, kinds, scale, np.random.default_rng(seed))
+        with np.errstate(all="ignore"):
+            expected = _referee_wrong(task, weights, biases)
+            got = learn_harness._linear_wrong(task, weights, biases)
+        assert got.tolist() == expected
+
+    def test_ties_are_real_and_scored_both_ways(self, scorer_tasks):
+        # a tie row predicts 1, so it is right where y is 1 and wrong where y is 0
+        task = scorer_tasks[8]
+        truth = task.test_y.astype(bool)
+        weights = np.random.default_rng(3).standard_normal((2, 8))
+        scores = task.test_x @ weights[0], task.test_x @ weights[1]
+        rows = int(np.flatnonzero(truth)[0]), int(np.flatnonzero(~truth)[0])
+        biases = np.array([-scores[0][rows[0]], -scores[1][rows[1]]])
+        assert scores[0][rows[0]] + biases[0] == 0.0 == scores[1][rows[1]] + biases[1]
+        got = learn_harness._linear_wrong(task, weights, biases)
+        assert got.tolist() == _referee_wrong(task, weights, biases)
+
+    def test_pinned_batches_never_fall_back_and_a_tie_does(
+        self, task, scorer_tasks, monkeypatch
+    ):
+        # the exact per-hypothesis product runs only for uncertified verdicts
+        fallbacks = []
+        decide = LinearThresholdModel._decide
+
+        def counting(self, xs):
+            fallbacks.append(len(self.weights))
+            return decide(self, xs)
+
+        monkeypatch.setattr(LinearThresholdModel, "_decide", counting)
+        for key in _PINNED_BATCHES:
+            if key.startswith(("sweep", "search")):
+                assert trials_digest(_run_pinned(task, key)) == _RECORD_DIGESTS[key]
+        assert fallbacks == []
+        other = scorer_tasks[8]
+        weights, biases = _hypotheses(
+            other, ["normal", "tie", "normal"], 1.0, np.random.default_rng(5)
+        )
+        got = learn_harness._linear_wrong(other, weights, biases)
+        assert fallbacks == [1]
+        assert got.tolist() == _referee_wrong(other, weights, biases)
+        # untrained linear models score 0 on every row: all of them fall back
+        fallbacks.clear()
+        trials = run_trials(task, 0.0, 0.03, LearnerConfig(), 0, 5, base_seed=1)
+        assert fallbacks == [5]
+        assert {trial.final_test_error for trial in trials} == {float(np.mean(task.test_y == 0))}
 
 
 class TestDefaultBudget:

@@ -162,6 +162,16 @@ class TestRoundAccounting:
         with pytest.raises(DomainError):
             run_session(halfspace_source(), 10, attack="loud", seed=1)
 
+    @pytest.mark.parametrize("target", [10.0, 10.5, True, "10", np.float64(10.0)], ids=repr)
+    def test_rejects_a_target_that_is_not_an_int(self, target):
+        with pytest.raises(DomainError, match="target data count must be an integer"):
+            run_session(halfspace_source(), target, seed=1)
+
+    def test_accepts_a_numpy_integer_target(self):
+        session = run_session(halfspace_source(), np.int64(10), seed=1)
+        assert len(session.authorized_dataset) == 10
+        assert session.check_count == run_session(halfspace_source(), 10, seed=1).check_count
+
     @pytest.mark.parametrize(
         "seed", [-1, 1.5, "3", None, True, np.float64(2.0), np.int64(-1)], ids=repr
     )
