@@ -306,7 +306,6 @@ class TestModels:
             dict(batch_size=True),
             dict(evaluation_cadence=25.0),
         ],
-        ids=repr,
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -568,9 +567,13 @@ class TestTrainUntil:
         with pytest.raises(DomainError):
             train_until(task, noisy_stream(task, 0.0, seed=0), eps, LearnerConfig(), 10)
 
-    @pytest.mark.parametrize("budget", [-1, 10.5, 10.0, True], ids=repr)
-    def test_rejects_a_budget_that_is_not_a_non_negative_int(self, task, budget):
-        with pytest.raises(DomainError, match="sample budget"):
+    def test_rejects_negative_budget(self, task):
+        with pytest.raises(DomainError):
+            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), -1)
+
+    @pytest.mark.parametrize("budget", [10.5, 10.0, True], ids=repr)
+    def test_rejects_a_budget_that_is_not_an_int(self, task, budget):
+        with pytest.raises(DomainError, match="sample budget must be an integer"):
             train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), budget)
 
 
@@ -774,7 +777,6 @@ class TestRunTrials:
             dict(sample_budget=100.5),
             dict(sample_budget=np.float64(100.0)),
         ],
-        ids=repr,
     )
     def test_rejects_bad_arguments(self, task, kwargs):
         base = dict(
@@ -1397,8 +1399,8 @@ def _hypotheses(task, kinds, scale, rng):
             biases[h] = 0.0 if kind == "zero tie" else biases[h]
         elif kind.startswith("tie"):
             tie = -(task.test_x @ weights[h])[rng.integers(count)]
-            step = {"tie": 0.0, "tie up": math.inf, "tie down": -math.inf}[kind]
-            biases[h] = np.nextafter(tie, step) if step else tie
+            toward = {"tie up": math.inf, "tie down": -math.inf}.get(kind)
+            biases[h] = tie if toward is None else np.nextafter(tie, toward)
         elif kind in ("inf", "nan"):
             value = np.nan if kind == "nan" else rng.choice([math.inf, -math.inf])
             column = rng.integers(dimension + 1)
