@@ -33,7 +33,7 @@ from .learn_harness import (
     estimate_learning_probability,
     generate_task,
     log_hypothesis_count,
-    random_search_learner,
+    random_search_trials,
     run_trials,
 )
 from .pac_bounds import (
@@ -598,10 +598,8 @@ def _cmd_selfcheck(opts: dict) -> int:
     def sampler(rng):
         return good if rng.random() < p else bad
 
-    trials = [
-        random_search_learner(task, 0.03, sampler, 100, seed=int(s))
-        for s in rng_gate.integers(0, 2**63, size=1000)
-    ]
+    seeds = rng_gate.integers(0, 2**63, size=1000).tolist()
+    trials = random_search_trials(task, 0.03, sampler, 100, seeds)
     consumed = np.array([t.samples_consumed for t in trials])
     halted = np.array([t.halted for t in trials])
     for n in (1, 5, 10, 25):

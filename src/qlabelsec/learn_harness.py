@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -44,6 +45,7 @@ __all__ = [
     "train_until",
     "random_halfspace_sampler",
     "random_search_learner",
+    "random_search_trials",
     "run_trials",
     "wilson_interval",
     "estimate_learning_probability",
@@ -82,6 +84,12 @@ _UNIT = 2.0**-53
 # trials per random-search lockstep group (each holds a generator of its own).
 _SEARCH_BLOCK = 8
 _SEARCH_GROUP = 1024
+# A linear draw's bias as the last 8 bytes of its row (see _linear_row), and
+# the most rows whose held-out errors a task remembers before it forgets them
+# all (about 170 bytes a row at d = 8).
+_pack_float = struct.Struct("=d").pack
+_ZERO_BIAS = _pack_float(0.0)
+_KNOWN_ROWS = 1024
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe): (initial, multiplier) of
 # the pool and output hashes, the mix multipliers and the pool size.
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
@@ -150,6 +158,15 @@ class SyntheticTask:
         np.multiply(self.test_x.T, signs, out=columns[:-1])
         columns[-1] = signs
         return columns, float(np.abs(columns).sum(axis=0).max(initial=0.0))
+
+    @cached_property
+    def _row_errors(self) -> dict[bytes, float]:
+        """Held-out errors of the linear rows random search has scored, by row bytes.
+
+        A row's error depends on its bytes and the held-out set alone, so a
+        finite hypothesis class is scored once per task (see _sampler_errors).
+        """
+        return {}
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -523,8 +540,8 @@ def _stream_draw(sample_stream: Iterable[tuple[np.ndarray, int]]):
     return draw
 
 
-def _linear_wrong(task: SyntheticTask, weights: np.ndarray, biases: np.ndarray):
-    """Held-out misclassification counts of h linear hypotheses: (h, d), (h,) -> (h,).
+def _linear_wrong(task: SyntheticTask, hypotheses: np.ndarray) -> np.ndarray:
+    """Held-out misclassification counts of h linear hypotheses: (h, d + 1) rows (w, b) -> (h,).
 
     Each block of hypotheses is one GEMM z = [W | b] @ columns over the
     task's signed columns s_i (x_i, 1); row i is wrong iff z_i < 0.  The
@@ -547,19 +564,20 @@ def _linear_wrong(task: SyntheticTask, weights: np.ndarray, biases: np.ndarray):
     if count == 0:
         raise DomainError("cannot evaluate on an empty test set")
     rounding, underflow = 4.0 * terms * _UNIT, terms * 2.0**-1072
-    wrong = np.empty(len(biases), dtype=np.int64)
+    wrong = np.empty(len(hypotheses), dtype=np.int64)
     rows = max(1, _EVAL_FLOATS // count)
-    for start in range(0, len(biases), rows):
-        part = slice(start, start + rows)
-        hypotheses = np.column_stack((weights[part], biases[part]))
-        scale = np.abs(hypotheses).max(axis=1) * largest
-        z = hypotheses @ columns
-        wrong[part] = (z < 0.0).sum(axis=1, dtype=np.int32)  # int32: faster than intp
+    for start in range(0, len(hypotheses), rows):
+        block = hypotheses[start:start + rows]
+        scale = np.abs(block).max(axis=1) * largest
+        z = block @ columns
+        # int32: faster than intp
+        wrong[start:start + rows] = (z < 0.0).sum(axis=1, dtype=np.int32)
         margin = np.abs(z, out=z).min(axis=1)
         exact = (margin > scale * rounding + underflow) & (scale < 2.0**1020)
-        slow = start + np.flatnonzero(~exact)
-        if len(slow):
-            model = LinearThresholdModel(weights=weights[slow], bias=biases[slow])
+        if not exact.all():
+            slow = start + np.flatnonzero(~exact)
+            uncertified = hypotheses[slow]
+            model = LinearThresholdModel(weights=uncertified[:, :-1], bias=uncertified[:, -1])
             wrong[slow] = np.count_nonzero(model._decide(task.test_x) != task.test_y, axis=-1)
     return wrong
 
@@ -568,7 +586,8 @@ def _test_errors(models, count: int, task: SyntheticTask, width: int) -> np.ndar
     """Held-out error of each of count stacked trials, a bounded block at a time."""
     test_x, test_y = task.test_x, task.test_y
     if isinstance(models, LinearThresholdModel):
-        return _linear_wrong(task, models.weights, models.bias) / len(test_x)
+        hypotheses = np.column_stack((models.weights, models.bias))
+        return _linear_wrong(task, hypotheses) / len(test_x)
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
     block = max(1, _EVAL_FLOATS // (len(test_x) * width))
@@ -668,6 +687,7 @@ def train_until(
     the cadence is part of what a halting probability means.
     """
     _check_target_and_budget(epsilon_target, sample_budget)
+    check_seed(seed, "model seed")
     models = _stack([config.build_model(task.dimension, np.random.default_rng(seed))])
     trials, final = _train_lockstep(
         task, _stream_draw(sample_stream), models, [seed], epsilon_target, config,
@@ -709,7 +729,7 @@ def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
             draws = np.concatenate(
                 [rngs[slot].standard_normal((k, dimension + 1)) for slot in slots]
             )
-            wrong = _linear_wrong(task, draws[:, :dimension], draws[:, dimension])
+            wrong = _linear_wrong(task, draws)
             out[start:start + len(slots)] = wrong.reshape(len(slots), k) / count
         return out.tolist()
 
@@ -761,6 +781,108 @@ def _search_lockstep(
     return trials
 
 
+def _linear_row(hypothesis, dimension: int) -> bytes | None:
+    """The bytes of a linear draw's (w, b) row, or None for any other draw.
+
+    A linear draw is a TaskLabeler (b = 0.0) or a LinearThresholdModel with
+    a float bias whose weight vector is a C-contiguous, native float64 array
+    of length dimension.  The bytes are a copy taken now, so a draw mutated
+    later keeps the verdict it had when drawn.
+    """
+    kind = type(hypothesis)
+    if kind is TaskLabeler:
+        weights, bias = hypothesis.direction, _ZERO_BIAS
+    elif kind is LinearThresholdModel and isinstance(hypothesis.bias, float):
+        weights, bias = hypothesis.weights, _pack_float(hypothesis.bias)
+    else:
+        return None
+    if (
+        type(weights) is np.ndarray
+        and weights.dtype == np.float64
+        and weights.shape == (dimension,)
+        and weights.flags.c_contiguous
+    ):
+        return weights.tobytes() + bias
+    return None
+
+
+def _sampler_errors(
+    task: SyntheticTask, hypothesis_sampler, rngs: Sequence[np.random.Generator]
+):
+    """A _search_lockstep scorer for the draws of any hypothesis sampler.
+
+    Each active trial calls the sampler k times on its own generator.  A
+    linear draw (see _linear_row) is scored by its row bytes: rows the task
+    has scored before take their remembered error, and the step's other
+    distinct rows are scored by one _linear_wrong call, so a finite class
+    costs one GEMM row per member.  A TaskLabeler row that falls to
+    _linear_wrong's exact path gets LinearThresholdModel's _decide with bias
+    0.0, which adds 0.0 to the same matrix-vector product and so keeps every
+    sign.  Any other draw is scored alone by evaluate_error.
+    """
+    test_x = task.test_x
+    count, dimension = test_x.shape
+    truth = task.test_y.astype(bool)
+    known = task._row_errors
+
+    def errors(active: list[int], k: int) -> list[list[float]]:
+        if len(known) > _KNOWN_ROWS:
+            known.clear()
+        # each draw's error, or for a row not yet scored its bytes
+        found, fresh = [], {}
+        for slot in active:
+            rng = rngs[slot]
+            for _ in range(k):
+                hypothesis = hypothesis_sampler(rng)
+                row = _linear_row(hypothesis, dimension)
+                if row is None:
+                    found.append(evaluate_error(hypothesis, test_x, truth))
+                elif row in known:
+                    found.append(known[row])
+                else:
+                    found.append(fresh.setdefault(row, row))
+        if fresh:
+            hypotheses = np.frombuffer(b"".join(fresh), dtype=np.float64)
+            wrong = _linear_wrong(task, hypotheses.reshape(len(fresh), dimension + 1))
+            known.update(zip(fresh, (wrong / count).tolist()))
+            found = [known[row] if type(row) is bytes else row for row in found]
+        return [found[start:start + k] for start in range(0, len(found), k)]
+
+    return errors
+
+
+def random_search_trials(
+    task: SyntheticTask,
+    epsilon_target: float,
+    hypothesis_sampler: Callable[[np.random.Generator], object],
+    sample_budget: int,
+    seeds: Sequence[int],
+) -> list[LearningTrial]:
+    """random_search_learner for each seed, in lockstep; records in seed order.
+
+    The records equal [random_search_learner(..., seed=s) for s in seeds].
+    Each trial draws from its own default_rng(seed); groups of up to
+    _SEARCH_GROUP trials step together, each step drawing a block of up to
+    _SEARCH_BLOCK hypotheses per trial (see _search_lockstep and
+    _sampler_errors).  A trial that halts inside a block has made up to
+    _SEARCH_BLOCK - 1 further sampler calls on its own generator, whose
+    draws are discarded.  Every seed is checked before the first draw.
+    """
+    _check_target_and_budget(epsilon_target, sample_budget)
+    seeds = list(seeds)
+    for seed in seeds:
+        check_seed(seed, "search seed")
+    trials = []
+    for start in range(0, len(seeds), _SEARCH_GROUP):
+        group = seeds[start:start + _SEARCH_GROUP]
+        rngs = [np.random.default_rng(seed) for seed in group]
+        errors = _sampler_errors(task, hypothesis_sampler, rngs)
+        trials += _search_lockstep(
+            errors, group, epsilon_target, sample_budget, _SEARCH_BLOCK
+        )
+    return trials
+
+
 def random_search_learner(
     task: SyntheticTask,
     epsilon_target: float,
@@ -773,17 +895,11 @@ def random_search_learner(
     The baseline every learner is measured against: it looks at nothing but
     the held-out verdict of each candidate, so label noise in the stream
     cannot help or hurt it.  An exhausted trial reports the best error seen.
-    This is the one-trial case of the lockstep engine, in blocks of one
-    sampler call.
+    This is the one-seed case of random_search_trials.
     """
-    _check_target_and_budget(epsilon_target, sample_budget)
-    rng = np.random.default_rng(seed)
-    truth = task.test_y.astype(bool)
-
-    def errors(active: list[int], k: int) -> list[list[float]]:
-        return [[evaluate_error(hypothesis_sampler(rng), task.test_x, truth)]]
-
-    return _search_lockstep(errors, [seed], epsilon_target, sample_budget, 1)[0]
+    return random_search_trials(
+        task, epsilon_target, hypothesis_sampler, sample_budget, [seed]
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -940,9 +1056,9 @@ def wilson_interval(
     successes: int, trials: int, z: float = _WILSON_Z_95
 ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
+    check_count(trials, "trials", 1)
+    check_count(successes, "successes", 0)
+    if successes > trials:
         raise DomainError(f"successes {successes} outside [0, {trials}]")
     phat = successes / trials
     zz = z * z
@@ -996,10 +1112,11 @@ def estimate_learning_probability(
         raise DomainError(
             f"need at least {_MIN_TRIALS} trials for interval estimates, got {len(trials)}"
         )
-    grid = [int(n) for n in n_grid]
-    if not grid or any(n < 1 for n in grid) or any(
-        a >= b for a, b in zip(grid, grid[1:])
-    ):
+    grid = list(n_grid)
+    for n in grid:
+        check_count(n, "sample grid point", 1)
+    grid = [int(n) for n in grid]
+    if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
         raise DomainError("sample grid must be strictly increasing positive integers")
     counts = np.asarray([t.samples_consumed for t in trials])
     halted = np.asarray([t.halted for t in trials])

@@ -20,7 +20,7 @@ from qlabelsec.learn_harness import (
     TaskLabeler,
     estimate_learning_probability,
     generate_task,
-    random_search_learner,
+    random_search_trials,
     run_trials,
     wilson_interval,
 )
@@ -206,11 +206,8 @@ def test_criterion_4_random_search_law(default_task, capsys):
     def sampler(rng):
         return good if rng.random() < p else bad
 
-    seeds = np.random.default_rng(1).integers(0, 2**63, size=10_000)
-    trials = [
-        random_search_learner(default_task, 0.03, sampler, 120, seed=int(s))
-        for s in seeds
-    ]
+    seeds = np.random.default_rng(1).integers(0, 2**63, size=10_000).tolist()
+    trials = random_search_trials(default_task, 0.03, sampler, 120, seeds)
     consumed = np.array([t.samples_consumed for t in trials])
     halted = np.array([t.halted for t in trials])
     grid = (1, 2, 5, 10, 25, 50, 100)

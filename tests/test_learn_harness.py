@@ -30,6 +30,7 @@ from qlabelsec.learn_harness import (
     noisy_stream,
     random_halfspace_sampler,
     random_search_learner,
+    random_search_trials,
     run_trials,
     train_until,
     wilson_interval,
@@ -576,6 +577,12 @@ class TestTrainUntil:
         with pytest.raises(DomainError, match="sample budget must be an integer"):
             train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), budget)
 
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, task, seed):
+        config = LearnerConfig(model="one-hidden-layer")
+        with pytest.raises(DomainError, match="model seed must be a non-negative integer"):
+            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, config, 10, seed=seed)
+
 
 def _always_good(task):
     labeler = task.labeler
@@ -621,6 +628,17 @@ class TestRandomSearch:
         with pytest.raises(DomainError, match="sample budget"):
             random_search_learner(task, 0.03, _always_good(task), budget, seed=3)
 
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, task, seed):
+        def no_draws(rng):
+            raise AssertionError("the sampler ran")
+
+        with pytest.raises(DomainError, match="search seed must be a non-negative integer"):
+            random_search_learner(task, 0.03, no_draws, 10, seed=seed)
+        with pytest.raises(DomainError, match="search seed must be a non-negative integer"):
+            random_search_trials(task, 0.03, no_draws, 10, [1, 2, seed])
+        assert random_search_trials(task, 0.03, no_draws, 10, []) == []
+
     def test_halting_times_follow_the_survival_law(self, task):
         # consumed counts under a known per-draw rate, against 1 - (1-p)^n
         p = 0.3
@@ -657,7 +675,11 @@ class TestWilsonInterval:
         low, high = wilson_interval(k, t)
         assert 0.0 <= low <= k / t <= high <= 1.0
 
-    @pytest.mark.parametrize("k,t", [(-1, 10), (11, 10), (0, 0)])
+    @pytest.mark.parametrize(
+        "k,t",
+        [(-1, 10), (11, 10), (0, 0), (2.5, 10), (2.0, 10), (True, 10), (1, 10.0), (1, True)],
+        ids=repr,
+    )
     def test_rejects_bad_counts(self, k, t):
         with pytest.raises(DomainError):
             wilson_interval(k, t)
@@ -697,7 +719,9 @@ class TestLearningProbability:
         with pytest.raises(DomainError, match="at least 30"):
             estimate_learning_probability([_trial(1, True)] * 29, [10])
 
-    @pytest.mark.parametrize("grid", [[], [0, 10], [10, 10], [20, 10]])
+    @pytest.mark.parametrize(
+        "grid", [[], [0, 10], [10, 10], [20, 10], [1.5, 3], [10.0, 20], [True, 3]], ids=repr
+    )
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="grid"):
             estimate_learning_probability([_trial(1, True)] * 30, grid)
@@ -1368,6 +1392,199 @@ class TestSearchEngine:
         assert peak < 1_000_000
 
 
+def _seeds(count, seed=0):
+    return np.random.default_rng(seed).integers(0, 2**63, size=count).tolist()
+
+
+def _assert_search_matches(task, epsilon, sampler, budget, seeds, reference_sampler=None):
+    """random_search_trials over seeds equals reference_search seed by seed."""
+    expected = [
+        reference_search(task, epsilon, reference_sampler or sampler, budget, seed=seed)
+        for seed in seeds
+    ]
+    trials = random_search_trials(task, epsilon, sampler, budget, seeds)
+    _assert_records_match(trials, expected)
+
+
+def _mixed_sampler(dimension):
+    """Linear and one-hidden-layer draws, about half each."""
+    linear = random_halfspace_sampler(dimension)
+    hidden = LearnerConfig(model="one-hidden-layer", hidden_width=4)
+
+    def sample(rng):
+        return linear(rng) if rng.random() < 0.5 else hidden.build_model(dimension, rng)
+
+    return sample
+
+
+def _mutating_sampler(dimension):
+    """random_halfspace_sampler's numbers, written into one model it returns each time."""
+    model = LinearThresholdModel(weights=np.zeros(dimension), bias=0.0)
+
+    def sample(rng):
+        model.weights[:] = rng.standard_normal(dimension)
+        model.bias = float(rng.standard_normal())
+        return model
+
+    return sample
+
+
+def _edge_draws(task):
+    """Draws the GEMM cannot certify (exact ties, one-ulp neighbours, NaN and
+    inf entries), draws scored alone (float32 and int weights), and a hit."""
+    test_x, dimension = task.test_x, task.dimension
+    weights = np.random.default_rng(11).standard_normal(dimension)
+    tie = -(test_x @ weights)[17]
+    zeros = np.zeros(dimension)
+    # orthogonal to held-out row 5 up to the rounding of one product
+    plane = zeros.copy()
+    plane[:2] = test_x[5, 1], -test_x[5, 0]
+    with_nan, with_inf = weights.copy(), weights.copy()
+    with_nan[3], with_inf[0] = np.nan, np.inf
+    return [
+        TaskLabeler(direction=zeros),
+        TaskLabeler(direction=plane),
+        TaskLabeler(direction=-plane),
+        TaskLabeler(direction=with_nan),
+        TaskLabeler(direction=with_inf),
+        LinearThresholdModel(weights=weights, bias=tie),
+        LinearThresholdModel(weights=weights, bias=np.nextafter(tie, np.inf)),
+        LinearThresholdModel(weights=weights, bias=np.nextafter(tie, -np.inf)),
+        LinearThresholdModel(weights=zeros, bias=0.0),
+        LinearThresholdModel(weights=weights, bias=math.nan),
+        LinearThresholdModel(weights=weights, bias=-math.inf),
+        LinearThresholdModel(weights=with_inf, bias=0.5),
+        TaskLabeler(direction=task.direction.astype(np.float32)),
+        TaskLabeler(direction=-task.direction.astype(np.float32)),
+        LinearThresholdModel(weights=np.round(4 * task.direction).astype(int), bias=0.0),
+        TaskLabeler(direction=task.direction),
+    ]
+
+
+def _picker(draws):
+    return lambda rng: draws[int(rng.integers(len(draws)))]
+
+
+class TestSamplerSearchEngine:
+    """random_search_trials against reference_search, one seed at a time."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 100])
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025])
+    def test_finite_class_samplers_equal_the_per_draw_loop(self, task, count, budget):
+        # selfcheck's sampler (p = 0.2) and criterion 4's (p = 0.1), across
+        # the edge of a 1024-trial group
+        seeds = _seeds(count, seed=count)
+        for p in (0.2, 0.1):
+            _assert_search_matches(task, 0.03, _bernoulli_sampler(task, p), budget, seeds)
+
+    @pytest.mark.parametrize("budget", [0, 1, 100])
+    @pytest.mark.parametrize("epsilon", [0.03, 0.3])
+    def test_halfspace_sampler_equals_the_per_draw_loop(self, tasks, epsilon, budget):
+        for task in tasks:
+            sampler = random_halfspace_sampler(task.dimension)
+            reference = reference_halfspace_sampler(task.dimension)
+            _assert_search_matches(task, epsilon, sampler, budget, _seeds(30), reference)
+
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_mixed_linear_and_hidden_draws(self, task, budget):
+        sampler = _mixed_sampler(task.dimension)
+        _assert_search_matches(task, 0.3, sampler, budget, _seeds(30, seed=1))
+
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_a_sampler_that_mutates_and_returns_one_model(self, task, budget):
+        # each draw is scored as it was when drawn, not as the model ends up
+        sampler = _mutating_sampler(task.dimension)
+        reference = reference_halfspace_sampler(task.dimension)
+        _assert_search_matches(task, 0.3, sampler, budget, _seeds(30, seed=2), reference)
+
+    def test_edge_draws_score_as_their_predict(self, task):
+        draws = _edge_draws(task)
+        picks = iter(draws)
+
+        def in_order(rng):
+            return next(picks)
+
+        errors = learn_harness._sampler_errors(replace(task), in_order, [None])
+        expected = [float(np.mean(h.predict(task.test_x) != task.test_y)) for h in draws]
+        assert errors([0], len(draws)) == [expected]
+        assert expected[-1] == 0.0 and len(set(expected)) > 4
+
+    @pytest.mark.parametrize("budget", [0, 1, 100])
+    @pytest.mark.parametrize("epsilon", [0.001, 0.3])
+    def test_edge_draws_equal_the_per_draw_loop(self, task, epsilon, budget):
+        draws = _edge_draws(task)
+        # with and without the hit at the end of the list
+        for pool, seed in ((draws, 3), (draws[:-1], 4)):
+            sampler = _picker(pool)
+            _assert_search_matches(task, epsilon, sampler, budget, _seeds(40, seed=seed))
+
+    def test_labeler_rows_fall_back_to_zero_bias_models_with_the_same_signs(
+        self, task, monkeypatch
+    ):
+        # _linear_wrong scores an uncertified TaskLabeler row with
+        # LinearThresholdModel._decide and bias 0.0; both give the same signs
+        labelers = [
+            h for h in _edge_draws(task)
+            if type(h) is TaskLabeler and h.direction.dtype == np.float64
+        ]
+        for labeler in labelers:
+            expected = labeler._decide(task.test_x)
+            weights = labeler.direction
+            stacked = LinearThresholdModel(weights=weights[None], bias=np.zeros(1))
+            single = LinearThresholdModel(weights=weights, bias=0.0)
+            assert np.array_equal(stacked._decide(task.test_x)[0], expected)
+            assert np.array_equal(single._decide(task.test_x), expected)
+        fallbacks = []
+        decide = LinearThresholdModel._decide
+
+        def counting(self, xs):
+            fallbacks.append(len(self.weights))
+            return decide(self, xs)
+
+        monkeypatch.setattr(LinearThresholdModel, "_decide", counting)
+        rows = np.array([np.append(h.direction, 0.0) for h in labelers])
+        got = learn_harness._linear_wrong(task, rows)
+        expected = [int(np.count_nonzero(h.predict(task.test_x) != task.test_y)) for h in labelers]
+        assert got.tolist() == expected
+        # every row but the concept itself falls back
+        assert fallbacks == [len(labelers) - 1]
+
+    def test_a_finite_class_is_scored_once_per_task(self, task, monkeypatch):
+        calls = []
+        score = learn_harness._linear_wrong
+
+        def counting(task, hypotheses):
+            calls.append(len(hypotheses))
+            return score(task, hypotheses)
+
+        monkeypatch.setattr(learn_harness, "_linear_wrong", counting)
+        fresh = replace(task)
+        random_search_trials(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 100, _seeds(1025))
+        random_search_learner(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 100, seed=1)
+        assert calls == [2]
+
+    def test_remembered_rows_stay_bounded(self, task):
+        fresh = replace(task)
+        sampler = random_halfspace_sampler(task.dimension)
+        # 300 trials draw up to 30,000 distinct rows, up to 300 * 8 per step
+        random_search_trials(fresh, 0.001, sampler, 100, _seeds(300))
+        step = 300 * learn_harness._SEARCH_BLOCK
+        assert 0 < len(fresh._row_errors) <= learn_harness._KNOWN_ROWS + step
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("_SEARCH_BLOCK", 1), ("_SEARCH_BLOCK", 3), ("_SEARCH_GROUP", 7),
+         ("_KNOWN_ROWS", 0), ("_EVAL_FLOATS", 1)],
+    )
+    def test_block_sizes_do_not_change_records(self, task, monkeypatch, name, value):
+        monkeypatch.setattr(learn_harness, name, value)
+        fresh = replace(task)
+        seeds = _seeds(20, seed=6)
+        _assert_search_matches(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 40, seeds)
+        _assert_search_matches(fresh, 0.3, _mixed_sampler(fresh.dimension), 40, seeds)
+        _assert_search_matches(fresh, 0.3, _picker(_edge_draws(fresh)), 40, seeds)
+
+
 @pytest.fixture(scope="module")
 def scorer_tasks():
     return {d: generate_task(dimension=d, separation=3.0, seed=60 + d) for d in (2, 3, 8, 64)}
@@ -1428,7 +1645,7 @@ class TestLinearScorer:
         weights, biases = _hypotheses(task, kinds, scale, np.random.default_rng(seed))
         with np.errstate(all="ignore"):
             expected = _referee_wrong(task, weights, biases)
-            got = learn_harness._linear_wrong(task, weights, biases)
+            got = learn_harness._linear_wrong(task, np.column_stack((weights, biases)))
         assert got.tolist() == expected
 
     def test_ties_are_real_and_scored_both_ways(self, scorer_tasks):
@@ -1440,7 +1657,7 @@ class TestLinearScorer:
         rows = int(np.flatnonzero(truth)[0]), int(np.flatnonzero(~truth)[0])
         biases = np.array([-scores[0][rows[0]], -scores[1][rows[1]]])
         assert scores[0][rows[0]] + biases[0] == 0.0 == scores[1][rows[1]] + biases[1]
-        got = learn_harness._linear_wrong(task, weights, biases)
+        got = learn_harness._linear_wrong(task, np.column_stack((weights, biases)))
         assert got.tolist() == _referee_wrong(task, weights, biases)
 
     def test_pinned_batches_never_fall_back_and_a_tie_does(
@@ -1463,7 +1680,7 @@ class TestLinearScorer:
         weights, biases = _hypotheses(
             other, ["normal", "tie", "normal"], 1.0, np.random.default_rng(5)
         )
-        got = learn_harness._linear_wrong(other, weights, biases)
+        got = learn_harness._linear_wrong(other, np.column_stack((weights, biases)))
         assert fallbacks == [1]
         assert got.tolist() == _referee_wrong(other, weights, biases)
         # untrained linear models score 0 on every row: all of them fall back
