@@ -720,7 +720,7 @@ class TestLearningProbability:
             estimate_learning_probability([_trial(1, True)] * 29, [10])
 
     @pytest.mark.parametrize(
-        "grid", [[], [0, 10], [10, 10], [20, 10], [1.5, 3], [10.0, 20], [True, 3]], ids=repr
+        "grid", [[], [0, 10], [10, 10], [20, 10], [1.5, 3], [10.0, 20], [True, 3]]
     )
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="grid"):
