@@ -6,8 +6,7 @@ by policy and resends the collapsed eigenstate.  ``AnalyticAttack`` is never
 simulated; it stands for the individual/collective attack classes whose
 effect is known only through their information curves, and sessions model it
 as a pair of classical flip channels.  ``protocol`` runs both; this module
-holds their parameters, Eve's per-round records and the closed-form
-trade-off points.
+holds their parameters and the closed-form trade-off points.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .info_theory import eve_noise_from_disturbance
-from .qubit import Basis
 
 __all__ = [
     "BasisPolicy",
     "NoAttack",
     "InterceptResend",
     "AnalyticAttack",
-    "LegRecord",
-    "EveRoundRecord",
     "tradeoff_point",
 ]
 
@@ -97,23 +93,6 @@ class AnalyticAttack:
     @property
     def eve_noise(self) -> float:
         return eve_noise_from_disturbance(self.curve_kind, self.disturbance)
-
-
-@dataclass(frozen=True)
-class LegRecord:
-    """One interception: which leg, which basis, what came out."""
-
-    leg: int
-    basis: Basis
-    outcome: int
-
-
-@dataclass(frozen=True)
-class EveRoundRecord:
-    """Everything Eve holds about one round (either leg may be missing)."""
-
-    leg1: LegRecord | None = None
-    leg2: LegRecord | None = None
 
 
 def tradeoff_point(strategy) -> tuple[float, float]:

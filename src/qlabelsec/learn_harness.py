@@ -21,7 +21,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,8 +40,7 @@ __all__ = [
     "OneHiddenLayerModel",
     "generate_task",
     "evaluate_error",
-    "noisy_stream",
-    "dataset_stream",
+    "noisy_sample",
     "train_until",
     "random_halfspace_sampler",
     "random_search_learner",
@@ -64,8 +63,6 @@ _MIN_TRIALS = 30
 # Points in generate_task's cluster-overlap probe.
 _PROBE_POINTS = 100_000
 
-# noisy_stream draws its rows in blocks of this many.
-_CHUNK = 256
 # Largest per-block evaluation temporary, in float64s: held-out rows times
 # hidden units (one for linear models), summed over the block's trials.  A
 # linear block is one GEMM whose result is this size, 32 hypotheses against
@@ -499,10 +496,11 @@ def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, 
     return xs, labels.astype(np.float64)
 
 
-def noisy_stream(
-    task: SyntheticTask, eta: float, seed: int
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Infinite stream of (input, concept label xor Bernoulli(eta)) pairs.
+def noisy_sample(
+    task: SyntheticTask, eta: float, seed: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first count rows of one seed's noisy stream: (count, d) inputs and
+    count labels, each the concept label xor Bernoulli(eta), 0 or 1.
 
     The one-seed view of the rows run_trials draws (see _noisy_rows); seed
     is an int in [0, 2**64).
@@ -511,33 +509,9 @@ def noisy_stream(
     check_seed(seed, "stream seed")
     if seed >= 2**64:
         raise DomainError(f"stream seed must be below 2**64, got {seed!r}")
-    bitgen = np.random.Philox(0)
-    blocks = (
-        _noisy_rows(task, eta, [int(seed)], start, _CHUNK, bitgen)
-        for start in itertools.count(0, _CHUNK)
-    )
-    return ((x, int(y)) for xs, ys in blocks for x, y in zip(xs[0], ys[0].tolist()))
-
-
-def dataset_stream(
-    dataset: Sequence[tuple[np.ndarray, int]]
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Finite stream over an already-delivered dataset, in order."""
-    return iter(dataset)
-
-
-def _stream_draw(sample_stream: Iterable[tuple[np.ndarray, int]]):
-    """The draw function of one trial that reads any sample stream."""
-    stream = iter(sample_stream)
-
-    def draw(active: np.ndarray, start: int, count: int):
-        rows = list(itertools.islice(stream, count))
-        if not rows:
-            return None
-        xs, ys = zip(*rows)
-        return np.asarray(xs)[None], np.asarray(ys, dtype=np.float64)[None]
-
-    return draw
+    check_count(count, "row count", 0)
+    xs, ys = _noisy_rows(task, eta, [int(seed)], 0, count, np.random.Philox(0))
+    return xs[0], ys[0].astype(np.int64)
 
 
 def _linear_wrong(task: SyntheticTask, hypotheses: np.ndarray) -> np.ndarray:
@@ -566,10 +540,12 @@ def _linear_wrong(task: SyntheticTask, hypotheses: np.ndarray) -> np.ndarray:
     rounding, underflow = 4.0 * terms * _UNIT, terms * 2.0**-1072
     wrong = np.empty(len(hypotheses), dtype=np.int64)
     rows = max(1, _EVAL_FLOATS // count)
+    # one product buffer for all blocks rather than a large temporary per block
+    products = np.empty((min(rows, len(hypotheses)), count))
     for start in range(0, len(hypotheses), rows):
         block = hypotheses[start:start + rows]
         scale = np.abs(block).max(axis=1) * largest
-        z = block @ columns
+        z = np.matmul(block, columns, out=products[:len(block)])
         # int32: faster than intp
         wrong[start:start + rows] = (z < 0.0).sum(axis=1, dtype=np.int32)
         margin = np.abs(z, out=z).min(axis=1)
@@ -671,27 +647,46 @@ def _train_lockstep(
 
 def train_until(
     task: SyntheticTask,
-    sample_stream: Iterable[tuple[np.ndarray, int]],
+    inputs: np.ndarray,
+    labels: np.ndarray,
     epsilon_target: float,
     config: LearnerConfig,
     sample_budget: int,
     seed: int = 0,
 ):
-    """Consume the stream until the clean test error reaches the target.
+    """Train on the rows in order until the clean test error reaches the target.
 
-    Returns (trial, model).  The clean held-out set is evaluated whenever
-    the consumed-sample count crosses a multiple of the cadence (at batch
-    granularity); the trial halts at the first such evaluation with error at
-    or below epsilon_target.  Exhausting the budget or the stream ends the
-    trial unhalted, with a last evaluation recorded for reporting only, so
-    the cadence is part of what a halting probability means.
+    inputs is an (n, d) array of finite values, d = task.dimension, and
+    labels holds n bits, 0 or 1: a ``noisy_sample``, or a session dataset's
+    ``.inputs`` and ``.labels``.  Returns (trial, model).  The clean held-out
+    set is evaluated whenever the consumed-sample count crosses a multiple of
+    the cadence (at batch granularity); the trial halts at the first such
+    evaluation with error at or below epsilon_target.  Exhausting the budget
+    or the rows ends the trial unhalted, with a last evaluation recorded for
+    reporting only, so the cadence is part of what a halting probability
+    means.
     """
     _check_target_and_budget(epsilon_target, sample_budget)
     check_seed(seed, "model seed")
+    xs = np.asarray(inputs, dtype=np.float64)
+    ys = np.asarray(labels, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != task.dimension:
+        raise DomainError(f"inputs must be (n, {task.dimension}), got shape {xs.shape}")
+    if ys.shape != xs.shape[:1]:
+        raise DomainError(f"need {len(xs)} labels, one per input row, got shape {ys.shape}")
+    if not np.isfinite(xs).all():
+        raise DomainError("inputs must be finite")
+    if not ((ys == 0.0) | (ys == 1.0)).all():
+        raise DomainError("labels must be 0 or 1")
+
+    def draw(active: np.ndarray, start: int, count: int):
+        if start >= len(ys):
+            return None
+        return xs[None, start:start + count], ys[None, start:start + count]
+
     models = _stack([config.build_model(task.dimension, np.random.default_rng(seed))])
     trials, final = _train_lockstep(
-        task, _stream_draw(sample_stream), models, [seed], epsilon_target, config,
-        sample_budget,
+        task, draw, models, [seed], epsilon_target, config, sample_budget
     )
     return trials[0], _take(final, 0)
 
@@ -1052,15 +1047,14 @@ def run_trials(
         return [trial for block in pool.map(_run_block, jobs) for trial in block]
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = _WILSON_Z_95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     check_count(trials, "trials", 1)
     check_count(successes, "successes", 0)
     if successes > trials:
         raise DomainError(f"successes {successes} outside [0, {trials}]")
     phat = successes / trials
+    z = _WILSON_Z_95
     zz = z * z
     denom = 1.0 + zz / trials
     center = (phat + zz / (2.0 * trials)) / denom

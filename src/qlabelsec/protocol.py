@@ -13,35 +13,27 @@ counts need no reweighting.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .adversary import (
-    AnalyticAttack,
-    BasisPolicy,
-    EveRoundRecord,
-    InterceptResend,
-    LegRecord,
-    NoAttack,
-)
+from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from .errors import DomainError, ProtocolError, check_count, check_seed
 from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 __all__ = [
     "ConceptSource",
-    "ProtocolRound",
+    "Rounds",
     "SessionResult",
     "run_session",
     "estimate_eta_a",
     "export_transcript",
 ]
 
-_PREPARATIONS = (Preparation.Z0, Preparation.Z1, Preparation.XPLUS, Preparation.XMINUS)
-_BASES = (Basis.Z, Basis.X)
+_PREPARATIONS = tuple(Preparation)
+_BASES = tuple(Basis)
 
 # qubit's rules as arrays over preparation indices (_PREPARATIONS order) and
 # basis indices (_BASES order), filled by calling qubit's own functions.
@@ -82,29 +74,41 @@ class ConceptSource:
     labeler: Callable[[np.ndarray], int]
 
 
-@dataclass(frozen=True)
-class ProtocolRound:
-    round_id: int
-    preparation: Preparation
-    is_check: bool
-    input_x: np.ndarray | None
-    outcome: int
-    attacked: bool
-    check_error: bool | None
-    eve_record: EveRoundRecord | None
-    eve_label: int | None
+@dataclass(frozen=True, eq=False)
+class Rounds:
+    """A session's rounds as read-only columns, one entry per round in order.
+
+    preparations holds each round's preparation as its index in Preparation
+    order (Z0, Z1, X+, X-), outcomes the receiver's measured bit, and
+    attacked whether Eve touched the round (every round under an analytic
+    attack, none without an attack).  legs maps each configured
+    intercept-resend leg to a (basis index in Basis order, outcome) pair of
+    arrays over the attacked rounds; an analytic attack or none leaves it
+    empty.
+    """
+
+    preparations: np.ndarray
+    outcomes: np.ndarray
+    attacked: np.ndarray
+    legs: dict[int, tuple[np.ndarray, np.ndarray]]
+
+    def __post_init__(self) -> None:
+        columns = [self.preparations, self.outcomes, self.attacked]
+        for column in columns + [c for pair in self.legs.values() for c in pair]:
+            column.flags.writeable = False
 
 
 @dataclass
 class SessionResult:
     """Everything one session produced.
 
-    The two datasets are read-only sequences of (feature vector, label bit):
-    rows of one read-only (n, d) input array that both share, and Python int
-    labels.  rounds builds each ProtocolRound when it is read, and is empty
-    for a session run with keep_rounds=False.  Label-error rates are
-    measured against the concept's true labels and exist for diagnostics; a
-    real eavesdropper's victim could not compute them.
+    The two datasets are read-only sequences of (feature vector, label bit)
+    pairs, Python int labels, whose .inputs and .labels are the read-only
+    arrays behind them: one (n, d) input array that both share, and each
+    party's n labels.  rounds is the session's Rounds record, or None for a
+    session run with keep_rounds=False.  Label-error rates are measured
+    against the concept's true labels and exist for diagnostics; a real
+    eavesdropper's victim could not compute them.
     """
 
     authorized_dataset: Sequence[tuple[np.ndarray, int]]
@@ -117,12 +121,8 @@ class SessionResult:
     authorized_label_error_rate: float
     eve_label_error_rate: float
     ensemble_fidelity: float
-    rounds: Sequence[ProtocolRound] = field(repr=False)
+    rounds: Rounds | None = field(repr=False)
     seed: int = 0
-
-    @property
-    def sizes_ordered(self) -> bool:
-        return len(self.eavesdropper_dataset) <= len(self.authorized_dataset)
 
 
 def estimate_eta_a(check_count: int, check_error_count: int) -> float:
@@ -172,8 +172,8 @@ def run_session(
     When an abort threshold is set and the final noise estimate exceeds it,
     the result is flagged; with strict_abort the datasets are additionally
     emptied so a pipeline cannot train on data the check rounds condemned.
-    keep_rounds=False keeps no round columns: the result has no rounds (so
-    ``export_transcript`` refuses it) and the same datasets and rates.
+    keep_rounds=False keeps no round columns: the result's rounds is None
+    (so ``export_transcript`` refuses it), its datasets and rates the same.
     """
     check_count(target_data_count, "target data count", 1)
     if abort_threshold is not None and not 0.0 < abort_threshold <= 0.5:
@@ -212,7 +212,11 @@ def run_session(
         authorized_label_error_rate=int((labels != truth).sum()) / data_count,
         eve_label_error_rate=int((table.eve_labels != truth).sum()) / data_count,
         ensemble_fidelity=table.fidelity_sum / data_count,
-        rounds=_Rounds(draws, table) if keep_rounds else (),
+        rounds=(
+            Rounds(draws.preparations, table.outcomes, draws.attacked, table.legs)
+            if keep_rounds
+            else None
+        ),
         seed=seed,
     )
     if aborted and strict_abort:
@@ -396,76 +400,29 @@ def _measure(state: np.ndarray, rounds, basis: np.ndarray, u: np.ndarray) -> np.
 
 
 class _Dataset(Sequence):
-    """(feature vector, label) pairs over a read-only (n, d) input array.
+    """(feature vector, label) pairs over read-only inputs and labels arrays.
 
-    Both parties' datasets share the one input array, so a row is a read-only
-    view; labels come out as Python ints.
+    Both parties' datasets share the one (n, d) input array, so a row is a
+    read-only view; labels come out as Python ints.
     """
 
     def __init__(self, inputs: np.ndarray, labels: np.ndarray):
-        self._inputs, self._labels = inputs, labels
+        labels.flags.writeable = False
+        self.inputs, self.labels = inputs, labels
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return self._inputs[i], int(self._labels[i])
+        return self.inputs[i], int(self.labels[i])
 
     def __iter__(self):
-        return zip(self._inputs, self._labels.tolist())
+        return zip(self.inputs, self.labels.tolist())
 
     def __eq__(self, other):
         return list(self) == other if isinstance(other, list) else NotImplemented
-
-
-class _Rounds(Sequence):
-    """A session's rounds, each ProtocolRound built from the columns when read.
-
-    It keeps the columns it reads (see ``_Draws`` and ``_Table``), not the
-    draws' variates.
-    """
-
-    def __init__(self, draws: _Draws, table: _Table):
-        self.preparations, self.outcomes = draws.preparations, table.outcomes
-        self.attacked, self.legs = draws.attacked, table.legs
-        self.inputs, self.eve_labels = draws.inputs, table.eve_labels
-
-    def __len__(self) -> int:
-        return len(self.preparations)
-
-    @functools.cached_property
-    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per round, its index among the data rounds and among the attacked ones."""
-        data = ~_IS_CHECK[self.preparations]
-        return np.cumsum(data) - 1, np.cumsum(self.attacked) - 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]  # a Python int; negatives count from the end
-        preparation = _PREPARATIONS[self.preparations[i]]
-        is_check, outcome = preparation.is_check, int(self.outcomes[i])
-        d, a = (positions[i] for positions in self._positions)
-        eve_record = None
-        if self.attacked[i] and self.legs:  # an analytic attack leaves no record
-            legs = {  # and an unconfigured leg none
-                leg: LegRecord(leg=leg, basis=_BASES[basis[a]], outcome=int(outcome[a]))
-                for leg, (basis, outcome) in self.legs.items()
-            }
-            eve_record = EveRoundRecord(leg1=legs.get(1), leg2=legs.get(2))
-        return ProtocolRound(
-            round_id=i,
-            preparation=preparation,
-            is_check=is_check,
-            input_x=None if is_check else self.inputs[d],
-            outcome=outcome,
-            attacked=bool(self.attacked[i]),
-            check_error=outcome != preparation.bit if is_check else None,
-            eve_record=eve_record,
-            eve_label=None if is_check else int(self.eve_labels[d]),
-        )
 
 
 # A transcript line (compact, key-sorted JSON) is a head set by the attack
@@ -494,7 +451,7 @@ def export_transcript(session: SessionResult, path) -> None:
     write and raises ProtocolError rather than leave an empty transcript.
     """
     rounds = session.rounds
-    if not rounds:
+    if rounds is None:
         raise ProtocolError("the session kept no rounds; run it with keep_rounds=True")
     heads = rounds.attacked.astype(np.intp)
     if rounds.legs:

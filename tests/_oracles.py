@@ -12,11 +12,13 @@ Five referees use the package.  ``reference_session`` is the scalar per-round
 session loop, one ``qubit`` call or interception step per round, kept as the
 referee for ``protocol.run_session``'s draw loop and table pass, with
 ``intercept``, ``pick_policy_basis`` and ``infer_label`` as its per-round
-attack steps.  ``reference_transcript`` formats those rounds one
-``json.dumps`` each, the referee for ``protocol.export_transcript``'s column
-writer.  ``reference_trial``
-is the per-trial SGD loop with one-model predict/sgd_step methods, kept as
-the referee for ``learn_harness``'s lockstep trial engine.
+attack steps; ``reference_columns`` turns its round objects into the
+``protocol.Rounds`` columns that ``run_session`` keeps.
+``reference_transcript`` formats those rounds one ``json.dumps`` each, the
+referee for ``protocol.export_transcript``'s column writer.
+``reference_trial`` is the per-trial SGD loop with one-model
+predict/sgd_step methods over a stream of (x, y) pairs, kept as the referee
+for ``learn_harness``'s lockstep trial engine.
 ``reference_search`` is the per-draw random-search loop, one sampler call and
 one held-out evaluation per draw, kept as the referee for the lockstep
 random-search engine.  ``reference_task`` is ``generate_task`` with its
@@ -35,17 +37,10 @@ import mpmath as mp
 import numpy as np
 
 from qlabelsec import protocol
-from qlabelsec.adversary import (
-    AnalyticAttack,
-    BasisPolicy,
-    EveRoundRecord,
-    InterceptResend,
-    LegRecord,
-    NoAttack,
-)
+from qlabelsec.adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError, check_seed
 from qlabelsec.learn_harness import _MIN_TEST_SIZE, LearningTrial, SyntheticTask
-from qlabelsec.protocol import ProtocolRound, SessionResult, estimate_eta_a
+from qlabelsec.protocol import Rounds, SessionResult, estimate_eta_a
 from qlabelsec.qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 mp.mp.dps = 50
@@ -325,6 +320,38 @@ def gaussian_tail_hp(t) -> mp.mpf:
 _PREPARATIONS = (Preparation.Z0, Preparation.Z1, Preparation.XPLUS, Preparation.XMINUS)
 
 
+@dataclass(frozen=True)
+class LegRecord:
+    """One interception: which leg, which basis, what came out."""
+
+    leg: int
+    basis: Basis
+    outcome: int
+
+
+@dataclass(frozen=True)
+class EveRoundRecord:
+    """Everything Eve holds about one round (either leg may be missing)."""
+
+    leg1: LegRecord | None = None
+    leg2: LegRecord | None = None
+
+
+@dataclass(frozen=True)
+class ProtocolRound:
+    """One round of ``reference_session``, as the scalar loop saw it."""
+
+    round_id: int
+    preparation: Preparation
+    is_check: bool
+    input_x: np.ndarray | None
+    outcome: int
+    attacked: bool
+    check_error: bool | None
+    eve_record: EveRoundRecord | None
+    eve_label: int | None
+
+
 def pick_policy_basis(policy: BasisPolicy, rng: np.random.Generator) -> Basis:
     if policy is BasisPolicy.ALWAYS_Z:
         return Basis.Z
@@ -506,6 +533,23 @@ def reference_session(
     return result
 
 
+def reference_columns(rounds, attack) -> Rounds:
+    """``run_session``'s Rounds record, built from ``reference_session``'s rounds."""
+    legs = {}
+    for leg in attack.legs if isinstance(attack, InterceptResend) else ():
+        records = [getattr(r.eve_record, f"leg{leg}") for r in rounds if r.attacked]
+        legs[leg] = (
+            np.array([(Basis.Z, Basis.X).index(rec.basis) for rec in records], dtype=np.intp),
+            np.array([rec.outcome for rec in records], dtype=np.int64),
+        )
+    return Rounds(
+        preparations=np.array([_PREPARATIONS.index(r.preparation) for r in rounds], np.intp),
+        outcomes=np.array([r.outcome for r in rounds], dtype=np.int64),
+        attacked=np.array([r.attacked for r in rounds], dtype=bool),
+        legs=legs,
+    )
+
+
 def _round_to_json(rnd: ProtocolRound) -> dict:
     eve_basis = None
     if rnd.eve_record is not None:
@@ -670,7 +714,8 @@ def _reference_error(model, test_x: np.ndarray, test_y: np.ndarray) -> float:
 def reference_trial(task, sample_stream, epsilon_target, config, sample_budget, seed=0):
     """``learn_harness.train_until`` as one trial with one model: (trial, model).
 
-    Same arguments, stream consumption, evaluations and result as the
+    Reads (x, y) pairs, such as ``zip(inputs, labels)``, from sample_stream;
+    otherwise the same arguments, consumption, evaluations and result as the
     lockstep engine's one-trial case.
     """
     if not 0.0 < epsilon_target < 1.0:

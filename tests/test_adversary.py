@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
+from _oracles import EveRoundRecord, LegRecord
 from qlabelsec.adversary import (
     AnalyticAttack,
     BasisPolicy,
-    EveRoundRecord,
     InterceptResend,
-    LegRecord,
     NoAttack,
     tradeoff_point,
 )
@@ -97,9 +96,9 @@ class TestIntercept:
         session = run_session(simple_source(), 500, attack=strategy, seed=7)
         assert session.check_error_count == 0
         assert session.authorized_label_error_rate == 0.0
-        for rnd in session.rounds:
-            assert not rnd.attacked
-            assert rnd.eve_record is None
+        assert not session.rounds.attacked.any()
+        for basis, outcome in session.rounds.legs.values():
+            assert len(basis) == len(outcome) == 0
 
     def test_unconfigured_leg_passes(self):
         rng = np.random.default_rng(8)
@@ -111,9 +110,10 @@ class TestIntercept:
         session = run_session(
             simple_source(), 500, attack=InterceptResend(legs=(1,)), seed=8
         )
-        for rnd in session.rounds:
-            assert rnd.eve_record.leg1 is not None
-            assert rnd.eve_record.leg2 is None
+        assert session.rounds.attacked.all()
+        assert list(session.rounds.legs) == [1]
+        basis, outcome = session.rounds.legs[1]
+        assert len(basis) == len(outcome) == len(session.rounds.attacked)
 
     def test_rejects_bad_leg_and_strategy(self):
         rng = np.random.default_rng(9)

@@ -4,7 +4,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,13 +21,12 @@ from qlabelsec.learn_harness import (
     LinearThresholdModel,
     OneHiddenLayerModel,
     TaskLabeler,
-    dataset_stream,
     default_sample_budget,
     estimate_learning_probability,
     evaluate_error,
     generate_task,
     log_hypothesis_count,
-    noisy_stream,
+    noisy_sample,
     random_halfspace_sampler,
     random_search_learner,
     random_search_trials,
@@ -322,34 +321,30 @@ class TestModels:
 class TestStreams:
     def test_clean_stream_matches_concept(self, task):
         labeler = task.labeler
-        for x, y in islice(noisy_stream(task, 0.0, seed=3), 500):
+        for x, y in zip(*noisy_sample(task, 0.0, 3, 500)):
             assert y == labeler(x)
 
     def test_noisy_stream_flip_rate(self, task):
         labeler = task.labeler
-        flips = sum(
-            y != labeler(x) for x, y in islice(noisy_stream(task, 0.25, seed=4), 100_000)
-        )
+        flips = sum(y != labeler(x) for x, y in zip(*noisy_sample(task, 0.25, 4, 100_000)))
         sigma = math.sqrt(0.25 * 0.75 * 100_000)
         assert abs(flips - 25_000) < 4 * sigma
 
     def test_stream_deterministic(self, task):
-        a = list(islice(noisy_stream(task, 0.1, seed=5), 300))
-        b = list(islice(noisy_stream(task, 0.1, seed=5), 300))
-        for (xa, ya), (xb, yb) in zip(a, b):
-            np.testing.assert_array_equal(xa, xb)
-            assert ya == yb
+        xa, ya = noisy_sample(task, 0.1, 5, 300)
+        xb, yb = noisy_sample(task, 0.1, 5, 300)
+        assert xa.shape == (300, 8) and ya.shape == (300,) and ya.dtype == np.int64
+        assert xa.tobytes() == xb.tobytes() and ya.tobytes() == yb.tobytes()
 
     @pytest.mark.parametrize("eta", [-0.1, 0.5, 0.7])
     def test_rejects_unlearnable_noise(self, task, eta):
         with pytest.raises(DomainError, match="unlearnable"):
-            next(noisy_stream(task, eta, seed=0))
+            noisy_sample(task, eta, 0, 1)
 
-    def test_dataset_stream_order_and_exhaustion(self, task):
-        data = list(islice(noisy_stream(task, 0.0, seed=6), 7))
-        replayed = list(dataset_stream(data))
-        assert len(replayed) == 7
-        np.testing.assert_array_equal(replayed[0][0], data[0][0])
+    @pytest.mark.parametrize("count", [-1, 2.5, 3.0, True], ids=repr)
+    def test_rejects_a_count_that_is_not_a_non_negative_int(self, task, count):
+        with pytest.raises(DomainError, match="row count"):
+            noisy_sample(task, 0.1, 0, count)
 
 
 class _RecordingPhilox:
@@ -439,25 +434,18 @@ class TestStreamRows:
             assert xs.tobytes() == whole[0][order, 100:100 + size].tobytes()
             assert ys.tobytes() == whole[1][order, 100:100 + size].tobytes()
 
-    def test_stream_block_size_does_not_change_the_stream(self, task, monkeypatch):
-        expected = list(islice(noisy_stream(task, 0.2, seed=8), 600))
-        monkeypatch.setattr(learn_harness, "_CHUNK", 7)
-        for (x, y), (xe, ye) in zip(islice(noisy_stream(task, 0.2, seed=8), 600), expected):
-            assert x.tobytes() == xe.tobytes() and y == ye and type(y) is int
+    def test_a_shorter_sample_is_a_prefix(self, task):
+        xs, ys = noisy_sample(task, 0.2, 8, 600)
+        head_xs, head_ys = noisy_sample(task, 0.2, 8, 7)
+        assert head_xs.tobytes() == xs[:7].tobytes()
+        assert head_ys.tobytes() == ys[:7].tobytes()
 
     def test_every_eta_sees_the_same_inputs_with_nested_flips(self, task):
-        rows = {
-            eta: list(islice(noisy_stream(task, eta, seed=21), 5000))
-            for eta in (0.0, 0.05, 0.2)
-        }
+        rows = {eta: noisy_sample(task, eta, 21, 5000) for eta in (0.0, 0.05, 0.2)}
         flips = {}
         for eta in (0.05, 0.2):
-            assert all(
-                x.tobytes() == x0.tobytes() for (x, _), (x0, _) in zip(rows[eta], rows[0.0])
-            )
-            flips[eta] = {
-                i for i, ((_, y), (_, y0)) in enumerate(zip(rows[eta], rows[0.0])) if y != y0
-            }
+            assert rows[eta][0].tobytes() == rows[0.0][0].tobytes()
+            flips[eta] = set(np.flatnonzero(rows[eta][1] != rows[0.0][1]).tolist())
         assert flips[0.05] <= flips[0.2]
         assert 0 < len(flips[0.05]) < len(flips[0.2])
 
@@ -483,18 +471,18 @@ class TestStreamRows:
     )
     def test_rejects_bad_seeds(self, task, seed):
         with pytest.raises(DomainError, match="stream seed"):
-            noisy_stream(task, 0.1, seed)
+            noisy_sample(task, 0.1, seed, 1)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.uint32(7)])
     def test_accepts_every_64_bit_seed(self, task, seed):
-        x, y = next(noisy_stream(task, 0.1, seed))
-        assert x.shape == (8,) and y in (0, 1)
+        xs, ys = noisy_sample(task, 0.1, seed, 1)
+        assert xs.shape == (1, 8) and ys[0] in (0, 1)
 
 
 class TestTrainUntil:
     def test_clean_task_halts_at_first_evaluation(self, task):
         trial, model = train_until(
-            task, noisy_stream(task, 0.0, seed=11), 0.03, LearnerConfig(), 10_000
+            task, *noisy_sample(task, 0.0, 11, 10_000), 0.03, LearnerConfig(), 10_000
         )
         assert trial.halted
         assert trial.samples_consumed == 25
@@ -504,7 +492,7 @@ class TestTrainUntil:
     def test_zero_budget_reports_initial_model(self, task):
         # untrained linear model predicts one class everywhere
         trial, _ = train_until(
-            task, noisy_stream(task, 0.0, seed=12), 0.001, LearnerConfig(), 0
+            task, *noisy_sample(task, 0.0, 12, 0), 0.001, LearnerConfig(), 0
         )
         assert not trial.halted
         assert trial.samples_consumed == 0
@@ -514,7 +502,7 @@ class TestTrainUntil:
         # halting is only decided at cadence evaluations; a sub-cadence
         # budget records its closing error but stays unhalted
         trial, _ = train_until(
-            task, noisy_stream(task, 0.0, seed=12), 0.5, LearnerConfig(), 10
+            task, *noisy_sample(task, 0.0, 12, 10), 0.5, LearnerConfig(), 10
         )
         assert trial.samples_consumed == 10
         assert not trial.halted
@@ -529,15 +517,15 @@ class TestTrainUntil:
         assert sum(t.halted for t in noisy) < sum(t.halted for t in clean)
 
     def test_stream_exhaustion_stops_consumption(self, task):
-        data = list(islice(noisy_stream(task, 0.0, seed=13), 12))
-        trial, _ = train_until(task, dataset_stream(data), 1e-6, LearnerConfig(), 10_000)
+        xs, ys = noisy_sample(task, 0.0, 13, 12)
+        trial, _ = train_until(task, xs, ys, 1e-6, LearnerConfig(), 10_000)
         assert trial.samples_consumed == 12
         assert not trial.halted or trial.final_test_error <= 1e-6
 
     def test_consumption_is_batch_granular(self, task):
         trial, _ = train_until(
             task,
-            noisy_stream(task, 0.3342, seed=14),
+            *noisy_sample(task, 0.3342, 14, 100_000),
             0.03,
             LearnerConfig(),
             100_000,
@@ -549,7 +537,7 @@ class TestTrainUntil:
     def test_hidden_layer_learns_the_task(self, task):
         cfg = LearnerConfig(model="one-hidden-layer", hidden_width=8, step_size=0.3)
         trial, _ = train_until(
-            task, noisy_stream(task, 0.0, seed=15), 0.03, cfg, 5_000, seed=15
+            task, *noisy_sample(task, 0.0, 15, 5_000), 0.03, cfg, 5_000, seed=15
         )
         assert trial.halted
         assert trial.samples_consumed <= 500
@@ -557,7 +545,7 @@ class TestTrainUntil:
     def test_deterministic(self, task):
         runs = [
             train_until(
-                task, noisy_stream(task, 0.2, seed=16), 0.03, LearnerConfig(), 5_000
+                task, *noisy_sample(task, 0.2, 16, 5_000), 0.03, LearnerConfig(), 5_000
             )[0]
             for _ in range(2)
         ]
@@ -566,22 +554,45 @@ class TestTrainUntil:
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5])
     def test_rejects_bad_target(self, task, eps):
         with pytest.raises(DomainError):
-            train_until(task, noisy_stream(task, 0.0, seed=0), eps, LearnerConfig(), 10)
+            train_until(task, *noisy_sample(task, 0.0, 0, 10), eps, LearnerConfig(), 10)
 
     def test_rejects_negative_budget(self, task):
         with pytest.raises(DomainError):
-            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), -1)
+            train_until(task, *noisy_sample(task, 0.0, 0, 10), 0.1, LearnerConfig(), -1)
 
     @pytest.mark.parametrize("budget", [10.5, 10.0, True], ids=repr)
     def test_rejects_a_budget_that_is_not_an_int(self, task, budget):
         with pytest.raises(DomainError, match="sample budget must be an integer"):
-            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, LearnerConfig(), budget)
+            train_until(task, *noisy_sample(task, 0.0, 0, 10), 0.1, LearnerConfig(), budget)
 
     @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
     def test_rejects_a_seed_that_is_not_a_non_negative_int(self, task, seed):
         config = LearnerConfig(model="one-hidden-layer")
         with pytest.raises(DomainError, match="model seed must be a non-negative integer"):
-            train_until(task, noisy_stream(task, 0.0, seed=0), 0.1, config, 10, seed=seed)
+            train_until(task, *noisy_sample(task, 0.0, 0, 10), 0.1, config, 10, seed=seed)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda xs, ys: (xs, 2 * ys), "labels must be 0 or 1"),
+            (lambda xs, ys: (xs, 2 * ys - 1), "labels must be 0 or 1"),
+            (lambda xs, ys: (xs, np.where(ys == 1, np.nan, 0.0)), "labels must be 0 or 1"),
+            (lambda xs, ys: (np.where(xs > 1.0, np.nan, xs), ys), "inputs must be finite"),
+            (lambda xs, ys: (np.where(xs > 1.0, np.inf, xs), ys), "inputs must be finite"),
+            (lambda xs, ys: (xs[:, :-1], ys), r"inputs must be \(n, 8\)"),
+            (lambda xs, ys: (xs.ravel(), ys), r"inputs must be \(n, 8\)"),
+            (lambda xs, ys: (xs, ys[:-1]), "need 40 labels"),
+            (lambda xs, ys: (xs, ys[:, None]), "need 40 labels"),
+        ],
+        ids=[
+            "labels 0/2", "labels -1/1", "NaN label", "NaN input", "inf input",
+            "narrow rows", "flat inputs", "short labels", "label column",
+        ],
+    )
+    def test_rejects_rows_it_cannot_train_on(self, task, edit, message):
+        xs, ys = edit(*noisy_sample(task, 0.1, 2, 40))
+        with pytest.raises(DomainError, match=message):
+            train_until(task, xs, ys, 0.03, LearnerConfig(), 40)
 
 
 def _always_good(task):
@@ -683,6 +694,11 @@ class TestWilsonInterval:
     def test_rejects_bad_counts(self, k, t):
         with pytest.raises(DomainError):
             wilson_interval(k, t)
+
+    def test_confidence_is_fixed_at_95_percent(self):
+        # no z to set: a negative or NaN z gave low > high or (0, 1)
+        with pytest.raises(TypeError):
+            wilson_interval(5, 10, z=-1.0)
 
 
 def _trial(consumed, halted):
@@ -946,8 +962,7 @@ _PINNED_BATCHES = {
         min(default_sample_budget(0.03, 0.05, log_hypothesis_count(_HIDDEN, 8)), 1600),
         1007,
     ),
-    # noisier than the benchmark's batches, so trials run past noisy_stream's
-    # 256-row blocks
+    # noisier than the benchmark's batches, so trials run past 256 rows
     "histogram eta=0.4": (0.4, LearnerConfig(), 2000, 1008),
     "curve hidden eta=0.4": (0.4, _HIDDEN, 1600, 1009),
     # the benchmark's random-search batch and `learn --learner random-search`
@@ -1083,9 +1098,9 @@ def _reference_batch(task, eta, epsilon, config, budget, base_seed, n_trials):
     expected = []
     for index in range(n_trials):
         pair = np.random.SeedSequence((base_seed, index)).generate_state(2)
-        stream = noisy_stream(task, eta, seed=int(pair[0]))
+        xs, ys = noisy_sample(task, eta, int(pair[0]), budget)
         expected.append(
-            reference_trial(task, stream, epsilon, config, budget, seed=int(pair[1]))
+            reference_trial(task, zip(xs, ys), epsilon, config, budget, seed=int(pair[1]))
         )
     return expected
 
@@ -1153,12 +1168,10 @@ class TestAgainstPerTrialReference:
         self, tasks, data, config, length, budget, epsilon, seed
     ):
         task = data.draw(st.sampled_from(tasks))
-        dataset = list(islice(noisy_stream(task, 0.2, seed=seed), length))
-        trial, model = train_until(
-            task, dataset_stream(dataset), epsilon, config, budget, seed=seed
-        )
+        xs, ys = noisy_sample(task, 0.2, seed, length)
+        trial, model = train_until(task, xs, ys, epsilon, config, budget, seed=seed)
         expected, reference = reference_trial(
-            task, dataset_stream(dataset), epsilon, config, budget, seed=seed
+            task, zip(xs, ys), epsilon, config, budget, seed=seed
         )
         assert trial == expected
         _assert_python_record(trial)

@@ -1,4 +1,5 @@
-"""The package namespace: each public name is declared once, in its module."""
+"""The package namespace: each public name is declared once, in its module;
+the README's library example runs."""
 
 import os
 import subprocess
@@ -46,3 +47,9 @@ def test_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlabelsec.protocol as protocol_module
-from _oracles import reference_session, reference_transcript
+from _oracles import reference_columns, reference_session, reference_transcript
 from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.info_theory import eve_noise_from_disturbance
@@ -21,6 +21,10 @@ from qlabelsec.protocol import (
     export_transcript,
     run_session,
 )
+from qlabelsec.qubit import Preparation
+
+# is_check per preparation index of a Rounds record
+IS_CHECK = np.array([k.is_check for k in Preparation])
 
 
 def halfspace_source(dim: int = 2) -> ConceptSource:
@@ -80,7 +84,6 @@ class TestNoAttackSession:
         session = run_session(halfspace_source(), 1_500, seed=11)
         assert len(session.authorized_dataset) == 1_500
         assert len(session.eavesdropper_dataset) == 1_500
-        assert session.sizes_ordered
 
     def test_eve_guesses_are_uninformative(self):
         source = halfspace_source()
@@ -111,7 +114,7 @@ class TestNoAttackSession:
 class TestRoundAccounting:
     def test_check_fraction_is_half(self):
         session = run_session(halfspace_source(), 10_000, seed=13)
-        total = len(session.rounds)
+        total = len(session.rounds.preparations)
         # checks follow a negative-binomial law around the data target
         assert total == session.check_count + 10_000
         sigma = math.sqrt(2.0 * 10_000)
@@ -119,20 +122,18 @@ class TestRoundAccounting:
 
     def test_check_rounds_never_reach_either_dataset(self):
         session = run_session(halfspace_source(), 2_000, seed=14)
-        data_rounds = [r for r in session.rounds if not r.is_check]
-        check_rounds = [r for r in session.rounds if r.is_check]
-        assert len(data_rounds) == len(session.authorized_dataset)
-        assert len(data_rounds) == len(session.eavesdropper_dataset)
-        for rnd in check_rounds:
-            assert rnd.input_x is None
-            assert rnd.eve_label is None
-        for rnd in data_rounds:
-            assert rnd.input_x is not None
+        data_rounds = int(np.count_nonzero(~IS_CHECK[session.rounds.preparations]))
+        assert data_rounds == len(session.authorized_dataset)
+        assert data_rounds == len(session.eavesdropper_dataset)
+        for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
+            assert dataset.inputs.shape == (data_rounds, 2)
+            assert dataset.labels.shape == (data_rounds,)
 
     def test_session_stops_exactly_at_target(self):
         session = run_session(halfspace_source(), 303, seed=15)
         assert len(session.authorized_dataset) == 303
-        assert not session.rounds[-1].is_check  # last round delivered the last label
+        # the last round delivered the last label
+        assert not IS_CHECK[session.rounds.preparations[-1]]
 
     def test_insufficient_check_rounds_is_an_error(self):
         # a one-example session whose single round is a data round never
@@ -328,7 +329,7 @@ class TestTranscriptExport:
         path = tmp_path / "transcript.jsonl"
         export_transcript(session, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == len(session.rounds)
+        assert len(lines) == len(session.rounds.preparations)
         previous_id = -1
         for line in lines:
             record = json.loads(line)
@@ -496,29 +497,34 @@ class TestSessionViews:
             with pytest.raises(IndexError):
                 dataset[i]
 
-    def test_rounds_index_from_either_end(self):
-        rounds = self.session().rounds
-        n = len(rounds)
-        assert n == sum(1 for _ in rounds)
-        assert rounds[-1].round_id == n - 1 and not rounds[-1].is_check
-        assert rounds[-n].round_id == 0
-        assert [r.round_id for r in rounds[-5:]] == list(range(n - 5, n))
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                rounds[i]
-
-    def test_random_access_equals_iteration(self):
+    def test_round_columns_are_aligned_and_read_only(self):
         session = self.session()
         rounds = session.rounds
-        by_iteration = list(rounds)
-        for i in (len(rounds) - 1, 0, len(rounds) // 2, 1, -2):
-            got, ref = rounds[i], by_iteration[i]
-            for name in ref.__dataclass_fields__:
-                assert _same_value(getattr(got, name), getattr(ref, name)), name
-        data_rounds = [r for r in by_iteration if not r.is_check]
-        for rnd, (x, label) in zip(data_rounds, session.eavesdropper_dataset):
-            assert rnd.input_x is not None and np.array_equal(rnd.input_x, x)
-            assert rnd.eve_label == label
+        n = session.check_count + 300
+        assert rounds.preparations.shape == rounds.outcomes.shape == (n,)
+        assert rounds.attacked.shape == (n,) and rounds.attacked.dtype == bool
+        assert sorted(rounds.legs) == [1, 2]
+        for basis, outcome in rounds.legs.values():
+            assert basis.shape == outcome.shape == (np.count_nonzero(rounds.attacked),)
+            assert set(basis.tolist()) == set(outcome.tolist()) == {0, 1}
+        columns = [rounds.preparations, rounds.outcomes, rounds.attacked]
+        for column in columns + [c for pair in rounds.legs.values() for c in pair]:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        with pytest.raises(AttributeError):
+            rounds.outcomes = rounds.preparations
+
+    def test_dataset_arrays_are_the_pairs(self):
+        session = self.session()
+        authorized, eavesdropper = session.authorized_dataset, session.eavesdropper_dataset
+        assert authorized.inputs is eavesdropper.inputs
+        for dataset in (authorized, eavesdropper):
+            assert dataset.inputs.shape == (300, 2) and dataset.labels.shape == (300,)
+            for (x, label), row, bit in zip(dataset, dataset.inputs, dataset.labels):
+                assert x.tobytes() == row.tobytes() and label == bit
+            for array in (dataset.inputs, dataset.labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
     def test_strictly_aborted_datasets_are_empty_views(self):
         session = run_session(
@@ -533,7 +539,8 @@ class TestSessionViews:
             assert dataset == [] and len(dataset) == 0 and list(dataset) == []
             with pytest.raises(IndexError):
                 dataset[0]
-        assert len(session.rounds) == session.check_count + 500
+        assert len(session.rounds.preparations) == session.check_count + 500
+        assert session.authorized_dataset.inputs.shape == (0, 2)
 
 
 class TestSessionPins:
@@ -625,7 +632,13 @@ class TestAgainstScalarReference:
             assert len(got_set) == len(expected_set)
             for (x, label), (x_ref, label_ref) in zip(got_set, expected_set):
                 assert _same_value(x, x_ref) and _same_value(label, label_ref)
-        assert len(got.rounds) == len(expected.rounds)
-        for rnd, ref in zip(got.rounds, expected.rounds):
-            for name in ref.__dataclass_fields__:
-                assert _same_value(getattr(rnd, name), getattr(ref, name)), name
+        if not keep_rounds:
+            assert got.rounds is None
+            return
+        ref = reference_columns(expected.rounds, attack)
+        for name in ("preparations", "outcomes", "attacked"):
+            assert _same_value(getattr(got.rounds, name), getattr(ref, name)), name
+        assert sorted(got.rounds.legs) == sorted(ref.legs)
+        for leg, pair in ref.legs.items():
+            for column, ref_column in zip(got.rounds.legs[leg], pair):
+                assert _same_value(column, ref_column), leg
