@@ -27,6 +27,8 @@ from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from .errors import ConfigError, DomainError, ProtocolError, StatisticalCheckError, check_seed
 from .info_theory import eta_star, eve_noise_from_disturbance, info_curve
 from .learn_harness import (
+    LEARNER_KINDS,
+    MODEL_KINDS,
     LearnerConfig,
     TaskLabeler,
     default_sample_budget,
@@ -647,10 +649,7 @@ _TASK = (
 )
 
 _LEARNER = (
-    Option(
-        "model", "linear-threshold", str, "model family",
-        choices=("linear-threshold", "one-hidden-layer"),
-    ),
+    Option("model", "linear-threshold", str, "model family", choices=MODEL_KINDS),
     Option("hidden_width", 8, _as_int, "hidden layer width"),
     Option("step_size", 0.3, float, "SGD step size"),
     Option("batch_size", 5, _as_int, "SGD batch size"),
@@ -701,8 +700,7 @@ _COMMANDS = {
         Option("budget", None, _as_int, "per-trial sample budget"),
         Option("grid", None, _as_int_list, "comma list of sample counts to report"),
         Option(
-            "learner", "gradient", str, "trained learner or the baseline",
-            choices=("gradient", "random-search"),
+            "learner", "gradient", str, "trained learner or the baseline", choices=LEARNER_KINDS
         ),
         *_LEARNER,
         *_TASK,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the seed and count checks."""
+"""Exception types shared across the package, and the seed, count and noise checks."""
 
 import numbers
 
@@ -36,3 +36,9 @@ def check_count(value, name: str, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_noise(eta: float) -> None:
+    """Raise DomainError unless the label noise rate eta lies in [0, 1/2); package-internal."""
+    if not 0.0 <= eta < 0.5:
+        raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")

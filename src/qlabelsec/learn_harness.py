@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_seed
+from .errors import DomainError, check_count, check_noise, check_seed
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
 
@@ -215,8 +215,8 @@ def generate_task(
     if not 0.0 < separation < math.inf:
         raise DomainError(f"separation must be positive and finite, got {separation}")
     check_count(test_size, "test set size", _MIN_TEST_SIZE)
-    if epsilon_target is not None and not 0.0 < epsilon_target < 1.0:
-        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
+    if epsilon_target is not None:
+        _check_target(epsilon_target)
     check_seed(seed, "task seed")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dimension)
@@ -259,16 +259,10 @@ def generate_task(
 
 
 def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:
-    """Misclassification fraction of a hypothesis on a labeled set.
-
-    A TaskLabeler meets bool labels with bools, skipping predict's int64 cast.
-    """
+    """Misclassification fraction of a hypothesis on a labeled set."""
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
-    if isinstance(hypothesis, TaskLabeler) and np.asarray(test_y).dtype == bool:
-        wrong = hypothesis._decide(test_x) != test_y
-    else:
-        wrong = hypothesis.predict(test_x) != test_y
+    wrong = hypothesis.predict(test_x) != test_y
     return float(np.count_nonzero(wrong) / len(test_x))
 
 
@@ -382,6 +376,7 @@ def _put(models, index, part) -> None:
 
 
 MODEL_KINDS = ("linear-threshold", "one-hidden-layer")
+LEARNER_KINDS = ("gradient", "random-search")
 
 
 @dataclass(frozen=True)
@@ -443,14 +438,13 @@ class LearningTrial:
     final_test_error: float
 
 
-def _check_noise(eta: float) -> None:
-    if not 0.0 <= eta < 0.5:
-        raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")
+def _check_target(epsilon_target: float) -> None:
+    if not 0.0 < epsilon_target < 1.0:
+        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
 
 
 def _check_target_and_budget(epsilon_target: float, sample_budget: int) -> None:
-    if not 0.0 < epsilon_target < 1.0:
-        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
+    _check_target(epsilon_target)
     check_count(sample_budget, "sample budget", 0)
 
 
@@ -505,7 +499,7 @@ def noisy_sample(
     The one-seed view of the rows run_trials draws (see _noisy_rows); seed
     is an int in [0, 2**64).
     """
-    _check_noise(eta)
+    check_noise(eta)
     check_seed(seed, "stream seed")
     if seed >= 2**64:
         raise DomainError(f"stream seed must be below 2**64, got {seed!r}")
@@ -691,15 +685,26 @@ def train_until(
     return trials[0], _take(final, 0)
 
 
-def random_halfspace_sampler(dimension: int) -> Callable[[np.random.Generator], LinearThresholdModel]:
-    """Prior over hypotheses: standard normal weights and bias."""
+@dataclass(frozen=True)
+class _HalfspaceSampler:
+    """Prior over hypotheses: standard normal weights, then a standard normal bias."""
 
-    def sample(rng: np.random.Generator) -> LinearThresholdModel:
+    dimension: int
+
+    def __call__(self, rng: np.random.Generator) -> LinearThresholdModel:
         return LinearThresholdModel(
-            weights=rng.standard_normal(dimension), bias=float(rng.standard_normal())
+            weights=rng.standard_normal(self.dimension), bias=float(rng.standard_normal())
         )
 
-    return sample
+
+def random_halfspace_sampler(dimension: int) -> Callable[[np.random.Generator], LinearThresholdModel]:
+    """Prior over hypotheses: standard normal weights and bias.
+
+    Samplers of equal dimension compare equal; random_search_trials scores
+    the draws of one whose dimension is the task's in blocks.
+    """
+    check_count(dimension, "dimension", 1)
+    return _HalfspaceSampler(dimension)
 
 
 def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
@@ -815,9 +820,8 @@ def _sampler_errors(
     0.0, which adds 0.0 to the same matrix-vector product and so keeps every
     sign.  Any other draw is scored alone by evaluate_error.
     """
-    test_x = task.test_x
+    test_x, test_y = task.test_x, task.test_y
     count, dimension = test_x.shape
-    truth = task.test_y.astype(bool)
     known = task._row_errors
 
     def errors(active: list[int], k: int) -> list[list[float]]:
@@ -831,7 +835,7 @@ def _sampler_errors(
                 hypothesis = hypothesis_sampler(rng)
                 row = _linear_row(hypothesis, dimension)
                 if row is None:
-                    found.append(evaluate_error(hypothesis, test_x, truth))
+                    found.append(evaluate_error(hypothesis, test_x, test_y))
                 elif row in known:
                     found.append(known[row])
                 else:
@@ -858,20 +862,29 @@ def random_search_trials(
     The records equal [random_search_learner(..., seed=s) for s in seeds].
     Each trial draws from its own default_rng(seed); groups of up to
     _SEARCH_GROUP trials step together, each step drawing a block of up to
-    _SEARCH_BLOCK hypotheses per trial (see _search_lockstep and
-    _sampler_errors).  A trial that halts inside a block has made up to
-    _SEARCH_BLOCK - 1 further sampler calls on its own generator, whose
-    draws are discarded.  Every seed is checked before the first draw.
+    _SEARCH_BLOCK hypotheses per trial (see _search_lockstep).  The draws of
+    random_halfspace_sampler(task.dimension) are scored in blocks by
+    _halfspace_errors, those of any other sampler by _sampler_errors.  A
+    trial that halts inside a block has made up to _SEARCH_BLOCK - 1 further
+    sampler calls on its own generator, whose draws are discarded.  Every
+    seed is checked before the first draw.
     """
     _check_target_and_budget(epsilon_target, sample_budget)
     seeds = list(seeds)
     for seed in seeds:
         check_seed(seed, "search seed")
+    blocked = (
+        type(hypothesis_sampler) is _HalfspaceSampler
+        and hypothesis_sampler.dimension == task.dimension
+    )
     trials = []
     for start in range(0, len(seeds), _SEARCH_GROUP):
         group = seeds[start:start + _SEARCH_GROUP]
         rngs = [np.random.default_rng(seed) for seed in group]
-        errors = _sampler_errors(task, hypothesis_sampler, rngs)
+        if blocked:
+            errors = _halfspace_errors(task, rngs)
+        else:
+            errors = _sampler_errors(task, hypothesis_sampler, rngs)
         trials += _search_lockstep(
             errors, group, epsilon_target, sample_budget, _SEARCH_BLOCK
         )
@@ -978,34 +991,22 @@ def _split(indices: range, parts: int) -> list[range]:
     return [indices[a:b] for a, b in zip(edges, edges[1:]) if a < b]
 
 
-def _search_block(task, epsilon_target, sample_budget, base_seed, indices):
-    """The random-search trials of the given indices, in lockstep.
-
-    Trial i draws its hypotheses from the first word of its (base_seed, i)
-    seed pair, which is also its record seed.
-    """
-    seeds = _seed_pairs(base_seed, indices)[:, 0].tolist()
-    errors = _halfspace_errors(task, [np.random.default_rng(seed) for seed in seeds])
-    return _search_lockstep(errors, seeds, epsilon_target, sample_budget, _SEARCH_BLOCK)
-
-
 def _run_block(job) -> list[LearningTrial]:
+    """The trials of one job's indices, in index order.
+
+    Random-search trial i draws its hypotheses from the first word of its
+    (base_seed, i) seed pair, which is also its record seed.
+    """
     task, eta, epsilon_target, config, budget, base_seed, learner, indices = job
     if learner == "random-search":
-        group = _SEARCH_GROUP
-
-        def run(part):
-            return _search_block(task, epsilon_target, budget, base_seed, part)
-    else:
-        group = max(1, _GROUP_FLOATS // (config.batch_size * task.dimension))
-
-        def run(part):
-            return _gradient_block(
-                task, eta, epsilon_target, config, budget, base_seed, part
-            )[0]
-
+        sampler = random_halfspace_sampler(task.dimension)
+        seeds = _seed_pairs(base_seed, indices)[:, 0].tolist()
+        return random_search_trials(task, epsilon_target, sampler, budget, seeds)
+    group = max(1, _GROUP_FLOATS // (config.batch_size * task.dimension))
     return [
-        trial for part in _split(indices, -(-len(indices) // group)) for trial in run(part)
+        trial
+        for part in _split(indices, -(-len(indices) // group))
+        for trial in _gradient_block(task, eta, epsilon_target, config, budget, base_seed, part)[0]
     ]
 
 
@@ -1027,9 +1028,9 @@ def run_trials(
     runs one contiguous block of indices.  Every argument is checked before
     any trial runs, eta included even when no sample is drawn.
     """
-    if learner not in ("gradient", "random-search"):
+    if learner not in LEARNER_KINDS:
         raise DomainError(f"learner must be gradient or random-search, got {learner!r}")
-    _check_noise(eta)
+    check_noise(eta)
     _check_target_and_budget(epsilon_target, sample_budget)
     check_count(n_trials, "trial count", 1)
     check_count(workers, "worker count", 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_noise
 
 __all__ = [
     "DeltaFloor",
@@ -50,16 +50,6 @@ def _check_log_count(log_hypothesis_count: float) -> None:
         raise DomainError(
             f"log hypothesis count must be positive, got {log_hypothesis_count}"
         )
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta < 0.5:
-        raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")
-
-
-def _check_sample_count(n: int, name: str = "n") -> None:
-    if n != int(n) or n < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {n}")
 
 
 def _ceil_snapped(value: float) -> int:
@@ -105,14 +95,14 @@ def sample_bound_noisy(
     _check_epsilon(epsilon)
     _check_delta(delta)
     _check_log_count(log_hypothesis_count)
-    _check_eta(eta)
+    check_noise(eta)
     return _ceil_snapped(_noisy_raw(epsilon, delta, log_hypothesis_count, eta))
 
 
 def gamma(epsilon: float, eta: float) -> float:
     """Exponent rate epsilon^2 (1-2 eta)^2 / 2 governing the confidence floor."""
     _check_epsilon(epsilon)
-    _check_eta(eta)
+    check_noise(eta)
     return epsilon**2 * (1.0 - 2.0 * eta) ** 2 / 2.0
 
 
@@ -139,7 +129,7 @@ class DeltaFloor:
 
 def delta_floor(epsilon: float, eta: float, n: int) -> DeltaFloor:
     """Floor on the achievable confidence delta given n noisy samples."""
-    _check_sample_count(n)
+    check_count(n, "n", 0)
     g = gamma(epsilon, eta)
     return DeltaFloor(gamma=g, n=n, log_delta_star=-g * n)
 
@@ -160,7 +150,7 @@ def random_search_curve(p: float, n: int) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"per-draw success probability must lie in [0, 1], got {p}")
-    _check_sample_count(n)
+    check_count(n, "n", 0)
     if n == 0 or p == 0.0:
         return 0.0
     if p == 1.0:
@@ -175,7 +165,7 @@ def random_search_exponential(p: float, n: int) -> float:
     random_search_curve identically, and the pair exists so callers can
     report the fitted rate alongside the curve.
     """
-    _check_sample_count(n)
+    check_count(n, "n", 0)
     xi = search_rate(p)
     if n == 0:
         return 0.0
@@ -226,10 +216,10 @@ def exclusivity_verdict(
     eavesdropper never holds more examples than the authorized party; a
     larger n_e is rejected outright.
     """
-    _check_eta(eta_a)
-    _check_eta(eta_e)
-    _check_sample_count(n_a, "n_a")
-    _check_sample_count(n_e, "n_e")
+    check_noise(eta_a)
+    check_noise(eta_e)
+    check_count(n_a, "n_a", 0)
+    check_count(n_e, "n_e", 0)
     if not 0.0 < eta_star < 0.5:
         raise DomainError(f"eta_star must lie in (0, 1/2), got {eta_star}")
     if n_e > n_a:
@@ -278,10 +268,10 @@ def equalizing_epsilon(
     stocked with examples, i.e. matching the floor costs accuracy.
     """
     _check_epsilon(epsilon_a)
-    _check_eta(eta_a)
-    _check_eta(eta_e)
-    _check_sample_count(n_a, "n_a")
-    _check_sample_count(n_e, "n_e")
+    check_noise(eta_a)
+    check_noise(eta_e)
+    check_count(n_a, "n_a", 0)
+    check_count(n_e, "n_e", 0)
     if n_e == 0:
         raise DomainError("cannot equalize floors against an empty dataset")
     return (

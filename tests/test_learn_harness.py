@@ -1442,6 +1442,11 @@ def _mutating_sampler(dimension):
     return sample
 
 
+def _wrapped(sampler):
+    """The same draws from a sampler of another type."""
+    return lambda rng: sampler(rng)
+
+
 def _edge_draws(task):
     """Draws the GEMM cannot certify (exact ties, one-ulp neighbours, NaN and
     inf entries), draws scored alone (float32 and int weights), and a hit."""
@@ -1493,10 +1498,12 @@ class TestSamplerSearchEngine:
     @pytest.mark.parametrize("budget", [0, 1, 100])
     @pytest.mark.parametrize("epsilon", [0.03, 0.3])
     def test_halfspace_sampler_equals_the_per_draw_loop(self, tasks, epsilon, budget):
+        # the sampler itself is scored in blocks, a wrapper of it by _sampler_errors
         for task in tasks:
             sampler = random_halfspace_sampler(task.dimension)
             reference = reference_halfspace_sampler(task.dimension)
-            _assert_search_matches(task, epsilon, sampler, budget, _seeds(30), reference)
+            for searched in (sampler, _wrapped(sampler)):
+                _assert_search_matches(task, epsilon, searched, budget, _seeds(30), reference)
 
     @pytest.mark.parametrize("budget", [1, 100])
     def test_mixed_linear_and_hidden_draws(self, task, budget):
@@ -1578,7 +1585,7 @@ class TestSamplerSearchEngine:
 
     def test_remembered_rows_stay_bounded(self, task):
         fresh = replace(task)
-        sampler = random_halfspace_sampler(task.dimension)
+        sampler = _mutating_sampler(task.dimension)
         # 300 trials draw up to 30,000 distinct rows, up to 300 * 8 per step
         random_search_trials(fresh, 0.001, sampler, 100, _seeds(300))
         step = 300 * learn_harness._SEARCH_BLOCK
@@ -1596,6 +1603,60 @@ class TestSamplerSearchEngine:
         _assert_search_matches(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 40, seeds)
         _assert_search_matches(fresh, 0.3, _mixed_sampler(fresh.dimension), 40, seeds)
         _assert_search_matches(fresh, 0.3, _picker(_edge_draws(fresh)), 40, seeds)
+
+
+class TestEngineIdentity:
+    """run_trials' random search is random_search_trials with the halfspace sampler."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 100])
+    @pytest.mark.parametrize("n_trials", [1, 1025])
+    def test_run_trials_is_the_library_search_on_the_first_seed_words(
+        self, task, budget, n_trials
+    ):
+        seeds = [_search_seed(11, index) for index in range(n_trials)]
+        sampler = random_halfspace_sampler(task.dimension)
+        expected = random_search_trials(task, 0.03, sampler, budget, seeds)
+        _assert_records_match(_run_search(task, 0.03, budget, 11, n_trials), expected)
+
+    def test_only_the_halfspace_sampler_of_the_task_is_scored_in_blocks(
+        self, task, monkeypatch
+    ):
+        scored = []
+        block, general = learn_harness._halfspace_errors, learn_harness._sampler_errors
+
+        def spy_block(task, rngs):
+            scored.append("block")
+            return block(task, rngs)
+
+        def spy_general(task, sampler, rngs):
+            scored.append(sampler)
+            return general(task, sampler, rngs)
+
+        monkeypatch.setattr(learn_harness, "_halfspace_errors", spy_block)
+        monkeypatch.setattr(learn_harness, "_sampler_errors", spy_general)
+        sampler = random_halfspace_sampler(task.dimension)
+        assert sampler == random_halfspace_sampler(task.dimension)
+        random_search_trials(task, 0.03, sampler, 100, _seeds(30))
+        random_search_learner(task, 0.03, random_halfspace_sampler(task.dimension), 100)
+        _run_search(task, 0.03, 100, 5, 30)
+        assert scored == ["block"] * 3
+        scored.clear()
+        wrapped, subclassed = _wrapped(sampler), type("Sub", (type(sampler),), {})(task.dimension)
+        for other in (wrapped, subclassed):
+            random_search_trials(task, 0.03, other, 100, _seeds(3))
+        assert scored == [wrapped, subclassed]
+        # a sampler of another dimension is scored draw by draw, and its
+        # weights do not fit the task
+        wider = random_halfspace_sampler(task.dimension + 1)
+        assert wider != sampler
+        with pytest.raises(ValueError):
+            random_search_trials(task, 0.03, wider, 100, _seeds(3))
+        assert scored == [wrapped, subclassed, wider]
+
+    @pytest.mark.parametrize("dimension", [0, -1, 8.0, True, None])
+    def test_rejects_a_dimension_that_is_not_a_positive_int(self, dimension):
+        with pytest.raises(DomainError):
+            random_halfspace_sampler(dimension)
 
 
 @pytest.fixture(scope="module")

@@ -155,9 +155,25 @@ class TestConfidenceFloor:
         assert tiny.delta_star == tinier.delta_star == 0.0
         assert tinier < tiny  # still ordered via log space
 
-    def test_rejects_negative_sample_count(self):
+    @pytest.mark.parametrize("n", [-1, True, 5.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda n: delta_floor(0.1, 0.0, n), id="delta_floor"),
+            pytest.param(lambda n: random_search_curve(0.1, n), id="curve"),
+            pytest.param(lambda n: random_search_exponential(0.1, n), id="exponential"),
+            pytest.param(lambda n: exclusivity_verdict(0.03, 0.01, n, 0.2, 0, 0.11), id="n_a"),
+            pytest.param(
+                lambda n: exclusivity_verdict(0.03, 0.01, 10_000, 0.2, n, 0.11), id="n_e"
+            ),
+            pytest.param(lambda n: equalizing_epsilon(0.03, 0.01, n, 0.2, 1), id="eq n_a"),
+            pytest.param(lambda n: equalizing_epsilon(0.03, 0.01, 10_000, 0.2, n), id="eq n_e"),
+        ],
+    )
+    def test_rejects_negative_sample_count(self, call, n):
+        # bools and floats, integral ones included, are not sample counts
         with pytest.raises(DomainError):
-            delta_floor(0.1, 0.0, -1)
+            call(n)
 
 
 class TestRandomSearchLaw:
