@@ -68,6 +68,9 @@ _THRESHOLD_METHOD_TAGS = {
     "tabulated": "constant (no curve)",
 }
 
+# selfcheck's pull limit: each statistic must lie within this many sigma.
+_MAX_SIGMA = 4.0
+
 
 # ---------------------------------------------------------------------------
 # option layering
@@ -102,7 +105,7 @@ class Option:
     """One settable value: its flag, config key, default, cast and help.
 
     ``key`` is the config key; the flag is ``--key`` with dashes.  A switch
-    is a flag without a value that sets True; a hidden option has no help.
+    is a flag without a value that sets True.
     """
 
     key: str
@@ -112,7 +115,6 @@ class Option:
     choices: tuple[str, ...] | None = None
     env: str | None = None
     switch: bool = False
-    hidden: bool = False
 
     def add_to(self, sub: argparse.ArgumentParser) -> None:
         """Add the flag, its help stating the default and the environment variable."""
@@ -128,11 +130,7 @@ class Option:
             kwargs = {"action": "store_const", "const": True}
         else:
             kwargs = {"choices": self.choices}
-        sub.add_argument(
-            "--" + self.key.replace("_", "-"),
-            help=argparse.SUPPRESS if self.hidden else help_text,
-            **kwargs,
-        )
+        sub.add_argument("--" + self.key.replace("_", "-"), help=help_text, **kwargs)
 
     def resolve(self, value):
         """Cast ``value`` and check it against the declared choices."""
@@ -562,8 +560,6 @@ def _cmd_histograms(opts: dict) -> int:
 
 def _cmd_selfcheck(opts: dict) -> int:
     check_seed(opts["seed"])  # before any check prints a line
-    max_sigma = opts["max_sigma"]
-
     curve = info_curve("collective")
     if curve.residual is None or curve.residual >= 1e-9:
         raise StatisticalCheckError(
@@ -580,13 +576,13 @@ def _cmd_selfcheck(opts: dict) -> int:
         keep_rounds=False,
     )
     sigma = math.sqrt(0.25 / session.check_count)
-    pull = abs(session.eta_a_estimate - 0.5) / sigma
-    if pull > max_sigma:
+    protocol_pull = abs(session.eta_a_estimate - 0.5) / sigma
+    if protocol_pull > _MAX_SIGMA:
         raise StatisticalCheckError(
             f"intercept-resend disturbance estimate {session.eta_a_estimate:.4f} "
-            f"is {pull:.1f} sigma from 0.5 (limit {max_sigma})"
+            f"is {protocol_pull:.1f} sigma from 0.5 (limit {_MAX_SIGMA})"
         )
-    print(f"ok protocol: full-attack disturbance pull {pull:.2f} sigma")
+    print(f"ok protocol: full-attack disturbance pull {protocol_pull:.2f} sigma")
     if session.eve_label_error_rate != 0.0:
         raise StatisticalCheckError(
             "full Z-basis interception must read every data label exactly"
@@ -604,18 +600,30 @@ def _cmd_selfcheck(opts: dict) -> int:
     trials = random_search_trials(task, 0.03, sampler, 100, seeds)
     consumed = np.array([t.samples_consumed for t in trials])
     halted = np.array([t.halted for t in trials])
+    law_pulls = []
     for n in (1, 5, 10, 25):
         law = random_search_curve(p, n)
         observed = float(np.mean(halted & (consumed <= n)))
         sigma = math.sqrt(law * (1.0 - law) / len(trials))
         pull = abs(observed - law) / sigma
-        if pull > max_sigma:
+        if pull > _MAX_SIGMA:
             raise StatisticalCheckError(
                 f"random-search CDF at n={n}: observed {observed:.4f} vs law "
-                f"{law:.4f} is {pull:.1f} sigma off (limit {max_sigma})"
+                f"{law:.4f} is {pull:.1f} sigma off (limit {_MAX_SIGMA})"
             )
         print(f"ok random-search law at n={n}: pull {pull:.2f} sigma")
+        law_pulls.append({"n": n, "pull": pull})
     print("selfcheck passed")
+    bundle = _bundle(opts, "selfcheck")
+    if bundle is not None:
+        bundle.write_summary(
+            {
+                "collective_residual": curve.residual,
+                "protocol_pull": protocol_pull,
+                "eve_label_error_rate": session.eve_label_error_rate,
+                "random_search_law": law_pulls,
+            }
+        )
     return 0
 
 
@@ -731,10 +739,7 @@ _COMMANDS = {
         *_TASK,
         *_TRIAL_REPORT,
     )),
-    "selfcheck": ("fast statistical self-checks (exit 3 on failure)", _cmd_selfcheck, (
-        Option("max_sigma", 4.0, float, "pull limit in sigma", hidden=True),
-        *_REPORT,
-    )),
+    "selfcheck": ("fast statistical self-checks (exit 3 on failure)", _cmd_selfcheck, _REPORT),
 }
 
 

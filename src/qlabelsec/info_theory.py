@@ -48,6 +48,20 @@ def _check_kind(kind: str) -> None:
         raise DomainError(f"unknown attack kind {kind!r}; expected one of {ATTACK_KINDS}")
 
 
+def _bisect(goes_right, lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] until it is at most tol wide; return its midpoint.
+
+    Each step keeps the right half where goes_right(mid) holds, else the left.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if goes_right(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a coin with bias x, in bits.  h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:
@@ -65,14 +79,7 @@ def entropy_inverse(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: binary_entropy(x) < y, 0.0, 0.5, 1e-15)
 
 
 def mutual_info_authorized(eta: float) -> float:
@@ -103,18 +110,11 @@ def holevo_gap(kind: str, eta: float) -> float:
 
 
 def _bisect_gap_root(kind: str) -> float:
-    lo, hi = _BISECT_LO, _BISECT_HI
-    glo = holevo_gap(kind, lo)
-    ghi = holevo_gap(kind, hi)
-    if glo <= 0.0 or ghi >= 0.0:
+    if holevo_gap(kind, _BISECT_LO) <= 0.0 or holevo_gap(kind, _BISECT_HI) >= 0.0:
         raise DomainError(f"gap for {kind!r} does not change sign on the bracket")
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if holevo_gap(kind, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(
+        lambda eta: holevo_gap(kind, eta) > 0.0, _BISECT_LO, _BISECT_HI, _BISECT_TOL
+    )
 
 
 def eta_star(kind: str) -> float:

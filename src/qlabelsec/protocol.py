@@ -13,7 +13,6 @@ counts need no reweighting.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +24,7 @@ from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 __all__ = [
     "ConceptSource",
+    "Dataset",
     "Rounds",
     "SessionResult",
     "run_session",
@@ -75,6 +75,25 @@ class ConceptSource:
 
 
 @dataclass(frozen=True, eq=False)
+class Dataset:
+    """One party's data from a session as read-only arrays.
+
+    inputs is the session's (n, d) input array, which both parties share,
+    and labels the party's n label bits, one per input row.
+    """
+
+    inputs: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.inputs.flags.writeable = False
+        self.labels.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True, eq=False)
 class Rounds:
     """A session's rounds as read-only columns, one entry per round in order.
 
@@ -98,21 +117,19 @@ class Rounds:
             column.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionResult:
     """Everything one session produced.
 
-    The two datasets are read-only sequences of (feature vector, label bit)
-    pairs, Python int labels, whose .inputs and .labels are the read-only
-    arrays behind them: one (n, d) input array that both share, and each
-    party's n labels.  rounds is the session's Rounds record, or None for a
-    session run with keep_rounds=False.  Label-error rates are measured
-    against the concept's true labels and exist for diagnostics; a real
-    eavesdropper's victim could not compute them.
+    The two Dataset records share one input array.  rounds is the session's
+    Rounds record, or None for a session run with keep_rounds=False.
+    Label-error rates are measured against the concept's true labels and
+    exist for diagnostics; a real eavesdropper's victim could not compute
+    them.
     """
 
-    authorized_dataset: Sequence[tuple[np.ndarray, int]]
-    eavesdropper_dataset: Sequence[tuple[np.ndarray, int]]
+    authorized_dataset: Dataset
+    eavesdropper_dataset: Dataset
     check_count: int
     check_error_count: int
     eta_a_estimate: float
@@ -201,9 +218,14 @@ def run_session(
     checks = len(prep) - data_count
     eta_a = estimate_eta_a(checks, check_errors)
     aborted = abort_threshold is not None and eta_a > abort_threshold
-    result = SessionResult(
-        authorized_dataset=_Dataset(inputs, labels),
-        eavesdropper_dataset=_Dataset(inputs, table.eve_labels),
+    if aborted and strict_abort:
+        authorized = eavesdropper = Dataset(inputs[:0], labels[:0])
+    else:
+        authorized = Dataset(inputs, labels)
+        eavesdropper = Dataset(inputs, table.eve_labels)
+    return SessionResult(
+        authorized_dataset=authorized,
+        eavesdropper_dataset=eavesdropper,
         check_count=checks,
         check_error_count=check_errors,
         eta_a_estimate=eta_a,
@@ -219,10 +241,6 @@ def run_session(
         ),
         seed=seed,
     )
-    if aborted and strict_abort:
-        result.authorized_dataset = _Dataset(inputs[:0], labels[:0])
-        result.eavesdropper_dataset = result.authorized_dataset
-    return result
 
 
 @dataclass
@@ -232,7 +250,7 @@ class _Draws:
     preparations, labels, finals (the receiver's measurement variate, or the
     analytic channel variate) and attacked (the attack coin under
     intercept-resend; every round under an analytic attack, none without an
-    attack) hold one entry per round, inputs (a read-only (n, d) array) one
+    attack) hold one entry per round, inputs (an (n, d) array) one
     row per data round, eve one entry per data round that drew for Eve.  For
     each configured leg z_bases[leg] and variates[leg] hold, per attacked
     round, whether Eve measured in Z and her measurement variate.
@@ -315,7 +333,6 @@ def _draw_rounds(
             f"{data} of {target_data_count} examples"
         )
 
-    inputs.flags.writeable = False
     if not intercepting:  # an analytic attack hits every round, no attack none
         attacked_col = np.full(len(preparations), analytic)
     draws = _Draws(
@@ -397,32 +414,6 @@ def _measure(state: np.ndarray, rounds, basis: np.ndarray, u: np.ndarray) -> np.
     key = (state[rounds], basis, (u >= 0.5).astype(np.intp))
     state[rounds] = _POST_STATE[key]
     return _OUTCOME[key]
-
-
-class _Dataset(Sequence):
-    """(feature vector, label) pairs over read-only inputs and labels arrays.
-
-    Both parties' datasets share the one (n, d) input array, so a row is a
-    read-only view; labels come out as Python ints.
-    """
-
-    def __init__(self, inputs: np.ndarray, labels: np.ndarray):
-        labels.flags.writeable = False
-        self.inputs, self.labels = inputs, labels
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return self.inputs[i], int(self.labels[i])
-
-    def __iter__(self):
-        return zip(self.inputs, self.labels.tolist())
-
-    def __eq__(self, other):
-        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 # A transcript line (compact, key-sorted JSON) is a head set by the attack

@@ -40,7 +40,7 @@ from qlabelsec import protocol
 from qlabelsec.adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError, check_seed
 from qlabelsec.learn_harness import _MIN_TEST_SIZE, LearningTrial, SyntheticTask
-from qlabelsec.protocol import Rounds, SessionResult, estimate_eta_a
+from qlabelsec.protocol import Dataset, Rounds, SessionResult, estimate_eta_a
 from qlabelsec.qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 mp.mp.dps = 50
@@ -427,8 +427,9 @@ def reference_session(
     intercepting = isinstance(attack, InterceptResend)
     eve_eta = attack.eve_noise if analytic else None
 
-    authorized: list[tuple[np.ndarray, int]] = []
-    eavesdropped: list[tuple[np.ndarray, int]] = []
+    inputs: list[np.ndarray] = []
+    authorized: list[int] = []
+    eavesdropped: list[int] = []
     rounds: list[ProtocolRound] = []
     checks = 0
     check_errors = 0
@@ -484,14 +485,15 @@ def reference_session(
             check_errors += int(check_error)
         else:
             label = outcome ^ k.bit
-            authorized.append((x, label))
+            inputs.append(x)
+            authorized.append(label)
             auth_errors += int(label != c)
             if analytic:
                 eve_label = c ^ int(rng.random() < eve_eta)
                 fidelity_sum += 1.0 - float(label != c)
             else:
                 eve_label = infer_label(eve_record, rng)
-            eavesdropped.append((x, eve_label))
+            eavesdropped.append(eve_label)
             eve_errors += int(eve_label != c)
 
         if keep_rounds:
@@ -513,9 +515,15 @@ def reference_session(
     eta_a = estimate_eta_a(checks, check_errors)
     aborted = abort_threshold is not None and eta_a > abort_threshold
     data_count = len(authorized)
-    result = SessionResult(
-        authorized_dataset=authorized,
-        eavesdropper_dataset=eavesdropped,
+    xs, labels = np.array(inputs), np.array(authorized, dtype=np.intp)
+    if aborted and strict_abort:
+        authorized_data = eavesdropper_data = Dataset(xs[:0], labels[:0])
+    else:
+        authorized_data = Dataset(xs, labels)
+        eavesdropper_data = Dataset(xs, np.array(eavesdropped, dtype=np.intp))
+    return SessionResult(
+        authorized_dataset=authorized_data,
+        eavesdropper_dataset=eavesdropper_data,
         check_count=checks,
         check_error_count=check_errors,
         eta_a_estimate=eta_a,
@@ -527,10 +535,6 @@ def reference_session(
         rounds=rounds,
         seed=seed,
     )
-    if aborted and strict_abort:
-        result.authorized_dataset = []
-        result.eavesdropper_dataset = []
-    return result
 
 
 def reference_columns(rounds, attack) -> Rounds:

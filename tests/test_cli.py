@@ -430,25 +430,52 @@ class TestResolvedDefaults:
 
 class TestSummarySchema:
     def test_summaries_validate(self, tmp_path, capsys, schema):
-        run_cli("thresholds", "--out", str(tmp_path))
-        run_cli(
-            "protocol-run", "--target-data", "100", "--out", str(tmp_path),
-        )
-        run_cli("learn", "--trials", "30", "--out", str(tmp_path))
+        flags = {
+            "bounds": ("--epsilon", "0.1", "--delta", "0.05", "--log-h", "1.0", "--n", "100"),
+            "thresholds": (),
+            "protocol-run": ("--target-data", "100"),
+            "learn": ("--trials", "30"),
+            "sweep-eta": ("--trials", "30"),
+            "histograms": ("--trials", "30"),
+            "selfcheck": (),
+        }
+        assert list(flags) == list(cli_module._COMMANDS)
+        assert list(flags) == schema["properties"]["command"]["enum"]
+        for command, argv in flags.items():
+            assert run_cli(command, *argv, "--out", str(tmp_path)) == 0, command
         capsys.readouterr()
-        for command in ("thresholds", "protocol-run", "learn"):
+        for command in flags:
             jsonschema.validate(read_summary(tmp_path, command), schema)
 
 
 class TestSelfcheck:
-    def test_passes_at_default_tolerance(self, capsys):
-        assert run_cli("selfcheck") == 0
+    def test_passes_at_default_tolerance(self, tmp_path, capsys):
+        assert run_cli("selfcheck", "--out", str(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "selfcheck passed" in out
+        results = read_summary(tmp_path, "selfcheck")["results"]
+        assert 0.0 < results["collective_residual"] < 1e-9
+        assert results["protocol_pull"] <= cli_module._MAX_SIGMA
+        assert results["eve_label_error_rate"] == 0.0
+        law = results["random_search_law"]
+        assert [point["n"] for point in law] == [1, 5, 10, 25]
+        assert all(point["pull"] <= cli_module._MAX_SIGMA for point in law)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["selfcheck-summary.json"]
 
-    def test_impossible_tolerance_exits_3(self, capsys):
-        assert run_cli("selfcheck", "--max-sigma", "0.001") == 3
+    def test_impossible_tolerance_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "_MAX_SIGMA", 0.001)
+        out = tmp_path / "out"
+        assert run_cli("selfcheck", "--out", str(out)) == 3
         assert "selfcheck failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pull_limit_is_not_an_option(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_sigma": 0.001}))
+        assert run_cli("selfcheck", "--config", str(config)) == 2
+        assert "unknown config keys for selfcheck: max_sigma" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run_cli("selfcheck", "--max-sigma", "0.001")
 
 
 class TestSeedValidation:

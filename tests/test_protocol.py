@@ -1,5 +1,6 @@
 """Session mechanics: round accounting, datasets, estimates, transcripts."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -57,7 +58,7 @@ def session_digest(session) -> str:
     digest = hashlib.sha256()
     for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
         digest.update(f"{len(dataset)};".encode())
-        for x, label in dataset:
+        for x, label in zip(dataset.inputs, dataset.labels.tolist()):
             digest.update(f"{x.dtype.str}{x.shape}".encode())
             digest.update(x.tobytes())
             digest.update(f"{type(label).__name__}:{label};".encode())
@@ -77,7 +78,8 @@ class TestNoAttackSession:
         assert not session.aborted
         assert session.ensemble_fidelity == 1.0
         assert session.authorized_label_error_rate == 0.0
-        for x, label in session.authorized_dataset:
+        dataset = session.authorized_dataset
+        for x, label in zip(dataset.inputs, dataset.labels):
             assert label == source.labeler(x)
 
     def test_dataset_sizes(self):
@@ -97,17 +99,16 @@ class TestNoAttackSession:
         b = run_session(halfspace_source(), 500, attack=InterceptResend(), seed=77)
         assert a.eta_a_estimate == b.eta_a_estimate
         assert a.check_count == b.check_count
-        for (xa, la), (xb, lb) in zip(a.authorized_dataset, b.authorized_dataset):
-            assert la == lb and np.array_equal(xa, xb)
-        for (xa, la), (xb, lb) in zip(a.eavesdropper_dataset, b.eavesdropper_dataset):
-            assert la == lb and np.array_equal(xa, xb)
+        for name in ("authorized_dataset", "eavesdropper_dataset"):
+            da, db = getattr(a, name), getattr(b, name)
+            assert np.array_equal(da.inputs, db.inputs)
+            assert np.array_equal(da.labels, db.labels)
 
     def test_different_seeds_differ(self):
         a = run_session(halfspace_source(), 500, seed=1)
         b = run_session(halfspace_source(), 500, seed=2)
-        assert a.check_count != b.check_count or any(
-            la != lb
-            for (_, la), (_, lb) in zip(a.eavesdropper_dataset, b.eavesdropper_dataset)
+        assert a.check_count != b.check_count or not np.array_equal(
+            a.eavesdropper_dataset.labels, b.eavesdropper_dataset.labels
         )
 
 
@@ -248,8 +249,8 @@ class TestAbortSemantics:
             strict_abort=True,
         )
         assert session.aborted
-        assert session.authorized_dataset == []
-        assert session.eavesdropper_dataset == []
+        assert len(session.authorized_dataset) == 0
+        assert len(session.eavesdropper_dataset) == 0
         assert session.check_count > 0  # the evidence is retained
 
     def test_quiet_channel_does_not_abort(self):
@@ -469,33 +470,22 @@ class TestSessionViews:
         attack = InterceptResend(attack_probability=0.5, basis_policy="randomPerLeg")
         return run_session(halfspace_source(), 300, attack=attack, seed=31, **kwargs)
 
-    def test_labels_are_python_ints(self):
+    def test_labels_are_integer_bits(self):
         session = self.session()
         for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
-            assert all(type(label) is int for _, label in dataset)
-            assert type(dataset[0][1]) is int and type(dataset[-1][1]) is int
+            assert dataset.labels.dtype == np.intp
+            assert set(dataset.labels.tolist()) == {0, 1}
 
-    def test_dataset_rows_are_read_only(self):
-        session = self.session()
-        x, _ = session.authorized_dataset[0]
-        with pytest.raises(ValueError, match="read-only"):
-            x[0] = 1.0
-        for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
-            x, _ = next(iter(dataset))
-            with pytest.raises(ValueError, match="read-only"):
-                x[:] = 0.0
-
-    def test_dataset_indexing_matches_iteration(self):
+    def test_dataset_is_a_record_not_a_sequence(self):
         dataset = self.session().eavesdropper_dataset
-        pairs = list(dataset)
-        assert len(pairs) == len(dataset) == 300
-        for i in (0, 1, 299, -1, -300):
-            x, label = dataset[i]
-            assert np.array_equal(x, pairs[i][0]) and label == pairs[i][1]
-        assert [label for _, label in dataset[10:20]] == [p[1] for p in pairs[10:20]]
-        for i in (300, -301):
-            with pytest.raises(IndexError):
-                dataset[i]
+        assert len(dataset) == 300
+        with pytest.raises(TypeError):
+            iter(dataset)
+        with pytest.raises(TypeError):
+            dataset[0]
+        assert dataset != [] and dataset == dataset
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dataset.labels = dataset.labels
 
     def test_round_columns_are_aligned_and_read_only(self):
         session = self.session()
@@ -514,19 +504,17 @@ class TestSessionViews:
         with pytest.raises(AttributeError):
             rounds.outcomes = rounds.preparations
 
-    def test_dataset_arrays_are_the_pairs(self):
+    def test_dataset_arrays_are_shared_and_read_only(self):
         session = self.session()
         authorized, eavesdropper = session.authorized_dataset, session.eavesdropper_dataset
         assert authorized.inputs is eavesdropper.inputs
         for dataset in (authorized, eavesdropper):
             assert dataset.inputs.shape == (300, 2) and dataset.labels.shape == (300,)
-            for (x, label), row, bit in zip(dataset, dataset.inputs, dataset.labels):
-                assert x.tobytes() == row.tobytes() and label == bit
             for array in (dataset.inputs, dataset.labels):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
 
-    def test_strictly_aborted_datasets_are_empty_views(self):
+    def test_strictly_aborted_datasets_are_empty_records(self):
         session = run_session(
             halfspace_source(),
             500,
@@ -535,12 +523,20 @@ class TestSessionViews:
             seed=17,
             strict_abort=True,
         )
-        for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
-            assert dataset == [] and len(dataset) == 0 and list(dataset) == []
-            with pytest.raises(IndexError):
-                dataset[0]
+        assert session.authorized_dataset is session.eavesdropper_dataset
+        dataset = session.authorized_dataset
+        assert len(dataset) == 0
+        assert dataset.inputs.shape == (0, 2) and dataset.labels.shape == (0,)
+        assert not dataset.inputs.flags.writeable and not dataset.labels.flags.writeable
         assert len(session.rounds.preparations) == session.check_count + 500
-        assert session.authorized_dataset.inputs.shape == (0, 2)
+
+    def test_session_result_is_frozen(self):
+        session = self.session()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.authorized_dataset = session.eavesdropper_dataset
+        moved = dataclasses.replace(session, eta_a_estimate=0.3)
+        assert moved.eta_a_estimate == 0.3
+        assert moved.authorized_dataset is session.authorized_dataset
 
 
 class TestSessionPins:
@@ -629,9 +625,8 @@ class TestAgainstScalarReference:
             assert _same_value(getattr(got, name), getattr(expected, name)), name
         for name in ("authorized_dataset", "eavesdropper_dataset"):
             got_set, expected_set = getattr(got, name), getattr(expected, name)
-            assert len(got_set) == len(expected_set)
-            for (x, label), (x_ref, label_ref) in zip(got_set, expected_set):
-                assert _same_value(x, x_ref) and _same_value(label, label_ref)
+            assert _same_value(got_set.inputs, expected_set.inputs), name
+            assert _same_value(got_set.labels, expected_set.labels), name
         if not keep_rounds:
             assert got.rounds is None
             return
