@@ -20,9 +20,12 @@ from . import (  # noqa: E402
     pac_bounds,
     protocol,
     qubit,
+    stats,
 )
 
-_MODULES = (errors, pac_bounds, info_theory, qubit, adversary, protocol, learn_harness)
+_MODULES = (
+    errors, pac_bounds, stats, info_theory, qubit, adversary, protocol, learn_harness
+)
 
 __all__ = ["__version__"]
 for _module in _MODULES:

@@ -13,7 +13,6 @@ self-check failed.  All CSV/JSONL outputs are byte-stable under a fixed
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -54,6 +53,7 @@ from .reports import (
     load_config,
     svg_chart,
 )
+from .stats import binomial_pull
 
 __all__ = ["main"]
 
@@ -575,8 +575,7 @@ def _cmd_selfcheck(opts: dict) -> int:
         seed=opts["seed"],
         keep_rounds=False,
     )
-    sigma = math.sqrt(0.25 / session.check_count)
-    protocol_pull = abs(session.eta_a_estimate - 0.5) / sigma
+    protocol_pull = binomial_pull(session.eta_a_estimate, session.check_count, 0.5)
     if protocol_pull > _MAX_SIGMA:
         raise StatisticalCheckError(
             f"intercept-resend disturbance estimate {session.eta_a_estimate:.4f} "
@@ -598,21 +597,17 @@ def _cmd_selfcheck(opts: dict) -> int:
 
     seeds = rng_gate.integers(0, 2**63, size=1000).tolist()
     trials = random_search_trials(task, 0.03, sampler, 100, seeds)
-    consumed = np.array([t.samples_consumed for t in trials])
-    halted = np.array([t.halted for t in trials])
     law_pulls = []
-    for n in (1, 5, 10, 25):
-        law = random_search_curve(p, n)
-        observed = float(np.mean(halted & (consumed <= n)))
-        sigma = math.sqrt(law * (1.0 - law) / len(trials))
-        pull = abs(observed - law) / sigma
+    for point in estimate_learning_probability(trials, (1, 5, 10, 25)).points:
+        law = random_search_curve(p, point.n)
+        pull = binomial_pull(point.p_hat, point.trials, law)
         if pull > _MAX_SIGMA:
             raise StatisticalCheckError(
-                f"random-search CDF at n={n}: observed {observed:.4f} vs law "
+                f"random-search CDF at n={point.n}: observed {point.p_hat:.4f} vs law "
                 f"{law:.4f} is {pull:.1f} sigma off (limit {_MAX_SIGMA})"
             )
-        print(f"ok random-search law at n={n}: pull {pull:.2f} sigma")
-        law_pulls.append({"n": n, "pull": pull})
+        print(f"ok random-search law at n={point.n}: pull {pull:.2f} sigma")
+        law_pulls.append({"n": point.n, "pull": pull})
     print("selfcheck passed")
     bundle = _bundle(opts, "selfcheck")
     if bundle is not None:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, check_count, check_noise, check_seed
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
+from .stats import wilson_interval
 
 __all__ = [
     "TaskLabeler",
@@ -46,7 +47,6 @@ __all__ = [
     "random_search_learner",
     "random_search_trials",
     "run_trials",
-    "wilson_interval",
     "estimate_learning_probability",
     "default_sample_budget",
     "log_hypothesis_count",
@@ -55,8 +55,6 @@ __all__ = [
 # Weights are treated as if discretized to 32 levels per parameter when a
 # finite hypothesis-class size is needed for the bound formulas.
 _DISCRETIZATION_LEVELS = 32
-
-_WILSON_Z_95 = 1.959963984540054
 
 _MIN_TEST_SIZE = 2000
 _MIN_TRIALS = 30
@@ -112,10 +110,7 @@ class TaskLabeler:
         return int(float(x @ self.direction) >= 0.0)
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        return self._decide(xs).astype(np.int64)
-
-    def _decide(self, xs: np.ndarray) -> np.ndarray:
-        return xs @ self.direction >= 0.0
+        return (xs @ self.direction >= 0.0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -737,24 +732,24 @@ def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
 
 
 def _search_lockstep(
-    errors, seeds: Sequence[int], epsilon_target: float, sample_budget: int, block: int
+    errors, seeds: Sequence[int], epsilon_target: float, sample_budget: int
 ) -> list[LearningTrial]:
     """Random-search trials in lockstep, under the one random-search halting rule.
 
     errors(active, k) returns, for each active trial slot in order, the
     held-out errors of the next k hypotheses it draws from its own generator.
-    Each step scores a block of up to `block` draws per trial, the last block
-    cut at the budget.  A trial halts at its first draw at or below the
-    target and reports that draw's index and error; the rest of its block is
-    discarded.  An unhalted trial reports the budget and the best error over
-    exactly that many draws, 1.0 when it drew none.
+    Each step scores a block of up to _SEARCH_BLOCK draws per trial, read at
+    call time, the last block cut at the budget.  A trial halts at its first
+    draw at or below the target and reports that draw's index and error; the
+    rest of its block is discarded.  An unhalted trial reports the budget and
+    the best error over exactly that many draws, 1.0 when it drew none.
     """
     trials: list[LearningTrial | None] = [None] * len(seeds)
     best = [1.0] * len(seeds)
     active = list(range(len(seeds)))
     drawn = 0
     while drawn < sample_budget and active:
-        k = min(block, sample_budget - drawn)
+        k = min(_SEARCH_BLOCK, sample_budget - drawn)
         searching = []
         for slot, row in zip(active, errors(active, k)):
             lowest = min(row)
@@ -885,9 +880,7 @@ def random_search_trials(
             errors = _halfspace_errors(task, rngs)
         else:
             errors = _sampler_errors(task, hypothesis_sampler, rngs)
-        trials += _search_lockstep(
-            errors, group, epsilon_target, sample_budget, _SEARCH_BLOCK
-        )
+        trials += _search_lockstep(errors, group, epsilon_target, sample_budget)
     return trials
 
 
@@ -1046,28 +1039,6 @@ def run_trials(
 
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return [trial for block in pool.map(_run_block, jobs) for trial in block]
-
-
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    check_count(trials, "trials", 1)
-    check_count(successes, "successes", 0)
-    if successes > trials:
-        raise DomainError(f"successes {successes} outside [0, {trials}]")
-    phat = successes / trials
-    z = _WILSON_Z_95
-    zz = z * z
-    denom = 1.0 + zz / trials
-    center = (phat + zz / (2.0 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(phat * (1.0 - phat) / trials + zz / (4.0 * trials * trials))
-        / denom
-    )
-    # the score equation has an exact root at the boundary for degenerate counts
-    low = 0.0 if successes == 0 else max(0.0, center - half)
-    high = 1.0 if successes == trials else min(1.0, center + half)
-    return low, high
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from qlabelsec.learn_harness import (
     generate_task,
     random_search_trials,
     run_trials,
-    wilson_interval,
 )
 from qlabelsec.pac_bounds import (
     _noiseless_raw,
@@ -34,6 +33,7 @@ from qlabelsec.pac_bounds import (
     random_search_exponential,
 )
 from qlabelsec.protocol import run_session
+from qlabelsec.stats import binomial_pull
 
 from _oracles import (
     bound_noiseless_raw,
@@ -179,15 +179,10 @@ def test_criterion_3_protocol_physics(default_task, capsys):
             source, 100_000, attack=attack, seed=seed, keep_rounds=False
         )
         estimate = session.eta_a_estimate
-        if expected == 0.0:
-            case_ok = estimate == 0.0
-            details.append(f"{name}: {estimate} (exact)")
-        else:
-            sigma = math.sqrt(expected * (1 - expected) / session.check_count)
-            pull = abs(estimate - expected) / sigma
-            case_ok = pull < 4.0
-            details.append(f"{name}: {estimate:.4f} vs {expected} ({pull:.2f} sigma)")
-        ok = ok and case_ok
+        # at expected = 0 the estimate must be exactly 0 (pull 0 or inf)
+        pull = binomial_pull(estimate, session.check_count, expected)
+        ok = ok and pull < 4.0
+        details.append(f"{name}: {estimate:.4f} vs {expected} ({pull:.2f} sigma)")
     elapsed, in_time = _within_limit(started, 30.0)
     with capsys.disabled():
         _report(
@@ -208,14 +203,11 @@ def test_criterion_4_random_search_law(default_task, capsys):
 
     seeds = np.random.default_rng(1).integers(0, 2**63, size=10_000).tolist()
     trials = random_search_trials(default_task, 0.03, sampler, 120, seeds)
-    consumed = np.array([t.samples_consumed for t in trials])
-    halted = np.array([t.halted for t in trials])
     grid = (1, 2, 5, 10, 25, 50, 100)
-    covered = []
-    for n in grid:
-        k = int(np.sum(halted & (consumed <= n)))
-        low, high = wilson_interval(k, len(trials))
-        covered.append(low <= random_search_curve(p, n) <= high)
+    covered = [
+        point.wilson_low <= random_search_curve(p, point.n) <= point.wilson_high
+        for point in estimate_learning_probability(trials, grid).points
+    ]
     elapsed, in_time = _within_limit(started, 30.0)
     with capsys.disabled():
         _report(

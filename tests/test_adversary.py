@@ -1,7 +1,5 @@
 """Interception mechanics, Eve's inference rule, and trade-off curves."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from qlabelsec.errors import DomainError
 from qlabelsec.info_theory import eta_star, eve_noise_from_disturbance
 from qlabelsec.protocol import ConceptSource, run_session
 from qlabelsec.qubit import Basis, Preparation
+from qlabelsec.stats import binomial_pull
 
 
 def simple_source() -> ConceptSource:
@@ -151,8 +150,7 @@ class TestInferLabel:
         rng = np.random.default_rng(42)
         n = 10_000
         ones = sum(oracles.infer_label(record, rng) for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) <= 4.0 * sigma
+        assert binomial_pull(ones / n, n, 0.5) <= 4.0
 
 
 class TestTradeoffCurves:
@@ -244,12 +242,11 @@ class TestSimulationAgreesWithTheory:
         strategy = InterceptResend(attack_probability=f)
         session = run_session(simple_source(), 10_000, attack=strategy, seed=314)
         eta_a_exp, eta_e_exp = tradeoff_point(strategy)
+        # at f = 0 and f = 1 the rate whose law is 0 must be exactly 0
         n_check = session.check_count
-        sigma_a = math.sqrt(max(eta_a_exp * (1 - eta_a_exp), 1e-12) / n_check)
-        assert abs(session.eta_a_estimate - eta_a_exp) <= 4.0 * sigma_a
+        assert binomial_pull(session.eta_a_estimate, n_check, eta_a_exp) <= 4.0
         n_data = len(session.eavesdropper_dataset)
-        sigma_e = math.sqrt(max(eta_e_exp * (1 - eta_e_exp), 1e-12) / n_data)
-        assert abs(session.eve_label_error_rate - eta_e_exp) <= 4.0 * sigma_e
+        assert binomial_pull(session.eve_label_error_rate, n_data, eta_e_exp) <= 4.0
 
     def test_random_per_leg_statistics_within_four_sigma(self):
         strategy = InterceptResend(basis_policy="randomPerLeg")
@@ -259,8 +256,7 @@ class TestSimulationAgreesWithTheory:
             (session.eve_label_error_rate, 0.375, len(session.eavesdropper_dataset)),
             (session.authorized_label_error_rate, 0.375, len(session.authorized_dataset)),
         ):
-            sigma = math.sqrt(expected * (1 - expected) / n)
-            assert abs(observed - expected) <= 4.0 * sigma
+            assert binomial_pull(observed, n, expected) <= 4.0
 
     def test_no_strategy_raises_ensemble_fidelity_above_no_attack(self):
         baseline = run_session(simple_source(), 4_000, attack=NoAttack(), seed=55)

@@ -462,6 +462,19 @@ class TestSelfcheck:
         assert all(point["pull"] <= cli_module._MAX_SIGMA for point in law)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["selfcheck-summary.json"]
 
+    def test_seed_0_results_are_pinned(self, tmp_path, capsys):
+        # seed 0's pulls, to the last bit
+        assert run_cli("selfcheck", "--seed", "0", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        results = read_summary(tmp_path, "selfcheck")["results"]
+        assert results["protocol_pull"] == 0.0702554919986509
+        assert results["random_search_law"] == [
+            {"n": 1, "pull": 1.7392527130926076},
+            {"n": 5, "pull": 0.5174259875058538},
+            {"n": 10, "pull": 0.9832251323020715},
+            {"n": 25, "pull": 0.9164372653863789},
+        ]
+
     def test_impossible_tolerance_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli_module, "_MAX_SIGMA", 0.001)
         out = tmp_path / "out"

@@ -32,9 +32,9 @@ from qlabelsec.learn_harness import (
     random_search_trials,
     run_trials,
     train_until,
-    wilson_interval,
 )
 from qlabelsec.pac_bounds import random_search_curve, sample_bound_noisy
+from qlabelsec.stats import binomial_pull
 
 from _oracles import (
     ReferenceLinearModel,
@@ -43,7 +43,6 @@ from _oracles import (
     reference_search,
     reference_task,
     reference_trial,
-    wilson_bounds_by_rootfinding,
 )
 
 # Frozen from the oracle: P(Z >= 3) for the default separation of 6.
@@ -104,13 +103,12 @@ class TestGenerateTask:
 
     def test_label_balance(self, task):
         # each cluster side is equally likely, so labels are near balanced
-        sigma = 0.5 / math.sqrt(len(task.test_y))
-        assert abs(float(task.test_y.mean()) - 0.5) < 4 * sigma
+        assert binomial_pull(float(task.test_y.mean()), len(task.test_y), 0.5) < 4
 
     def test_label_balance_on_fresh_draws(self, task):
         xs = task.sample_inputs(10_000, np.random.default_rng(2))
         mean = float(task.labeler.predict(xs).mean())
-        assert abs(mean - 0.5) < 4 * 0.5 / math.sqrt(10_000)
+        assert binomial_pull(mean, 10_000, 0.5) < 4
 
     def test_overlapped_geometry_rejected(self):
         # separation 4 puts ~2.3% of each cluster across the midplane,
@@ -327,8 +325,7 @@ class TestStreams:
     def test_noisy_stream_flip_rate(self, task):
         labeler = task.labeler
         flips = sum(y != labeler(x) for x, y in zip(*noisy_sample(task, 0.25, 4, 100_000)))
-        sigma = math.sqrt(0.25 * 0.75 * 100_000)
-        assert abs(flips - 25_000) < 4 * sigma
+        assert binomial_pull(flips / 100_000, 100_000, 0.25) < 4
 
     def test_stream_deterministic(self, task):
         xa, ya = noisy_sample(task, 0.1, 5, 300)
@@ -457,7 +454,7 @@ class TestStreamRows:
         xs, _ = learn_harness._noisy_rows(task, 0.0, list(range(100)), 0, 1000, bitgen)
         words = np.stack(bitgen.draws).reshape(100, 1000, -1)
         sides = words[..., 0] >> np.uint64(63)
-        assert abs(float(sides.mean()) - 0.5) < 4 * 0.5 / math.sqrt(sides.size)
+        assert binomial_pull(float(sides.mean()), sides.size, 0.5) < 4
         normals = xs - task._offsets[sides]
         z = normals.ravel()
         assert abs(float(z.mean())) < 4 / math.sqrt(z.size)
@@ -657,48 +654,14 @@ class TestRandomSearch:
         trials = [
             random_search_learner(task, 0.03, sampler, 200, seed=s) for s in range(1000)
         ]
-        consumed = np.array([t.samples_consumed for t in trials])
-        halted = np.array([t.halted for t in trials])
-        assert halted.all()
-        for n in (1, 3, 10):
-            k = int(np.sum(consumed <= n))
-            low, high = wilson_interval(k, 1000)
-            assert low <= random_search_curve(p, n) <= high
+        assert all(t.halted for t in trials)
+        for point in estimate_learning_probability(trials, (1, 3, 10)).points:
+            assert point.wilson_low <= random_search_curve(p, point.n) <= point.wilson_high
 
     def test_real_sampler_finds_the_task_eventually(self, task):
         sampler = random_halfspace_sampler(task.dimension)
         trial = random_search_learner(task, 0.3, sampler, 5_000, seed=8)
         assert trial.halted
-
-
-class TestWilsonInterval:
-    @pytest.mark.parametrize("k,t", [(0, 10), (10, 10), (5, 10), (97, 150), (1, 1000)])
-    def test_matches_rootfinding_oracle(self, k, t):
-        low, high = wilson_interval(k, t)
-        ref_low, ref_high = wilson_bounds_by_rootfinding(k, t)
-        assert low == pytest.approx(ref_low, abs=1e-12)
-        assert high == pytest.approx(ref_high, abs=1e-12)
-
-    @given(st.integers(min_value=1, max_value=2000), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_interval_brackets_the_estimate(self, t, data):
-        k = data.draw(st.integers(min_value=0, max_value=t))
-        low, high = wilson_interval(k, t)
-        assert 0.0 <= low <= k / t <= high <= 1.0
-
-    @pytest.mark.parametrize(
-        "k,t",
-        [(-1, 10), (11, 10), (0, 0), (2.5, 10), (2.0, 10), (True, 10), (1, 10.0), (1, True)],
-        ids=repr,
-    )
-    def test_rejects_bad_counts(self, k, t):
-        with pytest.raises(DomainError):
-            wilson_interval(k, t)
-
-    def test_confidence_is_fixed_at_95_percent(self):
-        # no z to set: a negative or NaN z gave low > high or (0, 1)
-        with pytest.raises(TypeError):
-            wilson_interval(5, 10, z=-1.0)
 
 
 def _trial(consumed, halted):
@@ -1290,7 +1253,7 @@ class TestSearchEngine:
         trial = random_search_learner(task, 0.03, _always_good(task), 0, seed=3)
         assert trial == LearningTrial(3, 0, False, 1.0)
         errors, blocks = _scripted([0.0])
-        assert learn_harness._search_lockstep(errors, [1], 0.03, 0, 8) == [
+        assert learn_harness._search_lockstep(errors, [1], 0.03, 0) == [
             LearningTrial(1, 0, False, 1.0)
         ]
         assert blocks == []
@@ -1298,7 +1261,7 @@ class TestSearchEngine:
     def test_first_of_two_hits_in_a_block_wins(self, task):
         # the later hit has the lower error, so a block minimum would pick it
         errors, blocks = _scripted([0.5, 0.02, 0.4, 0.01, 0.5, 0.5, 0.5, 0.5])
-        trials = learn_harness._search_lockstep(errors, [7], 0.03, 100, 8)
+        trials = learn_harness._search_lockstep(errors, [7], 0.03, 100)
         assert trials == [LearningTrial(7, 2, True, 0.02)]
         assert blocks == [8]
         # the same on real draws: a trial whose first block holds two hits,
@@ -1319,12 +1282,12 @@ class TestSearchEngine:
     def test_hit_on_the_last_draw_of_the_budget(self, task):
         # the last block is cut at the budget; a hit right after it is never drawn
         errors, blocks = _scripted([0.5] * 10 + [0.01])
-        assert learn_harness._search_lockstep(errors, [4], 0.03, 11, 8) == [
+        assert learn_harness._search_lockstep(errors, [4], 0.03, 11) == [
             LearningTrial(4, 11, True, 0.01)
         ]
         assert blocks == [8, 3]
         errors, blocks = _scripted([0.5] * 9 + [0.4, 0.45, 0.01])
-        assert learn_harness._search_lockstep(errors, [4], 0.03, 11, 8) == [
+        assert learn_harness._search_lockstep(errors, [4], 0.03, 11) == [
             LearningTrial(4, 11, False, 0.4)
         ]
         assert blocks == [8, 3]
@@ -1548,7 +1511,7 @@ class TestSamplerSearchEngine:
             if type(h) is TaskLabeler and h.direction.dtype == np.float64
         ]
         for labeler in labelers:
-            expected = labeler._decide(task.test_x)
+            expected = labeler.predict(task.test_x)
             weights = labeler.direction
             stacked = LinearThresholdModel(weights=weights[None], bias=np.zeros(1))
             single = LinearThresholdModel(weights=weights, bias=0.0)

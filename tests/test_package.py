@@ -1,6 +1,8 @@
 """The package namespace: each public name is declared once, in its module;
-the README's library example runs."""
+the float-arithmetic modules import no numpy; the README's library example
+runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,9 +17,10 @@ from qlabelsec import (
     pac_bounds,
     protocol,
     qubit,
+    stats,
 )
 
-MODULES = (errors, pac_bounds, info_theory, qubit, adversary, protocol, learn_harness)
+MODULES = (errors, pac_bounds, stats, info_theory, qubit, adversary, protocol, learn_harness)
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -32,6 +35,18 @@ def test_every_name_resolves():
         for name in module.__all__:
             assert getattr(qlabelsec, name) is getattr(module, name)
     assert isinstance(qlabelsec.__version__, str)
+
+
+def test_float_arithmetic_modules_import_no_numpy():
+    for module in (stats, pac_bounds, info_theory):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "numpy" for name in names), module.__name__
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -23,6 +23,7 @@ from qlabelsec.protocol import (
     run_session,
 )
 from qlabelsec.qubit import Preparation
+from qlabelsec.stats import binomial_pull
 
 # is_check per preparation index of a Rounds record
 IS_CHECK = np.array([k.is_check for k in Preparation])
@@ -91,8 +92,7 @@ class TestNoAttackSession:
         source = halfspace_source()
         session = run_session(source, 10_000, attack=NoAttack(), seed=12)
         n = len(session.eavesdropper_dataset)
-        sigma = math.sqrt(0.25 / n)
-        assert abs(session.eve_label_error_rate - 0.5) <= 4.0 * sigma
+        assert binomial_pull(session.eve_label_error_rate, n, 0.5) <= 4.0
 
     def test_determinism_bit_for_bit(self):
         a = run_session(halfspace_source(), 500, attack=InterceptResend(), seed=77)
@@ -265,20 +265,17 @@ class TestAnalyticAttackSessions:
         d = 0.05
         attack = AnalyticAttack(curve_kind="collective", disturbance=d)
         session = run_session(halfspace_source(), 20_000, attack=attack, seed=19)
-        sigma_a = math.sqrt(d * (1 - d) / session.check_count)
-        assert abs(session.eta_a_estimate - d) <= 4.0 * sigma_a
+        assert binomial_pull(session.eta_a_estimate, session.check_count, d) <= 4.0
         eta_e = eve_noise_from_disturbance("collective", d)
         n = len(session.eavesdropper_dataset)
-        sigma_e = math.sqrt(eta_e * (1 - eta_e) / n)
-        assert abs(session.eve_label_error_rate - eta_e) <= 4.0 * sigma_e
+        assert binomial_pull(session.eve_label_error_rate, n, eta_e) <= 4.0
 
     def test_zero_disturbance_is_clean_for_the_authorized_party(self):
         attack = AnalyticAttack(curve_kind="collective", disturbance=0.0)
         session = run_session(halfspace_source(), 3_000, attack=attack, seed=20)
         assert session.eta_a_estimate == 0.0
         assert session.authorized_label_error_rate == 0.0
-        sigma = math.sqrt(0.25 / 3_000)
-        assert abs(session.eve_label_error_rate - 0.5) <= 4.0 * sigma
+        assert binomial_pull(session.eve_label_error_rate, 3_000, 0.5) <= 4.0
 
 
 class TestInterceptResendSessions:
@@ -286,8 +283,7 @@ class TestInterceptResendSessions:
         session = run_session(
             halfspace_source(), 10_000, attack=InterceptResend(), seed=21
         )
-        sigma = math.sqrt(0.25 / session.check_count)
-        assert abs(session.eta_a_estimate - 0.5) <= 4.0 * sigma
+        assert binomial_pull(session.eta_a_estimate, session.check_count, 0.5) <= 4.0
         # Eve reads every label exactly; the authorized data stay clean
         assert session.eve_label_error_rate == 0.0
         assert session.authorized_label_error_rate == 0.0
@@ -304,9 +300,9 @@ class TestInterceptResendSessions:
                 attack=InterceptResend(attack_probability=f),
                 seed=500 + int(4 * f),
             )
-            expected = f * 0.5
-            sigma = math.sqrt(max(expected * (1 - expected), 1e-9) / session.check_count)
-            assert abs(session.eta_a_estimate - expected) <= 4.0 * sigma
+            # at f = 0 the estimate must be exactly 0
+            pull = binomial_pull(session.eta_a_estimate, session.check_count, f * 0.5)
+            assert pull <= 4.0
             observed.append(session.eta_a_estimate)
             eve_rates.append(session.eve_label_error_rate)
         # trade-off direction: more interception, more visible noise, better Eve

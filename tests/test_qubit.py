@@ -1,7 +1,5 @@
 """The four-state table: conditional flip, Born-rule measurement, fidelity."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from qlabelsec.qubit import (
     fidelity,
     measure,
 )
+from qlabelsec.stats import binomial_pull
 
 # Variates at both edges of each half of [0, 1): the table may only switch
 # outcome at 1/2.
@@ -190,11 +189,8 @@ class TestMeasurement:
             zeros = sum(
                 1 - measure(label, basis, rng.random()).outcome for _ in range(n)
             )
-            if p_zero in (0.0, 1.0):
-                assert zeros == int(p_zero * n)
-            else:
-                sigma = math.sqrt(p_zero * (1.0 - p_zero) / n)
-                assert abs(zeros / n - p_zero) <= 4.0 * sigma
+            # a certain outcome (p_zero 0 or 1) must come every time
+            assert binomial_pull(zeros / n, n, p_zero) <= 4.0
 
     def test_maximally_mixed_statistics(self):
         # a uniformly drawn preparation is the maximally mixed state I/2
@@ -205,8 +201,7 @@ class TestMeasurement:
             measure(states[rng.integers(4)], Basis.Z, rng.random()).outcome
             for _ in range(n)
         )
-        sigma = math.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) <= 4.0 * sigma
+        assert binomial_pull(ones / n, n, 0.5) <= 4.0
 
     def test_rejects_bad_randomness_and_basis(self):
         state = Preparation.Z0
