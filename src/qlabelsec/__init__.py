@@ -9,7 +9,9 @@ Each public name is declared once, in the ``__all__`` of the module that
 defines it; the package namespace re-exports those lists unchanged.
 """
 
-# Set before the submodules load: reports (imported by protocol) reads it.
+# Read by cli and reports, which this module does not load: the package has
+# finished importing before either runs.  Kept above the imports below so any
+# submodule listed there could read it as well.
 __version__ = "0.1.0"
 
 from . import (  # noqa: E402

@@ -58,8 +58,6 @@ _DISCRETIZATION_LEVELS = 32
 
 _MIN_TEST_SIZE = 2000
 _MIN_TRIALS = 30
-# Points in generate_task's cluster-overlap probe.
-_PROBE_POINTS = 100_000
 
 # Largest per-block evaluation temporary, in float64s: held-out rows times
 # hidden units (one for linear models), summed over the block's trials.  A
@@ -70,9 +68,6 @@ _EVAL_FLOATS = 65_536
 # dimension.  Trials whose one batch would exceed it train as several groups,
 # so memory stays bounded whatever the trial count.
 _GROUP_FLOATS = 131_072
-# Largest input block of generate_task's overlap probe, in float64s: rows
-# times dimension.
-_PROBE_FLOATS = 32_768
 # Scale of a 53-bit integer to a double in [0, 1); also the unit roundoff u.
 _UNIT = 2.0**-53
 # Hypotheses each random-search trial draws and scores per lockstep step, and
@@ -119,8 +114,8 @@ class SyntheticTask:
 
     Labels everywhere (stream and held-out set) are the halfspace concept,
     so a perfect hypothesis exists.  analytic_overlap = Phi(-separation/2)
-    is the mass each cluster sends across the midplane; measured_overlap is
-    its Monte-Carlo estimate at task-generation time.
+    is the exact mass each cluster sends across the midplane: for a unit
+    direction, x . direction ~ N(-/+ separation/2, 1) on the two sides.
     """
 
     dimension: int
@@ -129,7 +124,6 @@ class SyntheticTask:
     test_x: np.ndarray
     test_y: np.ndarray
     analytic_overlap: float
-    measured_overlap: float
     seed: int
 
     @property
@@ -199,12 +193,12 @@ def generate_task(
 ) -> SyntheticTask:
     """Build a task, rejecting geometries too overlapped for the target.
 
-    When epsilon_target is given, the cluster-vs-concept overlap must stay
-    below epsilon_target / 2 both analytically and in a fresh 10^5-sample
-    estimate; otherwise trials could stall for geometric reasons and noise
-    comparisons would be confounded.  Every argument is checked before the
-    first draw.  The probe draws its points in row blocks of at most
-    _PROBE_FLOATS floats, so its memory does not grow with 10^5 * dimension.
+    When epsilon_target is given, the cluster-vs-concept overlap
+    Phi(-separation/2) must stay below epsilon_target / 2; otherwise trials
+    could stall for geometric reasons and noise comparisons would be
+    confounded.  Every argument and the overlap are checked before the first
+    draw.  The draws are the direction, then the held-out set through
+    sample_inputs; its labels are the concept's.
     """
     check_count(dimension, "dimension", 2)
     if not 0.0 < separation < math.inf:
@@ -213,11 +207,17 @@ def generate_task(
     if epsilon_target is not None:
         _check_target(epsilon_target)
     check_seed(seed, "task seed")
+    analytic = 0.5 * math.erfc(separation / (2.0 * math.sqrt(2.0)))
+    if epsilon_target is not None and analytic >= epsilon_target / 2.0:
+        raise DomainError(
+            f"separation {separation} leaves overlap {analytic:.4g} >= "
+            f"{epsilon_target / 2.0:.4g}; the accuracy target {epsilon_target} "
+            f"is not cleanly reachable"
+        )
+
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dimension)
     direction /= math.sqrt(float(direction @ direction))
-    analytic = 0.5 * math.erfc(separation / (2.0 * math.sqrt(2.0)))
-
     task = SyntheticTask(
         dimension=dimension,
         separation=separation,
@@ -225,32 +225,10 @@ def generate_task(
         test_x=np.empty((0, dimension)),
         test_y=np.empty(0, dtype=np.int64),
         analytic_overlap=analytic,
-        measured_overlap=0.0,
         seed=seed,
     )
-    # measured overlap: fraction of cluster draws landing across the midplane
-    probe_sides = rng.integers(2, size=_PROBE_POINTS)
-    block = max(1, _PROBE_FLOATS // dimension)
-    crossed = 0
-    for start in range(0, _PROBE_POINTS, block):
-        sides = probe_sides[start : start + block]
-        xs = rng.standard_normal((len(sides), dimension))
-        xs += task._offsets[sides]
-        crossed += int(np.count_nonzero((xs @ direction >= 0.0) != sides))
-    measured = crossed / _PROBE_POINTS
-
-    if epsilon_target is not None:
-        bound = epsilon_target / 2.0
-        if analytic >= bound or measured >= bound:
-            raise DomainError(
-                f"separation {separation} leaves overlap "
-                f"{max(analytic, measured):.4g} >= {bound:.4g}; the accuracy "
-                f"target {epsilon_target} is not cleanly reachable"
-            )
-
     test_x = task.sample_inputs(test_size, rng)
-    test_y = task.labeler.predict(test_x)
-    return replace(task, test_x=test_x, test_y=test_y, measured_overlap=measured)
+    return replace(task, test_x=test_x, test_y=task.labeler.predict(test_x))
 
 
 def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:

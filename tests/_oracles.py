@@ -21,9 +21,10 @@ predict/sgd_step methods over a stream of (x, y) pairs, kept as the referee
 for ``learn_harness``'s lockstep trial engine.
 ``reference_search`` is the per-draw random-search loop, one sampler call and
 one held-out evaluation per draw, kept as the referee for the lockstep
-random-search engine.  ``reference_task`` is ``generate_task`` with its
-one-shot 10^5-point overlap probe, kept as the referee for the block-wise
-probe.
+random-search engine.  ``reference_task`` is ``generate_task`` built in one
+pass, kept as its referee; ``reference_overlap_probe`` is a one-shot
+Monte-Carlo estimate of the cluster overlap, the cross-check of the exact
+``analytic_overlap`` that ``generate_task``'s rejection rule reads.
 """
 
 from __future__ import annotations
@@ -587,14 +588,14 @@ def reference_task(
     test_size: int = _MIN_TEST_SIZE,
     epsilon_target: float | None = None,
 ) -> SyntheticTask:
-    """``learn_harness.generate_task`` with its one-shot overlap probe.
+    """``learn_harness.generate_task``, built in one pass.
 
     Builds a task, rejecting geometries too overlapped for the target.
 
-    When epsilon_target is given, the cluster-vs-concept overlap must stay
-    below epsilon_target / 2 both analytically and in a fresh 10^5-sample
-    estimate; otherwise trials could stall for geometric reasons and noise
-    comparisons would be confounded.
+    When epsilon_target is given, the exact cluster-vs-concept overlap
+    Phi(-separation/2) must stay below epsilon_target / 2; otherwise trials
+    could stall for geometric reasons and noise comparisons would be
+    confounded.
     """
     if dimension < 2:
         raise DomainError(f"dimension must be >= 2, got {dimension}")
@@ -608,6 +609,19 @@ def reference_task(
     direction /= math.sqrt(float(direction @ direction))
     analytic = 0.5 * math.erfc(separation / (2.0 * math.sqrt(2.0)))
 
+    if epsilon_target is not None:
+        if not 0.0 < epsilon_target < 1.0:
+            raise DomainError(
+                f"epsilon target must lie in (0, 1), got {epsilon_target}"
+            )
+        bound = epsilon_target / 2.0
+        if analytic >= bound:
+            raise DomainError(
+                f"separation {separation} leaves overlap "
+                f"{analytic:.4g} >= {bound:.4g}; the accuracy "
+                f"target {epsilon_target} is not cleanly reachable"
+            )
+
     task = SyntheticTask(
         dimension=dimension,
         separation=separation,
@@ -615,33 +629,24 @@ def reference_task(
         test_x=np.empty((0, dimension)),
         test_y=np.empty(0, dtype=np.int64),
         analytic_overlap=analytic,
-        measured_overlap=0.0,
         seed=seed,
     )
-    # measured overlap: fraction of cluster draws landing across the midplane
-    probe_sides = rng.integers(2, size=100_000)
-    sides = 2.0 * probe_sides.astype(np.float64) - 1.0
-    xs = np.outer(sides * (separation / 2.0), direction) + rng.standard_normal(
-        (100_000, dimension)
-    )
-    measured = float(np.mean((xs @ direction >= 0.0).astype(np.int64) != probe_sides))
-
-    if epsilon_target is not None:
-        if not 0.0 < epsilon_target < 1.0:
-            raise DomainError(
-                f"epsilon target must lie in (0, 1), got {epsilon_target}"
-            )
-        bound = epsilon_target / 2.0
-        if analytic >= bound or measured >= bound:
-            raise DomainError(
-                f"separation {separation} leaves overlap "
-                f"{max(analytic, measured):.4g} >= {bound:.4g}; the accuracy "
-                f"target {epsilon_target} is not cleanly reachable"
-            )
-
     test_x = task.sample_inputs(test_size, rng)
     test_y = task.labeler.predict(test_x)
-    return replace(task, test_x=test_x, test_y=test_y, measured_overlap=measured)
+    return replace(task, test_x=test_x, test_y=test_y)
+
+
+def reference_overlap_probe(
+    task: SyntheticTask, points: int, rng: np.random.Generator
+) -> float:
+    """Monte-Carlo estimate of the overlap: the fraction of ``points`` cluster
+    draws, all held in one array, that land across the concept's midplane."""
+    probe_sides = rng.integers(2, size=points)
+    sides = 2.0 * probe_sides.astype(np.float64) - 1.0
+    xs = np.outer(sides * (task.separation / 2.0), task.direction) + rng.standard_normal(
+        (points, task.dimension)
+    )
+    return float(np.mean((xs @ task.direction >= 0.0).astype(np.int64) != probe_sides))
 
 
 # ---------------------------------------------------------------------------

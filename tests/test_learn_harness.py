@@ -40,6 +40,7 @@ from _oracles import (
     ReferenceLinearModel,
     gaussian_tail_hp,
     reference_halfspace_sampler,
+    reference_overlap_probe,
     reference_search,
     reference_task,
     reference_trial,
@@ -60,6 +61,14 @@ _SAMPLE_INPUT_DIGESTS = {
 }
 
 
+# sha256 of generate_task(*args)'s direction, test_x and test_y (dtype string,
+# then bytes) and of its generator's state after the draws.
+_TASK_DIGESTS = {
+    (8, 6.0, 42): "0275318787955afb467d93d3a890fdefa03281488c7d801873085ff166017110",
+    (3, 5.0, 7): "5410cb5ef59c3f90c0f72727fc6894a05ae91c59fd72be3b524e4915745deafe",
+}
+
+
 # Seeds every seeded entry point rejects with DomainError.
 _BAD_SEEDS = [-1, -(2**70), 1.5, 2.0, "3", None, True, np.float64(4.0), np.int64(-2)]
 
@@ -68,7 +77,6 @@ def _assert_same_task(task, expected):
     for name in ("direction", "test_x", "test_y"):
         got, want = getattr(task, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert task.measured_overlap == expected.measured_overlap
     assert task.analytic_overlap == expected.analytic_overlap
 
 
@@ -83,7 +91,6 @@ class TestGenerateTask:
         np.testing.assert_array_equal(task.test_x, again.test_x)
         np.testing.assert_array_equal(task.test_y, again.test_y)
         np.testing.assert_array_equal(task.direction, again.direction)
-        assert task.measured_overlap == again.measured_overlap
 
     def test_direction_is_unit(self, task):
         assert math.isclose(float(task.direction @ task.direction), 1.0, rel_tol=1e-12)
@@ -98,8 +105,9 @@ class TestGenerateTask:
         )
 
     def test_measured_overlap_near_analytic(self, task):
-        sigma = math.sqrt(OVERLAP_SEP6_REF * (1 - OVERLAP_SEP6_REF) / 100_000)
-        assert abs(task.measured_overlap - task.analytic_overlap) < 4 * sigma
+        # a 10^5-point Monte-Carlo probe of the clusters on a generator of its own
+        measured = reference_overlap_probe(task, 100_000, np.random.default_rng(42))
+        assert binomial_pull(measured, 100_000, task.analytic_overlap) <= 4
 
     def test_label_balance(self, task):
         # each cluster side is equally likely, so labels are near balanced
@@ -161,9 +169,7 @@ class TestGenerateTask:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("separation", [6.0, 4.0])
     @pytest.mark.parametrize("dimension", [2, 3, 8, 17, 64])
-    def test_block_probe_matches_the_one_shot_referee(self, dimension, separation, seed):
-        # no probe block divides 10^5, so every grid point ends on a short block
-        assert learn_harness._PROBE_POINTS % (learn_harness._PROBE_FLOATS // dimension)
+    def test_matches_the_one_shot_referee(self, dimension, separation, seed):
         for test_size, epsilon_target in product([2000, 5003], [None, 0.03]):
             args = (dimension, separation, seed, test_size, epsilon_target)
             try:
@@ -176,13 +182,26 @@ class TestGenerateTask:
                 continue
             _assert_same_task(generate_task(*args), expected)
 
-    @pytest.mark.parametrize("floats", [77, 8_000, 10**6], ids=["block 9", "block 1000", "one block"])
-    def test_probe_is_independent_of_block_size(self, floats, monkeypatch):
-        monkeypatch.setattr(learn_harness, "_PROBE_FLOATS", floats)
-        _assert_same_task(generate_task(8, 6.0, 42), reference_task(8, 6.0, 42))
+    @pytest.mark.parametrize("args", [(8, 6.0, 42), (3, 5.0, 7)], ids=repr)
+    def test_task_bytes_are_pinned(self, args, monkeypatch):
+        # direction, held-out set and the generator state the draws leave behind
+        generators = []
+        make = np.random.default_rng
 
-    def test_probe_memory_peak_is_bounded_by_the_block(self):
-        # the one-shot probe held three (10^5, 8) float64 arrays, about 19 MB;
+        def recorded(seed):
+            generators.append(make(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        t = generate_task(*args)
+        digest = hashlib.sha256()
+        for array in (t.direction, t.test_x, t.test_y):
+            digest.update(array.dtype.str.encode() + array.tobytes())
+        digest.update(repr(generators[0].bit_generator.state).encode())
+        assert len(generators) == 1 and digest.hexdigest() == _TASK_DIGESTS[args]
+
+    def test_memory_peak_is_bounded(self):
+        # the task holds its held-out set and labels, about 0.15 MB at d = 8;
         # a first call also imports numpy's seeding modules, so warm up first
         generate_task(dimension=8, separation=6.0, seed=42)
         tracemalloc.start()
@@ -946,19 +965,19 @@ _PINNED_BATCHES = {
 # trials_digest of each pinned batch, taken from the per-trial loop (gradient,
 # on the Philox row streams) and the per-draw loop (random search).
 _RECORD_DIGESTS = {
-    "sweep eta_a=0.01": "dd5dcff663d8a5dbb865468a3f10de873afcfc2d7f0f56611c72693934eff153",
-    "sweep eta_e(0.01)": "cf68287032d41a29cd60132361c3f84c842be82f9aae9e5549167f16bf2046c6",
-    "sweep eta_a=0.11": "2f160f618bfdc95f5faab763df8b1907014c6245775b45479e9d8584aca4899b",
-    "sweep eta_e(0.11)": "f6b47b9fce0f34e01814b5b0a099ac5a85dfb0ae2041a6e1a5a8eac51d8bedba",
-    "histogram eta_a=0.03": "7db780bf1945346e13d2ecc72f39f5e812315f89af245d8d81a0b97999c07be3",
-    "histogram eta_e(0.03)": "dbc4ad2b6c9aa8e3583ca4ecc4fa828c1579f1cb9bb39e6624c15a03a377df95",
-    "curve hidden eta=0.05": "82eeb9aafba8f478f3c875a47283f23c6a505e9c4b2f38f1b44f97bce08fae79",
-    "histogram eta=0.4": "42fc346621ff770106ecd93ef88cffb451b3d9bb0a0b0d849ef919ae57d9deb9",
-    "curve hidden eta=0.4": "148b08c3b87826a29112ca072cc67f98e8b3982f72f42ba619759054714b4311",
-    "search eta=0": "5edc516feec8723dac5a6e08136c1ae94cd5aaf95db06f099a8729e2998f1de1",
-    "search learn defaults": "cfa358b93c392ceb6b13400584b446fdbc77120ba5cb0c56dea0f0704cdaa599",
+    "sweep eta_a=0.01": "05197b90570a5f8325127283b55b243496e216d46f686c10ba7dca96def05edd",
+    "sweep eta_e(0.01)": "c99880065a3da7a6592e21d6edba423e2901a1d373c70be2b1d9bd4985f960f7",
+    "sweep eta_a=0.11": "36ca8f742d597e2c367053c2d8c044ea9d999682863cd716c323712dd49d7124",
+    "sweep eta_e(0.11)": "3a5e33c1d5e0997134935ab6eca67d5b0a90612c3fbcad8084a0857361f1e10c",
+    "histogram eta_a=0.03": "82f19abfb1efcd264b33a08121719e2e6e90bb713fa7095c8aac9484436f1324",
+    "histogram eta_e(0.03)": "6072d3291aeca556187a80fd52a9148d6c47d1a93f4ed001d08b3289dd2f366a",
+    "curve hidden eta=0.05": "480253bf5d21489a1b79b8d55ea9afacc15274f3d1769586bc47eee845f94331",
+    "histogram eta=0.4": "d05cc8dfc5c01fc9ca42e7e16def2e91bafbbf6d20c326b5719c686435572c2c",
+    "curve hidden eta=0.4": "4b3161d295b30d87ceb7ad042fab62cc0939b161986e2adfcead1f6d99cb1f78",
+    "search eta=0": "e9ed5ee2c3f4bcc2583dcea53728d3143c217e80792d40a721f50ec24a274e3d",
+    "search learn defaults": "c39bf9d5d54818bd0685780bc28f90ce03340a584f903ae00099728b191102cb",
     "search epsilon=0.005 budget=37": (
-        "c27c56550a837ffd2ddf89309834c2bdd457de82d06d4bd43f11cba1c41e8f9e"
+        "5ac3398f9a2e3eae3298b8692f024393defd951c395a21113c6e6d405da46135"
     ),
 }
 
