@@ -128,6 +128,32 @@ class TestGenerateTask:
         t = generate_task(dimension=8, separation=4.0, seed=0)
         assert t.analytic_overlap > 0.02
 
+    @pytest.mark.parametrize("separation", [4.0, 6.0, 8.0])
+    def test_overlap_verdict_is_exact_at_the_margin(self, separation, monkeypatch):
+        # the verdict is analytic >= target / 2 on Phi(-s/2) alone: a target of
+        # exactly twice the overlap is rejected before any draw, the next float up passes
+        overlap = generate_task(dimension=3, separation=separation, seed=0).analytic_overlap
+        margin = 2.0 * overlap
+        make = np.random.default_rng
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("generate_task drew before rejecting the geometry")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(DomainError, match="not cleanly reachable"):
+            generate_task(dimension=3, separation=separation, seed=0, epsilon_target=margin)
+        monkeypatch.setattr(np.random, "default_rng", make)
+        above = float(np.nextafter(margin, 1.0))
+        t = generate_task(dimension=3, separation=separation, seed=0, epsilon_target=above)
+        assert t.analytic_overlap == overlap < above / 2.0
+
+    @pytest.mark.parametrize("epsilon_target", [0.005, 0.03, 0.5])
+    def test_target_does_not_move_the_draws(self, epsilon_target):
+        # the target only gates the build; an accepted task is the untargeted one
+        _assert_same_task(
+            generate_task(8, 6.0, 42, epsilon_target=epsilon_target), generate_task(8, 6.0, 42)
+        )
+
     @pytest.mark.parametrize(
         "kwargs",
         [
