@@ -37,6 +37,8 @@ ATTACK_KINDS = ("individual", "collective", "memoryless")
 # No analytic curve is known for memoryless attacks; the threshold itself is
 # a published numerical value and is kept as a constant.
 _ETA_STAR_MEMORYLESS = 0.154
+# How each class's threshold is obtained (see InfoCurve.method).
+_METHODS = {"collective": "bisection", "individual": "closed-form", "memoryless": "tabulated"}
 
 _BISECT_LO = 1e-9
 _BISECT_HI = 0.5 - 1e-9
@@ -147,21 +149,10 @@ def info_curve(kind: str) -> InfoCurve:
     """Summarize an attack class: threshold, derivation method, residual."""
     _check_kind(kind)
     threshold = eta_star(kind)
-    if kind == "collective":
-        return InfoCurve(
-            kind=kind,
-            eta_star=threshold,
-            method="bisection",
-            residual=abs(holevo_gap(kind, threshold)),
-        )
-    if kind == "individual":
-        return InfoCurve(
-            kind=kind,
-            eta_star=threshold,
-            method="closed-form",
-            residual=abs(holevo_gap(kind, threshold)),
-        )
-    return InfoCurve(kind=kind, eta_star=threshold, method="tabulated", residual=None)
+    residual = None if kind == "memoryless" else abs(holevo_gap(kind, threshold))
+    return InfoCurve(
+        kind=kind, eta_star=threshold, method=_METHODS[kind], residual=residual
+    )
 
 
 def eve_noise_from_disturbance(kind: str, eta_a: float) -> float:

@@ -16,7 +16,6 @@ nondecreasing in n by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -74,16 +73,9 @@ _UNIT = 2.0**-53
 # trials per random-search lockstep group (each holds a generator of its own).
 _SEARCH_BLOCK = 8
 _SEARCH_GROUP = 1024
-# A linear draw's bias as the last 8 bytes of its row (see _linear_row), and
-# the most rows whose held-out errors a task remembers before it forgets them
-# all (about 170 bytes a row at d = 8).
+# A linear draw's bias as the last 8 bytes of its row (see _linear_row).
 _pack_float = struct.Struct("=d").pack
 _ZERO_BIAS = _pack_float(0.0)
-_KNOWN_ROWS = 1024
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe): (initial, multiplier) of
-# the pool and output hashes, the mix multipliers and the pool size.
-_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
-_MIX_MULT_L, _MIX_MULT_R, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 4
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -144,15 +136,6 @@ class SyntheticTask:
         np.multiply(self.test_x.T, signs, out=columns[:-1])
         columns[-1] = signs
         return columns, float(np.abs(columns).sum(axis=0).max(initial=0.0))
-
-    @cached_property
-    def _row_errors(self) -> dict[bytes, float]:
-        """Held-out errors of the linear rows random search has scored, by row bytes.
-
-        A row's error depends on its bytes and the held-out set alone, so a
-        finite hypothesis class is scored once per task (see _sampler_errors).
-        """
-        return {}
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -366,8 +349,8 @@ class LearnerConfig:
         if self.model not in MODEL_KINDS:
             raise DomainError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         check_count(self.hidden_width, "hidden width", 1)
-        if not self.step_size > 0.0:
-            raise DomainError(f"step size must be positive, got {self.step_size}")
+        if not 0.0 < self.step_size < math.inf:
+            raise DomainError(f"step size must be positive and finite, got {self.step_size}")
         check_count(self.batch_size, "batch size", 1)
         check_count(self.evaluation_cadence, "evaluation cadence", 1)
 
@@ -785,22 +768,18 @@ def _sampler_errors(
     """A _search_lockstep scorer for the draws of any hypothesis sampler.
 
     Each active trial calls the sampler k times on its own generator.  A
-    linear draw (see _linear_row) is scored by its row bytes: rows the task
-    has scored before take their remembered error, and the step's other
+    linear draw (see _linear_row) is scored by its row bytes: the step's
     distinct rows are scored by one _linear_wrong call, so a finite class
-    costs one GEMM row per member.  A TaskLabeler row that falls to
+    costs one GEMM row per member per step.  A TaskLabeler row that falls to
     _linear_wrong's exact path gets LinearThresholdModel's _decide with bias
     0.0, which adds 0.0 to the same matrix-vector product and so keeps every
     sign.  Any other draw is scored alone by evaluate_error.
     """
     test_x, test_y = task.test_x, task.test_y
     count, dimension = test_x.shape
-    known = task._row_errors
 
     def errors(active: list[int], k: int) -> list[list[float]]:
-        if len(known) > _KNOWN_ROWS:
-            known.clear()
-        # each draw's error, or for a row not yet scored its bytes
+        # each draw's error, or for a linear row its bytes
         found, fresh = [], {}
         for slot in active:
             rng = rngs[slot]
@@ -809,15 +788,13 @@ def _sampler_errors(
                 row = _linear_row(hypothesis, dimension)
                 if row is None:
                     found.append(evaluate_error(hypothesis, test_x, test_y))
-                elif row in known:
-                    found.append(known[row])
                 else:
                     found.append(fresh.setdefault(row, row))
         if fresh:
             hypotheses = np.frombuffer(b"".join(fresh), dtype=np.float64)
             wrong = _linear_wrong(task, hypotheses.reshape(len(fresh), dimension + 1))
-            known.update(zip(fresh, (wrong / count).tolist()))
-            found = [known[row] if type(row) is bytes else row for row in found]
+            scored = dict(zip(fresh, (wrong / count).tolist()))
+            found = [scored[row] if type(row) is bytes else row for row in found]
         return [found[start:start + k] for start in range(0, len(found), k)]
 
     return errors
@@ -885,74 +862,42 @@ def random_search_learner(
 # trial batches and learning-probability curves
 # ---------------------------------------------------------------------------
 
-def _hasher(const: int, multiplier: int):
-    """seed_seq_fe's hash of uint32 arrays; each call steps its running constant."""
+def _trial_seeds(base_seed: int, indices) -> list[int]:
+    """The seed of each trial index i: (K + i) mod 2**64, a Python int.
 
-    def hash_(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * multiplier & 0xFFFFFFFF
-        value *= np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    return hash_
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return x ^ x >> np.uint32(16)
-
-
-def _seed_pairs(base_seed: int, indices) -> np.ndarray:
-    """(T, 2) uint32: row t is SeedSequence((base_seed, indices[t])).generate_state(2).
-
-    SeedSequence hashes each int's little-endian 32-bit words (one at least)
-    with constants that never depend on the data, so every step is one
-    elementwise op over all rows.  An index in [0, 2**32) has no high word:
-    inside the pool of 4 it hashes as 0, past it it is skipped.
+    K is the first 64-bit word of SeedSequence(base_seed), one hash per
+    block, so adjacent base seeds give unrelated trial seeds.  A trial's
+    seed keys everything it draws, and is its record seed.
     """
     check_seed(base_seed, "base seed")
-    seed, index = int(base_seed), np.asarray(indices, dtype=np.uint64).reshape(-1)
-    high = (index >> np.uint64(32)).astype(np.uint32)
-    entropy = [
-        np.full(len(index), seed >> shift & 0xFFFFFFFF, np.uint32)
-        for shift in range(0, max(1, seed.bit_length()), 32)
-    ] + [index.astype(np.uint32), high]
-    hashmix = _hasher(*_HASH_A)
-    padded = entropy + [np.zeros_like(high)] * _POOL_SIZE
-    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
-    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        present = high != 0 if word is high else True
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(present, _mix(pool[dst], hashmix(word)), pool[dst])
-    output = _hasher(*_HASH_B)
-    return np.stack([output(pool[0]), output(pool[1])], axis=1)
+    key = np.random.SeedSequence(int(base_seed)).generate_state(1, np.uint64)
+    # array addition wraps mod 2**64 without the warning a scalar add gives
+    return (key + np.asarray(indices, dtype=np.uint64)).tolist()
 
 
 def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed, indices):
     """The gradient trials of the given indices, in lockstep: (trials, final models).
 
-    Trial i streams from the first word of its (base_seed, i) seed pair and
-    draws its initial model from the second, which is also its record seed.
-    Linear models start at zero and draw nothing, so they get no generator.
+    Trial i's seed keys its label stream, the one noisy_sample(task, eta,
+    seed, n) gives, and seeds its initial model as train_until(..., seed=seed)
+    does; linear models start at zero and draw nothing, so they get no
+    generator.
     """
-    pairs = _seed_pairs(base_seed, indices)
-    model_seeds = pairs[:, 1].tolist()
+    seeds = _trial_seeds(base_seed, indices)
     if config.model == "linear-threshold":
-        shape = (len(pairs), task.dimension)
+        shape = (len(seeds), task.dimension)
         models = LinearThresholdModel(weights=np.zeros(shape), bias=np.zeros(shape[0]))
     else:
-        rngs = map(np.random.default_rng, model_seeds)
+        rngs = map(np.random.default_rng, seeds)
         models = _stack([config.build_model(task.dimension, rng) for rng in rngs])
     bitgen = np.random.Philox(0)
 
     def draw(active: np.ndarray, start: int, count: int):
-        return _noisy_rows(task, eta, pairs[active, 0].tolist(), start, count, bitgen)
+        keys = [seeds[slot] for slot in active.tolist()]
+        return _noisy_rows(task, eta, keys, start, count, bitgen)
 
     return _train_lockstep(
-        task, draw, models, model_seeds, epsilon_target, config, sample_budget
+        task, draw, models, seeds, epsilon_target, config, sample_budget
     )
 
 
@@ -965,13 +910,13 @@ def _split(indices: range, parts: int) -> list[range]:
 def _run_block(job) -> list[LearningTrial]:
     """The trials of one job's indices, in index order.
 
-    Random-search trial i draws its hypotheses from the first word of its
-    (base_seed, i) seed pair, which is also its record seed.
+    Random-search trial i is random_search_learner on its seed with the
+    task's halfspace sampler.
     """
     task, eta, epsilon_target, config, budget, base_seed, learner, indices = job
     if learner == "random-search":
         sampler = random_halfspace_sampler(task.dimension)
-        seeds = _seed_pairs(base_seed, indices)[:, 0].tolist()
+        seeds = _trial_seeds(base_seed, indices)
         return random_search_trials(task, epsilon_target, sampler, budget, seeds)
     group = max(1, _GROUP_FLOATS // (config.batch_size * task.dimension))
     return [
@@ -994,10 +939,13 @@ def run_trials(
 ) -> list[LearningTrial]:
     """Independent trials with per-index seeds; order is by trial index.
 
-    Each trial derives its generators from (base_seed, index) alone, so the
-    result list is identical no matter how many workers ran it; each worker
-    runs one contiguous block of indices.  Every argument is checked before
-    any trial runs, eta included even when no sample is drawn.
+    Each trial draws everything from one seed, a function of (base_seed,
+    index) alone (see _trial_seeds), so the result list is identical no
+    matter how many workers ran it; each worker runs one contiguous block of
+    indices.  A record replays from its own seed: noisy_sample and
+    train_until for gradient trials, random_search_learner for random
+    search.  Every argument is checked before any trial runs, eta included
+    even when no sample is drawn.
     """
     if learner not in LEARNER_KINDS:
         raise DomainError(f"learner must be gradient or random-search, got {learner!r}")

@@ -46,13 +46,15 @@ def _check_delta(delta: float) -> None:
 
 
 def _check_log_count(log_hypothesis_count: float) -> None:
-    if not log_hypothesis_count > 0.0:
+    if not 0.0 < log_hypothesis_count < math.inf:
         raise DomainError(
-            f"log hypothesis count must be positive, got {log_hypothesis_count}"
+            f"log hypothesis count must be positive and finite, got {log_hypothesis_count}"
         )
 
 
 def _ceil_snapped(value: float) -> int:
+    if not math.isfinite(value):
+        raise DomainError(f"sample bound {value} is not a finite number")
     nearest = round(value)
     if abs(value - nearest) <= _CEIL_SNAP * max(1.0, abs(value)):
         return int(nearest)
@@ -66,7 +68,9 @@ def _noiseless_raw(epsilon: float, delta: float, log_hypothesis_count: float) ->
 def _noisy_raw(
     epsilon: float, delta: float, log_hypothesis_count: float, eta: float
 ) -> float:
-    slowdown = 2.0 / (epsilon**2 * (1.0 - 2.0 * eta) ** 2)
+    scale = epsilon**2 * (1.0 - 2.0 * eta) ** 2
+    # a scale that underflows to 0.0 means an unbounded sample count
+    slowdown = 2.0 / scale if scale > 0.0 else math.inf
     return slowdown * (math.log(2.0) + log_hypothesis_count - math.log(delta))
 
 

@@ -60,6 +60,21 @@ class TestBounds:
         assert run_cli("bounds", "--epsilon", "0.1", "--delta", "0.05") == 2
         assert "log-h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--log-h", "inf"), "log hypothesis count must be positive and finite"),
+            (("--log-h", "1e308"), "not a finite number"),
+            (("--epsilon", "1e-320"), "not a finite number"),
+        ],
+    )
+    def test_non_finite_bound_exits_2(self, capsys, flags, message):
+        # these once died with an OverflowError traceback
+        argv = {"--epsilon": "0.03", "--delta": "0.2", "--log-h": "10", **dict([flags])}
+        assert run_cli("bounds", *(part for item in argv.items() for part in item)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestThresholds:
     def test_reports_the_three_rates(self, capsys):
@@ -229,6 +244,15 @@ class TestLearnCommand:
             assert (tmp_path / "w1" / name).read_bytes() == (
                 tmp_path / "w2" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_step_size_exits_2(self, capsys, tmp_path, value):
+        # an infinite step once trained NaN weights and exited 0 with p_hat = 0
+        out = tmp_path / "out"
+        assert run_cli("learn", "--step-size", value, "--trials", "30", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "step size must be positive and finite" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_too_few_trials_exits_2(self, capsys):
         assert run_cli("learn", "--trials", "10") == 2

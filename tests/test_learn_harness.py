@@ -342,6 +342,8 @@ class TestModels:
             dict(model="svm"),
             dict(hidden_width=0),
             dict(step_size=0.0),
+            dict(step_size=math.inf),
+            dict(step_size=math.nan),
             dict(batch_size=0),
             dict(evaluation_cadence=0),
             dict(hidden_width=2.0),
@@ -883,57 +885,73 @@ class TestRunTrials:
             )
 
 
-_NARROW_INDEX = st.integers(0, 2**32 - 1)
-_WIDE_INDEX = st.integers(2**32, 2**64 - 1)
-_EDGE_INDEX = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1])
+def _trial_seed(base_seed, index):
+    """Trial index's seed, from SeedSequence and Python ints alone."""
+    key = np.random.SeedSequence(int(base_seed)).generate_state(1, np.uint64)[0]
+    return (int(key) + index) % 2**64
 
 
-def _assert_seed_pairs(base_seed, indices):
-    pairs = learn_harness._seed_pairs(base_seed, indices)
-    assert pairs.shape == (len(indices), 2)
-    assert pairs.dtype == np.uint32
-    for row, index in zip(pairs, indices):
-        expected = np.random.SeedSequence((base_seed, index)).generate_state(2)
-        assert row.dtype == expected.dtype
-        assert row.tolist() == expected.tolist(), (base_seed, index)
-    as_array = learn_harness._seed_pairs(base_seed, np.array(indices, dtype=np.uint64))
-    assert as_array.tobytes() == pairs.tobytes()
+class TestTrialSeeds:
+    """One 64-bit seed per trial, and every record replays from it."""
 
-
-class TestSeedPairs:
-    """The bulk seed hash against numpy's SeedSequence, one index at a time."""
-
-    @given(
-        base_seed=st.integers(0, 2**160 - 1),
-        indices=st.lists(st.one_of(_NARROW_INDEX, _WIDE_INDEX, _EDGE_INDEX), max_size=40),
+    @pytest.mark.parametrize(
+        "base_seed",
+        [0, 7, 2**64 - 1, 2**160 - 1, np.uint32(9), np.int64(2**40), np.uint64(2**64 - 1)],
+        ids=repr,
     )
-    @example(base_seed=0, indices=[])
-    @example(base_seed=7, indices=[2**32 + 5, 3, 2**64 - 1, 0, 2**32 - 1, 149, 75])
-    @example(base_seed=2**160 - 1, indices=[2**32, 1])
-    @settings(max_examples=200, deadline=None)
-    def test_unordered_mixed_width_indices(self, base_seed, indices):
-        _assert_seed_pairs(base_seed, indices)
+    def test_seed_is_the_block_key_plus_the_index(self, base_seed):
+        # the index 2**64 - key is the first whose seed wraps past 2**64
+        wrap = 2**64 - _trial_seed(base_seed, 0)
+        indices = [0, 1, 149, wrap - 1, wrap, wrap + 5, 3]
+        seeds = learn_harness._trial_seeds(base_seed, indices)
+        assert seeds == [_trial_seed(base_seed, index) for index in indices]
+        assert seeds[3:6] == [2**64 - 1, 0, 5]
+        assert all(type(seed) is int for seed in seeds)
+        assert learn_harness._trial_seeds(base_seed, np.array(indices, dtype=np.uint64)) == seeds
+        assert learn_harness._trial_seeds(base_seed, range(0)) == []
 
     @given(
         base_seed=st.integers(0, 2**160 - 1),
         start=st.one_of(st.integers(0, 300), st.integers(2**32 - 40, 2**32 + 40)),
-        length=st.integers(0, 80),
+        length=st.integers(0, 300),
+        parts=st.integers(1, 4),
     )
-    @example(base_seed=5, start=75, length=75)  # the second half of a two-worker split
-    @settings(max_examples=100, deadline=None)
-    def test_contiguous_blocks(self, base_seed, start, length):
-        _assert_seed_pairs(base_seed, range(start, start + length))
+    @example(base_seed=5, start=0, length=150, parts=2)  # a two-worker split
+    @settings(max_examples=50, deadline=None)
+    def test_a_range_has_the_seeds_of_its_parts(self, base_seed, start, length, parts):
+        indices = range(start, start + length)
+        seeds = learn_harness._trial_seeds(base_seed, indices)
+        assert seeds == [_trial_seed(base_seed, index) for index in indices]
+        split = learn_harness._split(indices, parts)
+        assert [s for part in split for s in learn_harness._trial_seeds(base_seed, part)] == seeds
 
-    @pytest.mark.parametrize(
-        "base_seed", [np.uint32(9), np.int64(2**40), np.uint64(2**64 - 1)], ids=repr
-    )
-    def test_numpy_int_base_seeds(self, base_seed):
-        _assert_seed_pairs(base_seed, [0, 1, 2**32 + 3])
+    def test_adjacent_base_seeds_share_no_trial_seed(self):
+        blocks = [set(learn_harness._trial_seeds(base_seed, range(150))) for base_seed in range(4)]
+        assert sum(map(len, blocks)) == len(set().union(*blocks)) == 600
 
     @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
     def test_rejects_bad_base_seeds(self, seed):
         with pytest.raises(DomainError, match="base seed"):
-            learn_harness._seed_pairs(seed, [0])
+            learn_harness._trial_seeds(seed, [0])
+
+    @pytest.mark.parametrize("model", ["linear-threshold", "one-hidden-layer"])
+    @pytest.mark.parametrize("eta", [0.05, 0.4])
+    def test_gradient_records_replay_from_their_seeds(self, task, model, eta):
+        config, budget = LearnerConfig(model=model), 300
+        trials = run_trials(task, eta, 0.03, config, budget, 40, base_seed=3, workers=2)
+        if eta == 0.4:
+            assert {trial.halted for trial in trials} == {True, False}
+        for trial in trials:
+            xs, ys = noisy_sample(task, eta, trial.seed, budget)
+            replayed, _ = train_until(task, xs, ys, 0.03, config, budget, seed=trial.seed)
+            assert replayed == trial
+
+    def test_search_records_replay_from_their_seeds(self, task):
+        trials = _run_search(task, 0.005, 100, 3, 40)
+        assert {trial.halted for trial in trials} == {True, False}
+        sampler = random_halfspace_sampler(task.dimension)
+        for trial in trials:
+            assert random_search_learner(task, 0.005, sampler, 100, seed=trial.seed) == trial
 
 
 def trials_digest(trials) -> str:
@@ -989,21 +1007,22 @@ _PINNED_BATCHES = {
 }
 
 # trials_digest of each pinned batch, taken from the per-trial loop (gradient,
-# on the Philox row streams) and the per-draw loop (random search).
+# on the Philox row streams) and the per-draw loop (random search), trial i on
+# its one seed _trial_seed(base seed, i).
 _RECORD_DIGESTS = {
-    "sweep eta_a=0.01": "05197b90570a5f8325127283b55b243496e216d46f686c10ba7dca96def05edd",
-    "sweep eta_e(0.01)": "c99880065a3da7a6592e21d6edba423e2901a1d373c70be2b1d9bd4985f960f7",
-    "sweep eta_a=0.11": "36ca8f742d597e2c367053c2d8c044ea9d999682863cd716c323712dd49d7124",
-    "sweep eta_e(0.11)": "3a5e33c1d5e0997134935ab6eca67d5b0a90612c3fbcad8084a0857361f1e10c",
-    "histogram eta_a=0.03": "82f19abfb1efcd264b33a08121719e2e6e90bb713fa7095c8aac9484436f1324",
-    "histogram eta_e(0.03)": "6072d3291aeca556187a80fd52a9148d6c47d1a93f4ed001d08b3289dd2f366a",
-    "curve hidden eta=0.05": "480253bf5d21489a1b79b8d55ea9afacc15274f3d1769586bc47eee845f94331",
-    "histogram eta=0.4": "d05cc8dfc5c01fc9ca42e7e16def2e91bafbbf6d20c326b5719c686435572c2c",
-    "curve hidden eta=0.4": "4b3161d295b30d87ceb7ad042fab62cc0939b161986e2adfcead1f6d99cb1f78",
-    "search eta=0": "e9ed5ee2c3f4bcc2583dcea53728d3143c217e80792d40a721f50ec24a274e3d",
-    "search learn defaults": "c39bf9d5d54818bd0685780bc28f90ce03340a584f903ae00099728b191102cb",
+    "sweep eta_a=0.01": "ca55cc8a35197dd20115ad8531aca5a06d586fe978ee2dd6161c7cb58a624e1b",
+    "sweep eta_e(0.01)": "255c8394c240059ce1a582235508ba241e2178b6f4278dbfe5c65c6771d5097a",
+    "sweep eta_a=0.11": "897602d0de8072dacd9c1cf39feee7f9f0cd367d8c3b82827767ebe718abd887",
+    "sweep eta_e(0.11)": "8d800068b7a95717fb36ac6d4809eb3c3e2a0d914ee06cfd3eee96a0ac17aad4",
+    "histogram eta_a=0.03": "a4f5565f4486de8f6716e5e86c9b02c879c3058ea9d83f62fad082d8d82fb9e4",
+    "histogram eta_e(0.03)": "42bedd1802228d600811e1270720c5db911f68b6b38f6a950344c2daaf95c442",
+    "curve hidden eta=0.05": "9d9f3cc3e5797e8a911dbcfa6c00c2fe5567238a226b11dd275735a974704c92",
+    "histogram eta=0.4": "6a13456ec1975e2075e26c90a8c09de57dbc68ca45bcb6cb5483c6d0022b4bba",
+    "curve hidden eta=0.4": "a499617d43aa758f17e9d64420248242aa3b085b352ccd48daf6ab2fe2c8cbbe",
+    "search eta=0": "92ba45829b617c170710d70e5b55ec30c111b42d1717a8f99c109c8df10501f2",
+    "search learn defaults": "91fb279de474a0a31344f83d32d8c0aa0606e74f8566c7bbaa7993db23e2c655",
     "search epsilon=0.005 budget=37": (
-        "5ac3398f9a2e3eae3298b8692f024393defd951c395a21113c6e6d405da46135"
+        "36a7b7e1c9d09fe07516b5fb45cd78b36764264f2437ef1de389146718f81c2d"
     ),
 }
 
@@ -1105,11 +1124,9 @@ def _reference_batch(task, eta, epsilon, config, budget, base_seed, n_trials):
     """(trial, model) of each index from the per-trial loop on its own stream."""
     expected = []
     for index in range(n_trials):
-        pair = np.random.SeedSequence((base_seed, index)).generate_state(2)
-        xs, ys = noisy_sample(task, eta, int(pair[0]), budget)
-        expected.append(
-            reference_trial(task, zip(xs, ys), epsilon, config, budget, seed=int(pair[1]))
-        )
+        seed = _trial_seed(base_seed, index)
+        xs, ys = noisy_sample(task, eta, seed, budget)
+        expected.append(reference_trial(task, zip(xs, ys), epsilon, config, budget, seed=seed))
     return expected
 
 
@@ -1186,15 +1203,11 @@ class TestAgainstPerTrialReference:
         _assert_same_model(model, reference)
 
 
-def _search_seed(base_seed, index):
-    return int(np.random.SeedSequence((base_seed, index)).generate_state(2)[0])
-
-
 def _reference_search_batch(task, epsilon, budget, base_seed, n_trials):
     """The record of each index from the per-draw loop on its own generator."""
     sampler = reference_halfspace_sampler(task.dimension)
     return [
-        reference_search(task, epsilon, sampler, budget, seed=_search_seed(base_seed, index))
+        reference_search(task, epsilon, sampler, budget, seed=_trial_seed(base_seed, index))
         for index in range(n_trials)
     ]
 
@@ -1293,7 +1306,7 @@ def _first_block_errors(task, seed):
 class TestSearchEngine:
     def test_zero_budget_reports_error_one(self, task):
         assert _run_search(task, 0.03, 0, 5, 3) == [
-            LearningTrial(_search_seed(5, i), 0, False, 1.0) for i in range(3)
+            LearningTrial(_trial_seed(5, i), 0, False, 1.0) for i in range(3)
         ]
         trial = random_search_learner(task, 0.03, _always_good(task), 0, seed=3)
         assert trial == LearningTrial(3, 0, False, 1.0)
@@ -1313,7 +1326,7 @@ class TestSearchEngine:
         # the first one worse than a later one
         epsilon = 0.3
         for index in range(200):
-            found = _first_block_errors(task, _search_seed(9, index))
+            found = _first_block_errors(task, _trial_seed(9, index))
             hits = [error for error in found if error <= epsilon]
             if len(hits) >= 2 and hits[0] > min(hits):
                 break
@@ -1532,7 +1545,7 @@ class TestSamplerSearchEngine:
         def in_order(rng):
             return next(picks)
 
-        errors = learn_harness._sampler_errors(replace(task), in_order, [None])
+        errors = learn_harness._sampler_errors(task, in_order, [None])
         expected = [float(np.mean(h.predict(task.test_x) != task.test_y)) for h in draws]
         assert errors([0], len(draws)) == [expected]
         assert expected[-1] == 0.0 and len(set(expected)) > 4
@@ -1577,7 +1590,7 @@ class TestSamplerSearchEngine:
         # every row but the concept itself falls back
         assert fallbacks == [len(labelers) - 1]
 
-    def test_a_finite_class_is_scored_once_per_task(self, task, monkeypatch):
+    def test_a_finite_class_costs_one_row_a_member_per_step(self, task, monkeypatch):
         calls = []
         score = learn_harness._linear_wrong
 
@@ -1586,31 +1599,22 @@ class TestSamplerSearchEngine:
             return score(task, hypotheses)
 
         monkeypatch.setattr(learn_harness, "_linear_wrong", counting)
-        fresh = replace(task)
-        random_search_trials(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 100, _seeds(1025))
-        random_search_learner(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 100, seed=1)
-        assert calls == [2]
-
-    def test_remembered_rows_stay_bounded(self, task):
-        fresh = replace(task)
-        sampler = _mutating_sampler(task.dimension)
-        # 300 trials draw up to 30,000 distinct rows, up to 300 * 8 per step
-        random_search_trials(fresh, 0.001, sampler, 100, _seeds(300))
-        step = 300 * learn_harness._SEARCH_BLOCK
-        assert 0 < len(fresh._row_errors) <= learn_harness._KNOWN_ROWS + step
+        random_search_trials(task, 0.03, _bernoulli_sampler(task, 0.2), 100, _seeds(1025))
+        random_search_learner(task, 0.03, _bernoulli_sampler(task, 0.2), 100, seed=1)
+        # the class is {concept, inverted concept}: each step scores both at most
+        assert calls and max(calls) <= 2
 
     @pytest.mark.parametrize(
         "name,value",
         [("_SEARCH_BLOCK", 1), ("_SEARCH_BLOCK", 3), ("_SEARCH_GROUP", 7),
-         ("_KNOWN_ROWS", 0), ("_EVAL_FLOATS", 1)],
+         ("_EVAL_FLOATS", 1)],
     )
     def test_block_sizes_do_not_change_records(self, task, monkeypatch, name, value):
         monkeypatch.setattr(learn_harness, name, value)
-        fresh = replace(task)
         seeds = _seeds(20, seed=6)
-        _assert_search_matches(fresh, 0.03, _bernoulli_sampler(fresh, 0.2), 40, seeds)
-        _assert_search_matches(fresh, 0.3, _mixed_sampler(fresh.dimension), 40, seeds)
-        _assert_search_matches(fresh, 0.3, _picker(_edge_draws(fresh)), 40, seeds)
+        _assert_search_matches(task, 0.03, _bernoulli_sampler(task, 0.2), 40, seeds)
+        _assert_search_matches(task, 0.3, _mixed_sampler(task.dimension), 40, seeds)
+        _assert_search_matches(task, 0.3, _picker(_edge_draws(task)), 40, seeds)
 
 
 class TestEngineIdentity:
@@ -1618,10 +1622,10 @@ class TestEngineIdentity:
 
     @pytest.mark.parametrize("budget", [0, 1, 100])
     @pytest.mark.parametrize("n_trials", [1, 1025])
-    def test_run_trials_is_the_library_search_on_the_first_seed_words(
+    def test_run_trials_is_the_library_search_on_the_trial_seeds(
         self, task, budget, n_trials
     ):
-        seeds = [_search_seed(11, index) for index in range(n_trials)]
+        seeds = [_trial_seed(11, index) for index in range(n_trials)]
         sampler = random_halfspace_sampler(task.dimension)
         expected = random_search_trials(task, 0.03, sampler, budget, seeds)
         _assert_records_match(_run_search(task, 0.03, budget, 11, n_trials), expected)

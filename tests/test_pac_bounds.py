@@ -108,6 +108,26 @@ class TestSampleBounds:
         with pytest.raises(DomainError):
             sample_bound_noisy(0.1, 0.05, 1.0, eta)
 
+    @pytest.mark.parametrize("log_h", [math.inf, math.nan])
+    def test_rejects_non_finite_log_class_size(self, log_h):
+        for bound in (sample_bound_noiseless, lambda *a: sample_bound_noisy(*a, 0.1)):
+            with pytest.raises(DomainError, match="positive and finite"):
+                bound(0.03, 0.2, log_h)
+
+    @pytest.mark.parametrize("eps,log_h", [(0.03, 1e308), (1e-320, 10.0)])
+    def test_a_bound_past_the_float_range_raises(self, eps, log_h):
+        # once an OverflowError from round(inf)
+        for bound in (sample_bound_noiseless, lambda *a: sample_bound_noisy(*a, 0.1)):
+            with pytest.raises(DomainError, match="not a finite number"):
+                bound(eps, 0.2, log_h)
+
+    def test_an_underflowing_noisy_scale_raises(self):
+        # epsilon**2 underflows to 0.0, once a ZeroDivisionError; the
+        # noiseless bound, linear in 1/epsilon, is still a float
+        assert sample_bound_noiseless(1e-200, 0.2, 10.0) > 10**200
+        with pytest.raises(DomainError, match="not a finite number"):
+            sample_bound_noisy(1e-200, 0.2, 10.0, 0.1)
+
 
 class TestConfidenceFloor:
     def test_gamma_spot_values(self):
