@@ -329,7 +329,11 @@ def _cmd_protocol_run(opts: dict) -> int:
 def _cmd_learn(opts: dict) -> int:
     task = _trial_task(opts)
     config = _learner_config(opts)
-    grid = opts["grid"] or [config.evaluation_cadence * k for k in (1, 2, 4, 8, 16)]
+    grid = opts["grid"]
+    if grid is None:
+        grid = [config.evaluation_cadence * k for k in (1, 2, 4, 8, 16)]
+    elif not grid:
+        raise ConfigError("sample grid is empty; give at least one sample count")
     budget = opts["budget"]
     if budget is None:
         budget = default_sample_budget(
@@ -416,17 +420,18 @@ def _paired_point(task, eta_pair, opts, config, point_index):
 def _cmd_sweep_eta(opts: dict) -> int:
     if not opts["eta_grid"]:
         raise ConfigError("eta grid is empty; give at least one value in (0, 1/2)")
+    for eta_a in opts["eta_grid"]:
+        if not 0.0 < eta_a < 0.5:
+            raise ConfigError(
+                f"eta grid values must lie in (0, 1/2); got {eta_a} "
+                "(at 0 the eavesdropper stream is a signal-free coin flip)"
+            )
     kind = opts["attack_kind"]
     threshold = eta_star(kind)
     task = _trial_task(opts)
     config = _learner_config(opts)
     rows = []
     for index, eta_a in enumerate(opts["eta_grid"]):
-        if not 0.0 < eta_a < 0.5:
-            raise ConfigError(
-                f"eta grid values must lie in (0, 1/2); got {eta_a} "
-                "(at 0 the eavesdropper stream is a signal-free coin flip)"
-            )
         eta_e = _eve_noise(kind, eta_a)
         point_a, point_e = _paired_point(task, (eta_a, eta_e), opts, config, index)
         overlap = not (

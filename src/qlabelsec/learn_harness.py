@@ -63,16 +63,16 @@ _MIN_TRIALS = 30
 # linear block is one GEMM whose result is this size, 32 hypotheses against
 # a 2000-point held-out set.
 _EVAL_FLOATS = 65_536
-# Largest input draw of a lockstep step, in float64s: trials times rows times
-# dimension.  Trials whose one batch would exceed it train as several groups,
-# so memory stays bounded whatever the trial count.
+# Largest draw of a lockstep step, in float64s: trials times rows times
+# dimension for gradient trials, trials times _SEARCH_BLOCK hypotheses times
+# (dimension + 1) for random search.  Trials whose one batch or block would
+# exceed it run as several groups, so memory stays bounded whatever the trial
+# count.
 _GROUP_FLOATS = 131_072
 # Scale of a 53-bit integer to a double in [0, 1); also the unit roundoff u.
 _UNIT = 2.0**-53
-# Hypotheses each random-search trial draws and scores per lockstep step, and
-# trials per random-search lockstep group (each holds a generator of its own).
+# Hypotheses each random-search trial draws and scores per lockstep step.
 _SEARCH_BLOCK = 8
-_SEARCH_GROUP = 1024
 # A linear draw's bias as the last 8 bytes of its row (see _linear_row).
 _pack_float = struct.Struct("=d").pack
 _ZERO_BIAS = _pack_float(0.0)
@@ -252,10 +252,6 @@ class LinearThresholdModel:
     weights: np.ndarray
     bias: float | np.ndarray
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + 1
-
     def predict(self, xs: np.ndarray) -> np.ndarray:
         return self._decide(xs).astype(np.int64)
 
@@ -285,10 +281,6 @@ class OneHiddenLayerModel:
     w2: np.ndarray  # (width,)
     b2: float | np.ndarray
 
-    @property
-    def param_count(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + 1
-
     def _hidden(self, xs: np.ndarray) -> np.ndarray:
         hidden = np.matmul(xs, self.w1)
         hidden += self.b1[..., None, :]
@@ -310,14 +302,6 @@ class OneHiddenLayerModel:
         self.b1 -= step_size * back.sum(axis=-2)
         self.w2 -= step_size * grad_w2
         self.b2 -= step_size * grad_b2
-
-
-def _stack(models):
-    """Models of one family as one model with a leading trial axis."""
-    first = models[0]
-    return replace(
-        first, **{name: np.stack([getattr(m, name) for m in models]) for name in vars(first)}
-    )
 
 
 def _take(models, index):
@@ -354,23 +338,33 @@ class LearnerConfig:
         check_count(self.batch_size, "batch size", 1)
         check_count(self.evaluation_cadence, "evaluation cadence", 1)
 
-    def build_model(self, dimension: int, rng: np.random.Generator | None):
-        """A fresh model; only the hidden layer draws from rng."""
+    def initial_models(self, dimension: int, seeds: Sequence[int]):
+        """Fresh models for the given seeds, one model with a leading trial axis.
+
+        A linear trial starts at zero and draws nothing.  Hidden-layer trial
+        i draws w1 and then w2 from default_rng(seeds[i]); its biases start
+        at zero.
+        """
+        count = len(seeds)
         if self.model == "linear-threshold":
-            return LinearThresholdModel(weights=np.zeros(dimension), bias=0.0)
+            return LinearThresholdModel(
+                weights=np.zeros((count, dimension)), bias=np.zeros(count)
+            )
         width = self.hidden_width
+        w1, w2 = np.empty((count, dimension, width)), np.empty((count, width))
+        for seed, first, second in zip(seeds, w1, w2):
+            rng = np.random.default_rng(seed)
+            first[:] = rng.normal(0.0, 1.0 / math.sqrt(dimension), size=(dimension, width))
+            second[:] = rng.normal(0.0, 0.5, size=width)
         return OneHiddenLayerModel(
-            w1=rng.normal(0.0, 1.0 / math.sqrt(dimension), size=(dimension, width)),
-            b1=np.zeros(width),
-            w2=rng.normal(0.0, 0.5, size=width),
-            b2=0.0,
+            w1=w1, b1=np.zeros((count, width)), w2=w2, b2=np.zeros(count)
         )
 
 
 def log_hypothesis_count(config: LearnerConfig, dimension: int) -> float:
     """ln of the effective class size: 32 levels per trainable parameter."""
-    model = config.build_model(dimension, np.random.default_rng(0))
-    return model.param_count * math.log(_DISCRETIZATION_LEVELS)
+    model = config.initial_models(dimension, [0])
+    return sum(value.size for value in vars(model).values()) * math.log(_DISCRETIZATION_LEVELS)
 
 
 def default_sample_budget(
@@ -634,7 +628,7 @@ def train_until(
             return None
         return xs[None, start:start + count], ys[None, start:start + count]
 
-    models = _stack([config.build_model(task.dimension, np.random.default_rng(seed))])
+    models = config.initial_models(task.dimension, [seed])
     trials, final = _train_lockstep(
         task, draw, models, [seed], epsilon_target, config, sample_budget
     )
@@ -664,30 +658,20 @@ def random_halfspace_sampler(dimension: int) -> Callable[[np.random.Generator], 
 
 
 def _halfspace_errors(task: SyntheticTask, rngs: Sequence[np.random.Generator]):
-    """A _search_lockstep scorer for random_halfspace_sampler draws, in blocks.
+    """A _search_lockstep scorer for random_halfspace_sampler draws.
 
     One standard_normal((k, d + 1)) call gives the numbers of k sequential
-    sampler calls, each row the d weights then the bias.  The draws of a few
-    trials at a time, about _EVAL_FLOATS / n hypotheses, are scored by one
-    _linear_wrong call, which certifies each verdict against the one
-    hypothesis's predict; scores >= -bias there equals scores + bias >= 0,
-    since normal draws are finite.
+    sampler calls, each row the d weights then the bias.  A step's draws, of
+    every active trial, are scored by one _linear_wrong call, which blocks
+    its GEMM and certifies each verdict against the one hypothesis's predict;
+    scores >= -bias there equals scores + bias >= 0, since normal draws are
+    finite.
     """
     count, dimension = task.test_x.shape
 
     def errors(active: list[int], k: int) -> list[list[float]]:
-        if count == 0:
-            raise DomainError("cannot evaluate on an empty test set")
-        out = np.empty((len(active), k))
-        chunk = max(1, _EVAL_FLOATS // (count * k))
-        for start in range(0, len(active), chunk):
-            slots = active[start:start + chunk]
-            draws = np.concatenate(
-                [rngs[slot].standard_normal((k, dimension + 1)) for slot in slots]
-            )
-            wrong = _linear_wrong(task, draws)
-            out[start:start + len(slots)] = wrong.reshape(len(slots), k) / count
-        return out.tolist()
+        draws = np.concatenate([rngs[slot].standard_normal((k, dimension + 1)) for slot in active])
+        return (_linear_wrong(task, draws).reshape(len(active), k) / count).tolist()
 
     return errors
 
@@ -810,9 +794,10 @@ def random_search_trials(
     """random_search_learner for each seed, in lockstep; records in seed order.
 
     The records equal [random_search_learner(..., seed=s) for s in seeds].
-    Each trial draws from its own default_rng(seed); groups of up to
-    _SEARCH_GROUP trials step together, each step drawing a block of up to
-    _SEARCH_BLOCK hypotheses per trial (see _search_lockstep).  The draws of
+    Each trial draws from its own default_rng(seed); groups of trials step
+    together, each step drawing a block of up to _SEARCH_BLOCK hypotheses per
+    trial (see _search_lockstep), and a group holds as many trials as keep a
+    step's (d + 1)-float draws within _GROUP_FLOATS.  The draws of
     random_halfspace_sampler(task.dimension) are scored in blocks by
     _halfspace_errors, those of any other sampler by _sampler_errors.  A
     trial that halts inside a block has made up to _SEARCH_BLOCK - 1 further
@@ -827,9 +812,10 @@ def random_search_trials(
         type(hypothesis_sampler) is _HalfspaceSampler
         and hypothesis_sampler.dimension == task.dimension
     )
+    size = max(1, _GROUP_FLOATS // (_SEARCH_BLOCK * (task.dimension + 1)))
     trials = []
-    for start in range(0, len(seeds), _SEARCH_GROUP):
-        group = seeds[start:start + _SEARCH_GROUP]
+    for start in range(0, len(seeds), size):
+        group = seeds[start:start + size]
         rngs = [np.random.default_rng(seed) for seed in group]
         if blocked:
             errors = _halfspace_errors(task, rngs)
@@ -879,17 +865,10 @@ def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed,
     """The gradient trials of the given indices, in lockstep: (trials, final models).
 
     Trial i's seed keys its label stream, the one noisy_sample(task, eta,
-    seed, n) gives, and seeds its initial model as train_until(..., seed=seed)
-    does; linear models start at zero and draw nothing, so they get no
-    generator.
+    seed, n) gives, and its initial model, as in train_until(..., seed=seed).
     """
     seeds = _trial_seeds(base_seed, indices)
-    if config.model == "linear-threshold":
-        shape = (len(seeds), task.dimension)
-        models = LinearThresholdModel(weights=np.zeros(shape), bias=np.zeros(shape[0]))
-    else:
-        rngs = map(np.random.default_rng, seeds)
-        models = _stack([config.build_model(task.dimension, rng) for rng in rngs])
+    models = config.initial_models(task.dimension, seeds)
     bitgen = np.random.Philox(0)
 
     def draw(active: np.ndarray, start: int, count: int):

@@ -83,7 +83,12 @@ class ResultBundle:
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {self.out_dir}: {exc.strerror}"
+            ) from None
 
     def _register(self, name: str) -> Path:
         if name not in self.files:

@@ -704,7 +704,8 @@ class ReferenceHiddenModel:
 
 
 def reference_model(config, dimension: int, rng: np.random.Generator):
-    """The initial model of a trial, drawn as ``LearnerConfig.build_model`` does."""
+    """The initial model of one trial, drawn as ``LearnerConfig.initial_models``
+    draws each trial of its stack."""
     if config.model == "linear-threshold":
         return ReferenceLinearModel(weights=np.zeros(dimension), bias=0.0)
     width = config.hidden_width

@@ -206,6 +206,10 @@ class TestProtocolRun:
         capsys.readouterr()
 
 
+def _no_trials(*args, **kwargs):
+    raise AssertionError("no trial may run")
+
+
 class TestLearnCommand:
     def test_curve_is_nondecreasing_and_files_written(self, tmp_path, capsys):
         assert run_cli(
@@ -264,6 +268,18 @@ class TestLearnCommand:
         ) == 2
         assert "unlearnable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_grid_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
+        if source == "flag":
+            argv = ("--grid", "")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"grid": []}))
+            argv = ("--config", str(config))
+        assert run_cli("learn", "--trials", "30", *argv) == 2
+        assert "sample grid is empty" in capsys.readouterr().err
+
 
 class TestSweepEta:
     def test_single_point_sweep(self, tmp_path, capsys):
@@ -291,6 +307,11 @@ class TestSweepEta:
     def test_zero_disturbance_grid_point_exits_2(self, capsys, grid, message):
         assert run_cli("sweep-eta", "--eta-grid", grid, "--trials", "30") == 2
         assert message in capsys.readouterr().err
+
+    def test_a_late_bad_grid_point_exits_2_before_any_trial(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
+        assert run_cli("sweep-eta", "--eta-grid", "0.01,0.7", "--trials", "30") == 2
+        assert "eta grid values must lie in (0, 1/2); got 0.7" in capsys.readouterr().err
 
 
 class TestHistograms:
@@ -332,6 +353,19 @@ class TestConfigLayering:
         summary = read_summary(tmp_path / "out", "learn")
         assert summary["config"]["eta"] == 0.05
         assert summary["config"]["trials"] == 30
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("thresholds",), ("learn", "--trials", "30", "--budget", "25", "--grid", "25")],
+        ids=["no-trials", "trials"],
+    )
+    def test_uncreatable_outdir_exits_2(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(*argv, "--out", str(blocker / "sub")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert blocker.read_text() == ""
 
     def test_env_supplies_default_outdir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QLABELSEC_OUTDIR", str(tmp_path / "envout"))

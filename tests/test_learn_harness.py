@@ -40,6 +40,7 @@ from _oracles import (
     ReferenceLinearModel,
     gaussian_tail_hp,
     reference_halfspace_sampler,
+    reference_model,
     reference_overlap_probe,
     reference_search,
     reference_task,
@@ -303,16 +304,6 @@ class TestEvaluateError:
 
 
 class TestModels:
-    def test_linear_param_count(self):
-        model = LinearThresholdModel(weights=np.zeros(8), bias=0.0)
-        assert model.param_count == 9
-
-    def test_hidden_param_count(self):
-        cfg = LearnerConfig(model="one-hidden-layer", hidden_width=8)
-        model = cfg.build_model(8, np.random.default_rng(0))
-        assert isinstance(model, OneHiddenLayerModel)
-        assert model.param_count == 8 * 8 + 8 + 8 + 1
-
     def test_threshold_is_at_zero(self):
         model = LinearThresholdModel(weights=np.array([1.0]), bias=0.0)
         np.testing.assert_array_equal(
@@ -361,6 +352,30 @@ class TestModels:
             hidden_width=np.int64(4), batch_size=np.int32(5), evaluation_cadence=np.int64(25)
         )
         assert config == LearnerConfig(hidden_width=4, batch_size=5, evaluation_cadence=25)
+
+
+class TestInitialModels:
+    @pytest.mark.parametrize("dimension", [2, 8, 64])
+    @pytest.mark.parametrize(
+        "config",
+        [LearnerConfig(), LearnerConfig(model="one-hidden-layer"),
+         LearnerConfig(model="one-hidden-layer", hidden_width=1)],
+        ids=["linear", "hidden", "hidden width 1"],
+    )
+    def test_stack_is_the_reference_models_of_the_seeds(self, config, dimension):
+        seeds = [0, 1, 7, 2**63 + 5, 2**64 - 1]
+        models = config.initial_models(dimension, seeds)
+        kind = LinearThresholdModel if config.model == "linear-threshold" else OneHiddenLayerModel
+        assert type(models) is kind
+        references = [
+            reference_model(config, dimension, np.random.default_rng(seed)) for seed in seeds
+        ]
+        assert set(vars(models)) == set(vars(references[0]))
+        for name, value in vars(models).items():
+            expected = np.stack([np.asarray(getattr(r, name)) for r in references])
+            assert value.dtype == expected.dtype, name
+            assert value.shape == expected.shape, name
+            assert value.tobytes() == expected.tobytes(), name
 
 
 class TestStreams:
@@ -1282,6 +1297,18 @@ class TestAgainstPerDrawReference:
         _assert_python_record(trial)
 
 
+def _linear_wrong_sizes(monkeypatch):
+    """The hypothesis count of each _linear_wrong call made from now on."""
+    calls, score = [], learn_harness._linear_wrong
+
+    def counting(task, hypotheses):
+        calls.append(len(hypotheses))
+        return score(task, hypotheses)
+
+    monkeypatch.setattr(learn_harness, "_linear_wrong", counting)
+    return calls
+
+
 def _scripted(*sequences):
     """A search scorer that hands out each trial's given errors, block by block."""
     streams = [iter(sequence) for sequence in sequences]
@@ -1373,7 +1400,7 @@ class TestSearchEngine:
     @pytest.mark.parametrize(
         "name,value",
         [("_SEARCH_BLOCK", 1), ("_SEARCH_BLOCK", 3), ("_SEARCH_BLOCK", 16),
-         ("_SEARCH_GROUP", 7), ("_EVAL_FLOATS", 1), ("_EVAL_FLOATS", 10**6)],
+         ("_GROUP_FLOATS", 7 * 72), ("_EVAL_FLOATS", 1), ("_EVAL_FLOATS", 10**6)],
     )
     def test_block_sizes_do_not_change_records(self, task, monkeypatch, name, value):
         # linear gradient batches are scored in _EVAL_FLOATS blocks too
@@ -1425,6 +1452,18 @@ class TestSearchEngine:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_a_step_scores_each_group_with_one_bounded_call(self, monkeypatch):
+        # at d = 64 a group holds _GROUP_FLOATS // (8 * 65) = 252 trials, so
+        # 600 trials step as groups of 252, 252 and 96
+        task = generate_task(64, 6.0, 5)
+        calls = _linear_wrong_sizes(monkeypatch)
+        trials = random_search_trials(
+            task, 1e-6, random_halfspace_sampler(64), 16, _seeds(600, seed=2)
+        )
+        assert not any(trial.halted for trial in trials)
+        assert calls == [252 * 8] * 4 + [96 * 8] * 2
+        assert max(calls) <= learn_harness._GROUP_FLOATS // 65
+
 
 def _seeds(count, seed=0):
     return np.random.default_rng(seed).integers(0, 2**63, size=count).tolist()
@@ -1446,7 +1485,7 @@ def _mixed_sampler(dimension):
     hidden = LearnerConfig(model="one-hidden-layer", hidden_width=4)
 
     def sample(rng):
-        return linear(rng) if rng.random() < 0.5 else hidden.build_model(dimension, rng)
+        return linear(rng) if rng.random() < 0.5 else reference_model(hidden, dimension, rng)
 
     return sample
 
@@ -1591,14 +1630,7 @@ class TestSamplerSearchEngine:
         assert fallbacks == [len(labelers) - 1]
 
     def test_a_finite_class_costs_one_row_a_member_per_step(self, task, monkeypatch):
-        calls = []
-        score = learn_harness._linear_wrong
-
-        def counting(task, hypotheses):
-            calls.append(len(hypotheses))
-            return score(task, hypotheses)
-
-        monkeypatch.setattr(learn_harness, "_linear_wrong", counting)
+        calls = _linear_wrong_sizes(monkeypatch)
         random_search_trials(task, 0.03, _bernoulli_sampler(task, 0.2), 100, _seeds(1025))
         random_search_learner(task, 0.03, _bernoulli_sampler(task, 0.2), 100, seed=1)
         # the class is {concept, inverted concept}: each step scores both at most
@@ -1606,7 +1638,7 @@ class TestSamplerSearchEngine:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("_SEARCH_BLOCK", 1), ("_SEARCH_BLOCK", 3), ("_SEARCH_GROUP", 7),
+        [("_SEARCH_BLOCK", 1), ("_SEARCH_BLOCK", 3), ("_GROUP_FLOATS", 7 * 72),
          ("_EVAL_FLOATS", 1)],
     )
     def test_block_sizes_do_not_change_records(self, task, monkeypatch, name, value):
