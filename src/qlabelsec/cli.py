@@ -23,7 +23,14 @@ import numpy as np
 
 from . import __version__
 from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
-from .errors import ConfigError, DomainError, ProtocolError, StatisticalCheckError, check_seed
+from .errors import (
+    ConfigError,
+    DomainError,
+    ProtocolError,
+    StatisticalCheckError,
+    check_grid,
+    check_seed,
+)
 from .info_theory import eta_star, eve_noise_from_disturbance, info_curve
 from .learn_harness import (
     LEARNER_KINDS,
@@ -167,6 +174,26 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             value = opt.default
         resolved[opt.key] = opt.resolve(value)
     return resolved
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an output directory that cannot be created, without creating it.
+
+    Commands make their directory after their work, so this runs first: the
+    nearest existing ancestor of out must be a writable directory.
+    """
+    if out is None:
+        return
+    ancestor = Path(out).absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        reason = f"{ancestor} is not a directory"
+    elif not os.access(ancestor, os.W_OK | os.X_OK):
+        reason = f"{ancestor} is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot create output directory {out}: {reason}")
 
 
 def _bundle(opts: dict, command: str) -> ResultBundle | None:
@@ -332,8 +359,7 @@ def _cmd_learn(opts: dict) -> int:
     grid = opts["grid"]
     if grid is None:
         grid = [config.evaluation_cadence * k for k in (1, 2, 4, 8, 16)]
-    elif not grid:
-        raise ConfigError("sample grid is empty; give at least one sample count")
+    grid = check_grid(grid)  # before any trial runs
     budget = opts["budget"]
     if budget is None:
         budget = default_sample_budget(
@@ -764,7 +790,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(_resolve_options(args))
+        opts = _resolve_options(args)
+        _check_out(opts["out"])
+        return args.handler(opts)
     except (DomainError, ConfigError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the seed, count and noise checks."""
+"""Exception types shared across the package, and the seed, count, grid and noise checks."""
 
 import numbers
 
@@ -36,6 +36,20 @@ def check_count(value, name: str, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_grid(values) -> list[int]:
+    """values as a list of ints; raise DomainError unless they are one or more
+    positive integers in strictly increasing order; package-internal."""
+    grid = list(values)
+    if not grid:
+        raise DomainError("sample grid is empty; give at least one sample count")
+    for n in grid:
+        check_count(n, "sample grid point", 1)
+    grid = [int(n) for n in grid]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise DomainError("sample grid must be strictly increasing positive integers")
+    return grid
 
 
 def check_noise(eta: float) -> None:

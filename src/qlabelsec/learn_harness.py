@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_noise, check_seed
+from .errors import DomainError, check_count, check_grid, check_noise, check_seed
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
 from .stats import wilson_interval
@@ -152,19 +152,26 @@ class SyntheticTask:
     def concept_source(self) -> ConceptSource:
         """One input per sampler call: sample_inputs(1, rng)[0], byte for byte.
 
-        A call makes the same two draws (side, then the Gaussian row) and one
-        addition of an offset row.
+        A call makes the same two draws (the word integers(2) takes for the
+        side, then the Gaussian row) and one addition of an offset row.  The
+        row labeler gives each row the bit TaskLabeler.__call__ gives it:
+        matmul of a (1, d) row by the direction is the same 1-D dot product,
+        whereas the GEMV xs @ direction can differ in the last bits.
         """
-        offsets = self._offsets
+        offsets = tuple(self._offsets)  # rows, read without an array index per call
         dimension = self.dimension
+        direction = self.direction
 
         def sampler(rng: np.random.Generator) -> np.ndarray:
-            side = rng.integers(2)
+            side = int(rng.random(None, np.float32) * 2.0)  # integers(2)
             x = rng.standard_normal(dimension)
             x += offsets[side]
             return x
 
-        return ConceptSource(sampler=sampler, labeler=self.labeler)
+        def labeler(xs: np.ndarray) -> np.ndarray:
+            return np.matmul(xs[:, None, :], direction)[:, 0] >= 0.0
+
+        return ConceptSource(sampler=sampler, labeler=labeler)
 
 
 def generate_task(
@@ -983,12 +990,7 @@ def estimate_learning_probability(
         raise DomainError(
             f"need at least {_MIN_TRIALS} trials for interval estimates, got {len(trials)}"
         )
-    grid = list(n_grid)
-    for n in grid:
-        check_count(n, "sample grid point", 1)
-    grid = [int(n) for n in grid]
-    if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise DomainError("sample grid must be strictly increasing positive integers")
+    grid = check_grid(n_grid)
     counts = np.asarray([t.samples_consumed for t in trials])
     halted = np.asarray([t.halted for t in trials])
     points = []

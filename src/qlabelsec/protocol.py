@@ -13,6 +13,7 @@ counts need no reweighting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,19 +60,27 @@ _POST_STATE = np.array(
 # Hard ceiling on rounds per target example; check rounds consume half the
 # budget in expectation, so 20x cannot be hit by chance at any real size.
 _ROUND_CAP_FACTOR = 20
+# A session runs 2 * target +- sqrt(2 * target) rounds, so an input array of
+# 2 * target + _ROW_MARGIN * (sqrt(target) + 1) rows, more than 5 sigma above
+# the mean, is almost never regrown.
+_ROW_MARGIN = 8
 
 
 @dataclass(frozen=True)
 class ConceptSource:
     """Where inputs come from and what their true labels are.
 
-    sampler draws one feature vector given the session generator; labeler is
-    a deterministic map from feature vector to bit.  Both are called once per
-    round, check rounds included (their input is drawn and discarded).
+    sampler draws one feature vector given the session generator, and is
+    called once per round, check rounds included (their input is drawn and
+    discarded).  labeler is a deterministic row labeler: it maps an (m, d)
+    array of a session's round inputs, check rounds included, to an array of
+    m bits, one per row, and is called once per session after the last
+    round.  A bit may have any numeric type but must equal 0 or 1; the row's
+    label must not depend on the other rows.
     """
 
     sampler: Callable[[np.random.Generator], np.ndarray]
-    labeler: Callable[[np.ndarray], int]
+    labeler: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,22 +178,29 @@ def run_session(
     The round type is drawn uniformly over the four preparations, so half of
     all rounds are checks in expectation and the session runs roughly twice
     the target count.  A single generator seeded here drives every draw, and
-    its stream is a contract (the session pins in the tests guard it).  Each
-    round makes these calls, in this order:
+    its stream is a contract (the session pins in the tests guard it): the
+    words each round consumes, in this order.  The preparation and Eve's
+    guess each take the word ``integers(4)`` or ``integers(2)`` takes: one
+    32-bit word, whose top 2 or 1 bits are the value (read here through a
+    float32 ``random()``, which takes the same word, the buffered half-word
+    included).
 
-    1. ``integers(4)``: the preparation;
-    2. ``sampler(rng)``, then ``labeler(x)`` (check rounds too);
+    1. the word ``integers(4)`` takes: the preparation;
+    2. ``sampler(rng)`` (check rounds too);
     3. under an analytic attack, ``random()`` for the channel flip and, on
        data rounds, ``random()`` for Eve's flip;
     4. otherwise: ``random()`` for the attack coin under intercept-resend;
        on attacked rounds, for leg 1 and then leg 2 where configured, the
        policy basis ``random()`` (randomPerLeg only) and the measurement
        ``random()``; the receiver's measurement ``random()``; and on data
-       rounds Eve's guess ``integers(2)``, unless she measured both legs in Z.
+       rounds the word ``integers(2)`` takes for Eve's guess, unless she
+       measured both legs in Z.
 
     The draw pattern depends only on the preparation, the attack coin and
-    Eve's bases, so one loop records the variates and a table pass over the
-    ``qubit`` lookup tables computes every outcome afterwards.
+    Eve's bases, so one loop records the variates and every round's input.
+    After the last round the concept source's labeler labels all the
+    inputs at once, and a table pass over the ``qubit`` lookup tables
+    computes every outcome.
 
     When an abort threshold is set and the final noise estimate exceeds it,
     the result is flagged; with strict_abort the datasets are additionally
@@ -272,9 +288,12 @@ def _draw_rounds(
     attack,
     rng: np.random.Generator,
 ) -> _Draws:
-    """Make the session's generator calls (see ``run_session``) and keep them."""
-    integers, random = rng.integers, rng.random
-    sampler, labeler = concept_source.sampler, concept_source.labeler
+    """Make the session's generator calls (see ``run_session``) and keep them.
+
+    The loop makes only the generator calls and records them; every round's
+    input goes into one array, which the labeler reads once afterwards.
+    """
+    random, sampler, float32 = rng.random, concept_source.sampler, np.float32
     analytic = isinstance(attack, AnalyticAttack)
     intercepting = isinstance(attack, InterceptResend)
     if intercepting:
@@ -282,18 +301,25 @@ def _draw_rounds(
         random_policy = attack.basis_policy is BasisPolicy.RANDOM_PER_LEG
         leg1, leg2 = 1 in attack.legs, 2 in attack.legs
 
-    preparations, labels, finals, eve = [], [], [], []
+    preparations, finals, eve = [], [], []
     attacked_col, z1_col, u1_col, z2_col, u2_col = [], [], [], [], []
     data = 0
     round_cap = _ROUND_CAP_FACTOR * target_data_count
-    for _ in range(round_cap):
-        k = integers(4)
+    margin = _ROW_MARGIN * (math.isqrt(target_data_count) + 1)
+    capacity = min(round_cap, 2 * target_data_count + margin)
+    for m in range(round_cap):
+        # int(random(None, float32) * 4.0) is integers(4): the top 2 bits of one word
+        k = int(random(None, float32) * 4.0)
         x = sampler(rng)
-        c = labeler(x)
-        if c not in (0, 1):
-            raise DomainError(f"labeler must return a bit, got {c!r}")
+        if m == 0:  # one array for every round's input, with the first one's shape
+            inputs = np.empty((capacity, *np.shape(x)), np.asarray(x).dtype)
+        elif m == capacity:
+            capacity = min(round_cap, 2 * capacity)
+            grown = np.empty((capacity, *inputs.shape[1:]), inputs.dtype)
+            grown[:m] = inputs
+            inputs = grown
+        inputs[m] = x
         preparations.append(k)
-        labels.append(c)
         is_data = _IS_DATA_ROUND[k]
         if analytic:
             finals.append(random())
@@ -319,11 +345,8 @@ def _draw_rounds(
                     eve_reads = leg1 and leg2 and z1 and z2
             finals.append(random())
             if is_data and not eve_reads:
-                eve.append(integers(2))
+                eve.append(int(random(None, float32) * 2.0))  # integers(2)
         if is_data:
-            if data == 0:  # one array for every input, with the first one's shape
-                inputs = np.empty((target_data_count, *np.shape(x)), np.asarray(x).dtype)
-            inputs[data] = x
             data += 1
             if data == target_data_count:
                 break
@@ -333,12 +356,14 @@ def _draw_rounds(
             f"{data} of {target_data_count} examples"
         )
 
+    prep = np.array(preparations, dtype=np.intp)
+    rows = inputs[: len(prep)]
     if not intercepting:  # an analytic attack hits every round, no attack none
-        attacked_col = np.full(len(preparations), analytic)
+        attacked_col = np.full(len(prep), analytic)
     draws = _Draws(
-        preparations=np.array(preparations, dtype=np.intp),
-        labels=np.array(labels, dtype=np.intp),
-        inputs=inputs,
+        preparations=prep,
+        labels=_label_rows(concept_source.labeler, rows),
+        inputs=rows[~_IS_CHECK[prep]],
         finals=np.array(finals),
         eve=np.array(eve),
         attacked=np.array(attacked_col, dtype=bool),
@@ -351,6 +376,19 @@ def _draw_rounds(
                 draws.z_bases[leg] = z_bases
                 draws.variates[leg] = np.array(u_col)
     return draws
+
+
+def _label_rows(labeler, rows: np.ndarray) -> np.ndarray:
+    """labeler(rows) as intp bits, checked to hold one 0 or 1 per row."""
+    bits = np.asarray(labeler(rows))
+    if bits.shape != (len(rows),):
+        raise DomainError(
+            f"labeler must return one bit per row: {len(rows)} rows gave shape {bits.shape}"
+        )
+    bad = (bits != 0) & (bits != 1)
+    if bad.any():
+        raise DomainError(f"labeler must return a bit, got {bits.item(bad.argmax())!r}")
+    return bits.astype(np.intp)
 
 
 @dataclass

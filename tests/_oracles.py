@@ -449,9 +449,10 @@ def reference_session(
         k = _PREPARATIONS[rng.integers(4)]
         is_check = k.is_check
         x = concept_source.sampler(rng)
-        c = int(concept_source.labeler(x))
+        c = concept_source.labeler(x[None])[0]
         if c not in (0, 1):
-            raise DomainError(f"labeler must return a bit, got {c!r}")
+            raise DomainError(f"labeler must return a bit, got {c.item()!r}")
+        c = int(c)
 
         eve_record = None
         eve_label = None

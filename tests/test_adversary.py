@@ -22,7 +22,7 @@ from qlabelsec.stats import binomial_pull
 def simple_source() -> ConceptSource:
     return ConceptSource(
         sampler=lambda rng: rng.standard_normal(2),
-        labeler=lambda x: int(x[0] >= 0.0),
+        labeler=lambda xs: xs[:, 0] >= 0.0,
     )
 
 

@@ -280,6 +280,13 @@ class TestLearnCommand:
         assert run_cli("learn", "--trials", "30", *argv) == 2
         assert "sample grid is empty" in capsys.readouterr().err
 
+    def test_a_decreasing_grid_exits_2_before_any_trial(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
+        argv = ("--grid", "50,25", "--trials", "100", "--eta", "0.4", "--budget", "2000")
+        assert run_cli("learn", *argv) == 2
+        err = capsys.readouterr().err
+        assert "sample grid must be strictly increasing positive integers" in err
+
 
 class TestSweepEta:
     def test_single_point_sweep(self, tmp_path, capsys):
@@ -359,13 +366,14 @@ class TestConfigLayering:
         [("thresholds",), ("learn", "--trials", "30", "--budget", "25", "--grid", "25")],
         ids=["no-trials", "trials"],
     )
-    def test_uncreatable_outdir_exits_2(self, tmp_path, capsys, argv):
+    def test_uncreatable_outdir_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert run_cli(*argv, "--out", str(blocker / "sub")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory")
-        assert blocker.read_text() == ""
+        assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
 
     def test_env_supplies_default_outdir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QLABELSEC_OUTDIR", str(tmp_path / "envout"))

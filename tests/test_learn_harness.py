@@ -260,6 +260,20 @@ class TestGenerateTask:
             assert x.dtype == row.dtype and x.tobytes() == row.tobytes()
         assert rng.random() == batch_rng.random()
 
+    @pytest.mark.parametrize("dimension", [2, 8, 64])
+    def test_concept_labeler_is_the_scalar_labeler_row_by_row(self, dimension):
+        task = generate_task(dimension=dimension, separation=6.0, seed=42)
+        labeler, direction = task.concept_source().labeler, task.direction
+        rng = np.random.default_rng(dimension)
+        # rows a rounding error from the boundary: v - (v . d) d at large |v|
+        v = 1e3 * rng.standard_normal((2000, dimension))
+        near = v - np.outer(v @ direction, direction)
+        for xs in (task.sample_inputs(2000, rng), near):
+            expected = [task.labeler(x) for x in xs]
+            assert np.array_equal(labeler(xs), expected)
+        # the GEMV labels some of those rows differently, so it would fail here
+        assert np.any((near @ direction >= 0.0) != expected)
+
     @pytest.mark.parametrize("count", sorted(_SAMPLE_INPUT_DIGESTS))
     def test_sample_inputs_bytes_are_pinned(self, task, count):
         # bytes of ten draws and the generator state each leaves behind
@@ -1469,6 +1483,12 @@ def _seeds(count, seed=0):
     return np.random.default_rng(seed).integers(0, 2**63, size=count).tolist()
 
 
+# Trials in one random-search group of the d = 8 task, by random_search_trials'
+# rule: as many as keep a step's _SEARCH_BLOCK draws of d + 1 floats within
+# _GROUP_FLOATS.  Counts of _GROUP and _GROUP + 1 run as one and two groups.
+_GROUP = learn_harness._GROUP_FLOATS // (learn_harness._SEARCH_BLOCK * (8 + 1))
+
+
 def _assert_search_matches(task, epsilon, sampler, budget, seeds, reference_sampler=None):
     """random_search_trials over seeds equals reference_search seed by seed."""
     expected = [
@@ -1547,10 +1567,10 @@ class TestSamplerSearchEngine:
     """random_search_trials against reference_search, one seed at a time."""
 
     @pytest.mark.parametrize("budget", [0, 1, 100])
-    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025])
+    @pytest.mark.parametrize("count", [1, _GROUP - 1, _GROUP, _GROUP + 1])
     def test_finite_class_samplers_equal_the_per_draw_loop(self, task, count, budget):
         # selfcheck's sampler (p = 0.2) and criterion 4's (p = 0.1), across
-        # the edge of a 1024-trial group
+        # the edge of a search group
         seeds = _seeds(count, seed=count)
         for p in (0.2, 0.1):
             _assert_search_matches(task, 0.03, _bernoulli_sampler(task, p), budget, seeds)
@@ -1631,7 +1651,8 @@ class TestSamplerSearchEngine:
 
     def test_a_finite_class_costs_one_row_a_member_per_step(self, task, monkeypatch):
         calls = _linear_wrong_sizes(monkeypatch)
-        random_search_trials(task, 0.03, _bernoulli_sampler(task, 0.2), 100, _seeds(1025))
+        seeds = _seeds(_GROUP + 1)
+        random_search_trials(task, 0.03, _bernoulli_sampler(task, 0.2), 100, seeds)
         random_search_learner(task, 0.03, _bernoulli_sampler(task, 0.2), 100, seed=1)
         # the class is {concept, inverted concept}: each step scores both at most
         assert calls and max(calls) <= 2
@@ -1653,7 +1674,7 @@ class TestEngineIdentity:
     """run_trials' random search is random_search_trials with the halfspace sampler."""
 
     @pytest.mark.parametrize("budget", [0, 1, 100])
-    @pytest.mark.parametrize("n_trials", [1, 1025])
+    @pytest.mark.parametrize("n_trials", [1, _GROUP, _GROUP + 1])
     def test_run_trials_is_the_library_search_on_the_trial_seeds(
         self, task, budget, n_trials
     ):

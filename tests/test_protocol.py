@@ -32,7 +32,7 @@ IS_CHECK = np.array([k.is_check for k in Preparation])
 def halfspace_source(dim: int = 2) -> ConceptSource:
     return ConceptSource(
         sampler=lambda rng: rng.standard_normal(dim),
-        labeler=lambda x: int(x[0] >= 0.0),
+        labeler=lambda xs: xs[:, 0] >= 0.0,
     )
 
 
@@ -81,7 +81,7 @@ class TestNoAttackSession:
         assert session.authorized_label_error_rate == 0.0
         dataset = session.authorized_dataset
         for x, label in zip(dataset.inputs, dataset.labels):
-            assert label == source.labeler(x)
+            assert label == source.labeler(x[None])[0]
 
     def test_dataset_sizes(self):
         session = run_session(halfspace_source(), 1_500, seed=11)
@@ -154,6 +154,19 @@ class TestRoundAccounting:
         with pytest.raises(ProtocolError, match="round cap"):
             run_session(halfspace_source(), 50, seed=16)
 
+    def test_a_regrown_input_array_gives_the_same_session(self, monkeypatch):
+        # with no margin the first input array holds 2 * target rows, and
+        # about half of all sessions run longer and regrow it
+        monkeypatch.setattr(protocol_module, "_ROW_MARGIN", 0)
+        attack = InterceptResend(attack_probability=0.5)
+        regrown = 0
+        for seed in range(8):
+            session = run_session(_SOURCES["task"], 100, attack=attack, seed=seed)
+            expected = reference_session(_SOURCES["task"], 100, attack=attack, seed=seed)
+            assert session_digest(session) == session_digest(expected)
+            regrown += len(session.rounds.preparations) > 200
+        assert regrown > 0
+
     def test_rejects_bad_target_and_threshold(self):
         with pytest.raises(DomainError):
             run_session(halfspace_source(), 0, seed=1)
@@ -183,7 +196,8 @@ class TestRoundAccounting:
 
     def test_rejects_non_binary_labeler(self):
         source = ConceptSource(
-            sampler=lambda rng: rng.standard_normal(2), labeler=lambda x: 2
+            sampler=lambda rng: rng.standard_normal(2),
+            labeler=lambda xs: np.full(len(xs), 2),
         )
         with pytest.raises(DomainError, match="bit"):
             run_session(source, 10, seed=1)
@@ -192,7 +206,8 @@ class TestRoundAccounting:
     def test_rejects_fractional_labeler_output(self, value):
         # int() would floor these to a bit; the raw value is checked first
         source = ConceptSource(
-            sampler=lambda rng: rng.standard_normal(2), labeler=lambda x: value
+            sampler=lambda rng: rng.standard_normal(2),
+            labeler=lambda xs: np.full(len(xs), value),
         )
         with pytest.raises(DomainError, match="bit"):
             run_session(source, 10, seed=1)
@@ -201,7 +216,8 @@ class TestRoundAccounting:
     def test_accepts_bits_of_any_numeric_type(self, one):
         def source(bit):
             return ConceptSource(
-                sampler=lambda rng: rng.standard_normal(2), labeler=lambda x: bit
+                sampler=lambda rng: rng.standard_normal(2),
+                labeler=lambda xs: np.full(len(xs), bit),
             )
 
         plain, typed = source(1), source(one)
@@ -547,6 +563,31 @@ class TestSessionPins:
             seed=3,
         )
         assert session_digest(session) == _SESSION_DIGESTS[key]
+
+
+class TestSmallDrawWords:
+    def test_float32_route_takes_the_word_integers_takes(self):
+        # a random interleaving of the session's draw kinds on two generators,
+        # one drawing integers(4) and integers(2), the other the float32 route
+        buffered = 0
+        for seed in range(200):
+            script = np.random.default_rng([seed, 1]).integers(4, size=60)
+            plain, routed = np.random.default_rng(seed), np.random.default_rng(seed)
+            d = 1 + seed % 8
+            for kind in script.tolist():
+                if kind == 0:
+                    a, b = plain.integers(4), int(routed.random(None, np.float32) * 4.0)
+                elif kind == 1:
+                    a, b = plain.integers(2), int(routed.random(None, np.float32) * 2.0)
+                elif kind == 2:
+                    a, b = plain.random(), routed.random()
+                else:
+                    a, b = plain.standard_normal(d), routed.standard_normal(d)
+                assert np.array_equal(a, b)
+            state = plain.bit_generator.state
+            assert state == routed.bit_generator.state
+            buffered += state["has_uint32"]
+        assert buffered > 0  # some runs end on a buffered half-word
 
 
 _ATTACKS = st.one_of(
