@@ -36,7 +36,7 @@ from .learn_harness import (
     LEARNER_KINDS,
     MODEL_KINDS,
     LearnerConfig,
-    TaskLabeler,
+    LinearThresholdModel,
     default_sample_budget,
     estimate_learning_probability,
     generate_task,
@@ -620,7 +620,8 @@ def _cmd_selfcheck(opts: dict) -> int:
     print("ok protocol: full-attack eavesdropper labels exact")
 
     p = 0.2
-    good, bad = task.labeler, TaskLabeler(direction=-task.direction)
+    good = LinearThresholdModel(weights=task.direction, bias=0.0)
+    bad = LinearThresholdModel(weights=-task.direction, bias=0.0)
     rng_gate = np.random.default_rng(opts["seed"] + 2)
 
     def sampler(rng):

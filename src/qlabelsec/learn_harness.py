@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -30,6 +31,7 @@ from .protocol import ConceptSource
 from .stats import wilson_interval
 
 __all__ = [
+    "concept_bits",
     "TaskLabeler",
     "SyntheticTask",
     "LearnerConfig",
@@ -75,7 +77,6 @@ _UNIT = 2.0**-53
 _SEARCH_BLOCK = 8
 # A linear draw's bias as the last 8 bytes of its row (see _linear_row).
 _pack_float = struct.Struct("=d").pack
-_ZERO_BIAS = _pack_float(0.0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -87,17 +88,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def concept_bits(xs: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """[x . direction >= 0] for each row x of an (..., d) array, as bools.
+
+    Each bit is the sign of the exact dot product, whatever the BLAS.  One
+    matmul gives scores s within gamma_d * A + d * 2**-1074 of the exact value
+    in any summation order, A = sum_j |x_j c_j| (Higham 2002, section 3.1); s
+    has the exact sign when |s| > 2 d u A + d * 2**-1072 and A < 2**1020 (no
+    partial sum overflows).  Any other finite row is a tie if each product has
+    a zero factor, else summed as Fractions; a NaN or inf row keeps s >= 0.
+    """
+    direction = np.asarray(direction, dtype=np.float64)
+    terms = direction.shape[-1]
+    rows = np.asarray(xs, dtype=np.float64).reshape(-1, terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are decided below
+        score = np.matmul(rows, direction)
+        scale = np.matmul(np.abs(rows), np.abs(direction))
+    bits = score >= 0.0
+    certain = np.abs(score) > scale * (2.0 * terms * _UNIT) + terms * 2.0**-1072
+    certain &= scale < 2.0**1020
+    if not certain.all() and np.isfinite(direction).all():
+        certain |= ((rows == 0.0) | (direction == 0.0)).all(axis=1)
+        factors = [Fraction(c) for c in direction.tolist()]
+        for row in np.flatnonzero(~certain & np.isfinite(rows).all(axis=1)).tolist():
+            exact = sum(Fraction(x) * c for x, c in zip(rows[row].tolist(), factors))
+            bits[row] = exact >= 0
+    return bits.reshape(np.shape(xs)[:-1])
+
+
 @dataclass(frozen=True)
 class TaskLabeler:
-    """Halfspace concept c(x) = [x . direction >= 0]."""
+    """Halfspace concept c(x) = [x . direction >= 0], as concept_bits decides it."""
 
     direction: np.ndarray
 
     def __call__(self, x: np.ndarray) -> int:
-        return int(float(x @ self.direction) >= 0.0)
+        return int(concept_bits(x, self.direction))
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        return (xs @ self.direction >= 0.0).astype(np.int64)
+        return concept_bits(xs, self.direction).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -154,9 +183,7 @@ class SyntheticTask:
 
         A call makes the same two draws (the word integers(2) takes for the
         side, then the Gaussian row) and one addition of an offset row.  The
-        row labeler gives each row the bit TaskLabeler.__call__ gives it:
-        matmul of a (1, d) row by the direction is the same 1-D dot product,
-        whereas the GEMV xs @ direction can differ in the last bits.
+        row labeler is concept_bits.
         """
         offsets = tuple(self._offsets)  # rows, read without an array index per call
         dimension = self.dimension
@@ -168,10 +195,7 @@ class SyntheticTask:
             x += offsets[side]
             return x
 
-        def labeler(xs: np.ndarray) -> np.ndarray:
-            return np.matmul(xs[:, None, :], direction)[:, 0] >= 0.0
-
-        return ConceptSource(sampler=sampler, labeler=labeler)
+        return ConceptSource(sampler=sampler, labeler=lambda xs: concept_bits(xs, direction))
 
 
 def generate_task(
@@ -218,7 +242,8 @@ def generate_task(
         seed=seed,
     )
     test_x = task.sample_inputs(test_size, rng)
-    return replace(task, test_x=test_x, test_y=task.labeler.predict(test_x))
+    test_y = concept_bits(test_x, direction).astype(np.int64)
+    return replace(task, test_x=test_x, test_y=test_y)
 
 
 def evaluate_error(hypothesis, test_x: np.ndarray, test_y: np.ndarray) -> float:
@@ -233,11 +258,9 @@ def _matvec(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """xs @ v over any leading trial axes, one BLAS call per trial slice.
 
     Each slice gets the bits of the 2-D ``xs @ v``.  einsum, ``(xs * v).sum``
-    or one GEMM over all trials sum in other orders, but every order of a
-    d-term dot product lies within gamma_d * sum_j |x_j v_j| of the exact
-    value, gamma_d = d u / (1 - d u), u = 2**-53 (plus d * 2**-1074 for
-    underflow); _linear_wrong uses that bound to score held-out sets with one
-    GEMM and still agree with this product's sign bit for bit.
+    or one GEMM over all trials sum in other orders, but every order lies
+    within the bound concept_bits uses; _linear_wrong uses it to score
+    held-out sets with one GEMM and still agree with this product's sign.
     """
     return np.matmul(xs, v[..., None])[..., 0]
 
@@ -414,9 +437,9 @@ def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, 
     d' = d rounded up to even; bitgen is a Philox reused with its state set
     per seed.  Word 0's top bit is the cluster side; word 1's top 53 bits are
     u in [0, 1), and the label flips iff u < eta; the next d' words pair up as
-    Box-Muller (u1, u2), u1 in (0, 1].  Every step, the label's dot product
-    included, is elementwise on fresh arrays, so a row's bits do not depend
-    on what is drawn with it.
+    Box-Muller (u1, u2), u1 in (0, 1].  Every step is elementwise on fresh
+    arrays and the concept label is concept_bits', so a row's bits do not
+    depend on what is drawn with it.
     """
     dimension, pairs = task.dimension, (task.dimension + 1) // 2
     width = 4 * -(-(2 * pairs + 2) // 4)
@@ -440,10 +463,8 @@ def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, 
     np.multiply(radius, np.sin(angle, out=angle), out=normals[..., 1])
     xs = normals.reshape(radius.shape[:-1] + (2 * pairs,))[..., :dimension]
     xs = xs + task._offsets[words[..., 0] >> np.uint64(63)]
-    score = xs[..., 0] * task.direction[0]
-    for axis in range(1, dimension):
-        score += xs[..., axis] * task.direction[axis]
-    labels = (score >= 0.0) ^ ((words[..., 1] >> np.uint64(11)) * _UNIT < eta)
+    flips = (words[..., 1] >> np.uint64(11)) * _UNIT < eta
+    labels = concept_bits(xs, task.direction) ^ flips
     return xs, labels.astype(np.float64)
 
 
@@ -731,25 +752,21 @@ def _search_lockstep(
 def _linear_row(hypothesis, dimension: int) -> bytes | None:
     """The bytes of a linear draw's (w, b) row, or None for any other draw.
 
-    A linear draw is a TaskLabeler (b = 0.0) or a LinearThresholdModel with
-    a float bias whose weight vector is a C-contiguous, native float64 array
-    of length dimension.  The bytes are a copy taken now, so a draw mutated
-    later keeps the verdict it had when drawn.
+    A linear draw is a LinearThresholdModel with a float bias whose weight
+    vector is a C-contiguous, native float64 array of length dimension.  The
+    bytes are a copy taken now, so a draw mutated later keeps the verdict it
+    had when drawn.
     """
-    kind = type(hypothesis)
-    if kind is TaskLabeler:
-        weights, bias = hypothesis.direction, _ZERO_BIAS
-    elif kind is LinearThresholdModel and isinstance(hypothesis.bias, float):
-        weights, bias = hypothesis.weights, _pack_float(hypothesis.bias)
-    else:
+    if type(hypothesis) is not LinearThresholdModel or not isinstance(hypothesis.bias, float):
         return None
+    weights = hypothesis.weights
     if (
         type(weights) is np.ndarray
         and weights.dtype == np.float64
         and weights.shape == (dimension,)
         and weights.flags.c_contiguous
     ):
-        return weights.tobytes() + bias
+        return weights.tobytes() + _pack_float(hypothesis.bias)
     return None
 
 
@@ -761,10 +778,8 @@ def _sampler_errors(
     Each active trial calls the sampler k times on its own generator.  A
     linear draw (see _linear_row) is scored by its row bytes: the step's
     distinct rows are scored by one _linear_wrong call, so a finite class
-    costs one GEMM row per member per step.  A TaskLabeler row that falls to
-    _linear_wrong's exact path gets LinearThresholdModel's _decide with bias
-    0.0, which adds 0.0 to the same matrix-vector product and so keeps every
-    sign.  Any other draw is scored alone by evaluate_error.
+    costs one GEMM row per member per step.  Any other draw is scored alone
+    by evaluate_error.
     """
     test_x, test_y = task.test_x, task.test_y
     count, dimension = test_x.shape

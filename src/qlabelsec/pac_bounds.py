@@ -23,7 +23,6 @@ __all__ = [
     "delta_floor",
     "search_rate",
     "random_search_curve",
-    "random_search_exponential",
     "pac_condition_met",
     "exclusivity_verdict",
     "equalizing_epsilon",
@@ -160,22 +159,6 @@ def random_search_curve(p: float, n: int) -> float:
     if p == 1.0:
         return 1.0
     return -math.expm1(n * math.log1p(-p))
-
-
-def random_search_exponential(p: float, n: int) -> float:
-    """Exponential form 1 - exp(-xi n) of the same halting law.
-
-    With xi = -ln(1-p) this is not an approximation: it coincides with
-    random_search_curve identically, and the pair exists so callers can
-    report the fitted rate alongside the curve.
-    """
-    check_count(n, "n", 0)
-    xi = search_rate(p)
-    if n == 0:
-        return 0.0
-    if math.isinf(xi):
-        return 1.0
-    return -math.expm1(-xi * n)
 
 
 def pac_condition_met(learning_probability: float, delta: float) -> bool:

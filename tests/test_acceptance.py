@@ -17,7 +17,7 @@ from qlabelsec.adversary import BasisPolicy, InterceptResend, NoAttack
 from qlabelsec.cli import main
 from qlabelsec.learn_harness import (
     LearnerConfig,
-    TaskLabeler,
+    LinearThresholdModel,
     estimate_learning_probability,
     generate_task,
     random_search_trials,
@@ -30,7 +30,6 @@ from qlabelsec.pac_bounds import (
     equalizing_epsilon,
     gamma,
     random_search_curve,
-    random_search_exponential,
 )
 from qlabelsec.protocol import run_session
 from qlabelsec.stats import binomial_pull
@@ -104,7 +103,6 @@ def test_criterion_2_bound_algebra(capsys):
             (gamma(eps, eta), gamma_hp(eps, eta)),
             (delta_floor(eps, eta, 4322).delta_star, delta_floor_hp(eps, eta, 4322)),
             (random_search_curve(delta, 37), random_search_hp(delta, 37)),
-            (random_search_exponential(delta, 37), random_search_hp(delta, 37)),
         ]
         eps_e = equalizing_epsilon(eps, eta, 10_000, min(0.45, eta + 0.1), 5_000)
         ref = (
@@ -195,8 +193,8 @@ def test_criterion_3_protocol_physics(default_task, capsys):
 def test_criterion_4_random_search_law(default_task, capsys):
     started = time.monotonic()
     p = 0.1
-    good = default_task.labeler
-    bad = TaskLabeler(direction=-default_task.direction)
+    good = LinearThresholdModel(weights=default_task.direction, bias=0.0)
+    bad = LinearThresholdModel(weights=-default_task.direction, bias=0.0)
 
     def sampler(rng):
         return good if rng.random() < p else bad

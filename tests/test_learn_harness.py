@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from qlabelsec.learn_harness import (
     LinearThresholdModel,
     OneHiddenLayerModel,
     TaskLabeler,
+    concept_bits,
     default_sample_budget,
     estimate_learning_probability,
     evaluate_error,
@@ -260,20 +262,6 @@ class TestGenerateTask:
             assert x.dtype == row.dtype and x.tobytes() == row.tobytes()
         assert rng.random() == batch_rng.random()
 
-    @pytest.mark.parametrize("dimension", [2, 8, 64])
-    def test_concept_labeler_is_the_scalar_labeler_row_by_row(self, dimension):
-        task = generate_task(dimension=dimension, separation=6.0, seed=42)
-        labeler, direction = task.concept_source().labeler, task.direction
-        rng = np.random.default_rng(dimension)
-        # rows a rounding error from the boundary: v - (v . d) d at large |v|
-        v = 1e3 * rng.standard_normal((2000, dimension))
-        near = v - np.outer(v @ direction, direction)
-        for xs in (task.sample_inputs(2000, rng), near):
-            expected = [task.labeler(x) for x in xs]
-            assert np.array_equal(labeler(xs), expected)
-        # the GEMV labels some of those rows differently, so it would fail here
-        assert np.any((near @ direction >= 0.0) != expected)
-
     @pytest.mark.parametrize("count", sorted(_SAMPLE_INPUT_DIGESTS))
     def test_sample_inputs_bytes_are_pinned(self, task, count):
         # bytes of ten draws and the generator state each leaves behind
@@ -283,6 +271,110 @@ class TestGenerateTask:
             digest.update(task.sample_inputs(count, rng).tobytes())
             digest.update(repr(rng.bit_generator.state).encode())
         assert digest.hexdigest() == _SAMPLE_INPUT_DIGESTS[count]
+
+
+def _exact_bit(x, direction):
+    """[x . direction >= 0] from the exact rational sum of the float products."""
+    return sum(Fraction(a) * Fraction(c) for a, c in zip(x.tolist(), direction.tolist())) >= 0
+
+
+def _near_rows(direction, count, rng, scale=1e3):
+    """Rows a rounding error from the boundary: v - (v . d) d at |v| ~ scale."""
+    v = scale * rng.standard_normal((count, len(direction)))
+    return v - np.outer(v @ direction, direction)
+
+
+class TestConceptBits:
+    """concept_bits against an exact Fraction referee."""
+
+    @pytest.mark.parametrize("dimension", [2, 8, 64])
+    def test_near_boundary_rows_get_the_exact_sign(self, dimension):
+        task = generate_task(dimension=dimension, separation=6.0, seed=42)
+        direction, rng = task.direction, np.random.default_rng(dimension)
+        xs = task.sample_inputs(500, rng)
+        assert concept_bits(xs, direction).tolist() == [_exact_bit(x, direction) for x in xs]
+        near = _near_rows(direction, 2000, rng)
+        exact = [_exact_bit(x, direction) for x in near]
+        assert concept_bits(near, direction).tolist() == exact
+        # the 1-D dot, the GEMV and the axis-order sum each get some near rows wrong
+        dot = [float(x @ direction) >= 0.0 for x in near]
+        gemv = (near @ direction >= 0.0).tolist()
+        score = near[:, 0] * direction[0]
+        for axis in range(1, dimension):
+            score += near[:, axis] * direction[axis]
+        for rule in (dot, gemv, (score >= 0.0).tolist()):
+            assert rule != exact
+
+    @pytest.mark.parametrize("dimension", [2, 8, 64])
+    def test_every_labeller_is_concept_bits(self, dimension):
+        task = generate_task(dimension=dimension, separation=6.0, seed=42)
+        xs = _near_rows(task.direction, 200, np.random.default_rng(dimension))
+        bits = concept_bits(xs, task.direction)
+        assert np.array_equal(task.concept_source().labeler(xs), bits)
+        assert np.array_equal(task.labeler.predict(xs), bits)
+        assert [task.labeler(x) for x in xs] == bits.tolist()
+        assert np.array_equal(task.test_y, concept_bits(task.test_x, task.direction))
+
+    def test_exact_ties_give_one(self):
+        direction = np.array([1.0, 2.0, -3.0])
+        tie, below = np.array([3.0, 0.0, 1.0]), np.array([3.0, 0.0, np.nextafter(1.0, 2.0)])
+        xs = np.array([np.zeros(3), -np.zeros(3), tie, -tie, below, -below])
+        assert concept_bits(xs, direction).tolist() == [True, True, True, True, False, True]
+        # a product that underflows to -0.0 still has the sign of the exact value
+        tiny = np.array([[-(2.0**-1074), 0.0], [2.0**-1074, 0.0]])
+        assert concept_bits(tiny, np.array([0.5, 0.25])).tolist() == [False, True]
+        assert (tiny @ np.array([0.5, 0.25]) >= 0.0).tolist() == [True, True]
+
+    def test_huge_finite_rows_get_the_exact_sign_not_an_overflow(self, task):
+        rng = np.random.default_rng(5)
+        near = 1e297 * _near_rows(task.direction, 500, rng)
+        assert concept_bits(near, task.direction).tolist() == [
+            _exact_bit(x, task.direction) for x in near
+        ]
+        # products near 1e308, so some partial sums overflow to +/-inf
+        direction = np.full(4, 1e8)
+        up = np.nextafter(1e300, np.inf)
+        xs = np.array([
+            [1e300, 1e300, -1e300, -up],
+            [-1e300, -1e300, 1e300, up],
+            [1e300, 1e300, 1e300, 1e300],
+            [-1e300, -1e300, -1e300, -1e300],
+            [1e300, 1e300, -1e300, -1e300],
+        ])
+        expected = [_exact_bit(x, direction) for x in xs]
+        assert expected == [False, True, True, False, True]
+        assert concept_bits(xs, direction).tolist() == expected
+
+    def test_non_finite_rows_keep_the_ieee_answer(self, task):
+        direction = task.direction
+        xs = np.tile(task.test_x[:6], (2, 1))
+        xs[0, 3], xs[1, 0], xs[2, 0], xs[3, :2] = np.nan, np.inf, -np.inf, (np.inf, -np.inf)
+        xs[4, 7] = -np.inf if direction[7] > 0 else np.inf
+        ieee = [float(x @ direction) >= 0.0 for x in xs]
+        assert concept_bits(xs, direction).tolist() == ieee
+        with_nan, with_inf = direction.copy(), direction.copy()
+        with_nan[3], with_inf[0] = np.nan, np.inf
+        for edited in (with_nan, with_inf):
+            assert np.array_equal(concept_bits(xs, edited), xs @ edited >= 0.0)
+
+    def test_a_stack_gives_the_bits_of_each_row_alone_and_of_any_split(self, task):
+        rng = np.random.default_rng(6)
+        rows = np.concatenate([
+            _near_rows(task.direction, 90, rng),
+            task.sample_inputs(60, rng),
+            1e297 * _near_rows(task.direction, 30, rng),
+        ])
+        rows[rng.permutation(len(rows))[:5], 2] = np.nan
+        rows = rows[rng.permutation(len(rows))]
+        xs = rows.reshape(3, 60, 8)
+        bits = concept_bits(xs, task.direction)
+        assert bits.shape == (3, 60) and bits.dtype == bool
+        alone = [[bool(concept_bits(x, task.direction)) for x in trial] for trial in xs]
+        assert bits.tolist() == alone
+        for cuts in ([], [1, 179], sorted(rng.integers(0, 181, 6).tolist())):
+            parts = [concept_bits(part, task.direction) for part in np.split(rows, cuts)]
+            assert np.concatenate(parts).tolist() == bits.ravel().tolist()
+        assert np.array_equal(concept_bits(xs[:, ::3], task.direction), bits[:, ::3])
 
 
 class TestEvaluateError:
@@ -399,8 +491,8 @@ class TestStreams:
             assert y == labeler(x)
 
     def test_noisy_stream_flip_rate(self, task):
-        labeler = task.labeler
-        flips = sum(y != labeler(x) for x, y in zip(*noisy_sample(task, 0.25, 4, 100_000)))
+        xs, ys = noisy_sample(task, 0.25, 4, 100_000)
+        flips = int(np.count_nonzero(ys != task.labeler.predict(xs)))
         assert binomial_pull(flips / 100_000, 100_000, 0.25) < 4
 
     def test_stream_deterministic(self, task):
@@ -459,14 +551,6 @@ def _reference_row(task, eta, words):
     return x, (int(words[1]) >> 11) * 2.0**-53 < eta
 
 
-def _concept_label(task, x):
-    """The concept on a row, its dot product summed in axis order."""
-    score = x[0] * task.direction[0]
-    for axis in range(1, task.dimension):
-        score += x[axis] * task.direction[axis]
-    return score >= 0.0
-
-
 class TestStreamRows:
     @pytest.mark.parametrize("dimension", [2, 3, 8])
     def test_raw_words_are_numpy_philox(self, dimension):
@@ -486,7 +570,7 @@ class TestStreamRows:
             for row, x, y in zip(fresh.reshape(5, width), x_rows, y_rows):
                 expected, flip = _reference_row(task, 0.3, row)
                 np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
-                assert y == float(_concept_label(task, x) != flip)
+                assert y == float(_exact_bit(x, task.direction) != flip)
 
     @pytest.mark.parametrize("size", [1, 7, 25, 256])
     def test_rows_do_not_depend_on_the_draw_size_or_company(self, tasks, size):
@@ -680,8 +764,8 @@ def _never_good(task):
 
 def _bernoulli_sampler(task, p):
     """Per-draw success probability exactly p: the concept or its inversion."""
-    good = task.labeler
-    bad = TaskLabeler(direction=-task.direction)
+    good = LinearThresholdModel(weights=task.direction, bias=0.0)
+    bad = LinearThresholdModel(weights=-task.direction, bias=0.0)
 
     def sample(rng):
         return good if rng.random() < p else bad
@@ -1617,37 +1701,6 @@ class TestSamplerSearchEngine:
         for pool, seed in ((draws, 3), (draws[:-1], 4)):
             sampler = _picker(pool)
             _assert_search_matches(task, epsilon, sampler, budget, _seeds(40, seed=seed))
-
-    def test_labeler_rows_fall_back_to_zero_bias_models_with_the_same_signs(
-        self, task, monkeypatch
-    ):
-        # _linear_wrong scores an uncertified TaskLabeler row with
-        # LinearThresholdModel._decide and bias 0.0; both give the same signs
-        labelers = [
-            h for h in _edge_draws(task)
-            if type(h) is TaskLabeler and h.direction.dtype == np.float64
-        ]
-        for labeler in labelers:
-            expected = labeler.predict(task.test_x)
-            weights = labeler.direction
-            stacked = LinearThresholdModel(weights=weights[None], bias=np.zeros(1))
-            single = LinearThresholdModel(weights=weights, bias=0.0)
-            assert np.array_equal(stacked._decide(task.test_x)[0], expected)
-            assert np.array_equal(single._decide(task.test_x), expected)
-        fallbacks = []
-        decide = LinearThresholdModel._decide
-
-        def counting(self, xs):
-            fallbacks.append(len(self.weights))
-            return decide(self, xs)
-
-        monkeypatch.setattr(LinearThresholdModel, "_decide", counting)
-        rows = np.array([np.append(h.direction, 0.0) for h in labelers])
-        got = learn_harness._linear_wrong(task, rows)
-        expected = [int(np.count_nonzero(h.predict(task.test_x) != task.test_y)) for h in labelers]
-        assert got.tolist() == expected
-        # every row but the concept itself falls back
-        assert fallbacks == [len(labelers) - 1]
 
     def test_a_finite_class_costs_one_row_a_member_per_step(self, task, monkeypatch):
         calls = _linear_wrong_sizes(monkeypatch)

@@ -18,7 +18,6 @@ from qlabelsec.pac_bounds import (
     gamma,
     pac_condition_met,
     random_search_curve,
-    random_search_exponential,
     sample_bound_noiseless,
     sample_bound_noisy,
     search_rate,
@@ -181,7 +180,6 @@ class TestConfidenceFloor:
         [
             pytest.param(lambda n: delta_floor(0.1, 0.0, n), id="delta_floor"),
             pytest.param(lambda n: random_search_curve(0.1, n), id="curve"),
-            pytest.param(lambda n: random_search_exponential(0.1, n), id="exponential"),
             pytest.param(lambda n: exclusivity_verdict(0.03, 0.01, n, 0.2, 0, 0.11), id="n_a"),
             pytest.param(
                 lambda n: exclusivity_verdict(0.03, 0.01, 10_000, 0.2, n, 0.11), id="n_e"
@@ -208,13 +206,6 @@ class TestRandomSearchLaw:
                     brute, rel=1e-12, abs=1e-15
                 )
 
-    def test_exponential_form_coincides_with_exact_curve(self):
-        for p in (0.003, 0.1, 0.5, 0.9):
-            for n in (0, 1, 7, 100, 5000):
-                exact = random_search_curve(p, n)
-                fitted = random_search_exponential(p, n)
-                assert fitted == pytest.approx(exact, rel=1e-12, abs=1e-15)
-
     def test_rate_accessor(self):
         assert search_rate(0.1) == pytest.approx(-math.log(0.9), rel=1e-12)
         assert search_rate(0.0) == 0.0
@@ -224,8 +215,6 @@ class TestRandomSearchLaw:
         assert random_search_curve(0.0, 100) == 0.0
         assert random_search_curve(1.0, 1) == 1.0
         assert random_search_curve(0.5, 0) == 0.0
-        assert random_search_exponential(1.0, 3) == 1.0
-        assert random_search_exponential(1.0, 0) == 0.0
 
     @given(p=st.floats(0.0, 1.0), n=st.integers(0, 1000))
     def test_curve_lies_in_unit_interval(self, p, n):
