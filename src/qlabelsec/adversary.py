@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, check_interval
 from .info_theory import eve_noise_from_disturbance
 
 __all__ = [
@@ -56,10 +56,7 @@ class InterceptResend:
     kind: str = field(default="intercept-resend", init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.attack_probability <= 1.0:
-            raise DomainError(
-                f"attack probability must lie in [0, 1], got {self.attack_probability}"
-            )
+        check_interval(self.attack_probability, "attack probability", 0.0, 1.0)
         object.__setattr__(self, "basis_policy", BasisPolicy(self.basis_policy))
         legs = tuple(sorted(set(self.legs)))
         if not legs or any(leg not in (1, 2) for leg in legs):
@@ -85,10 +82,7 @@ class AnalyticAttack:
                 f"analytic attacks require an information curve; "
                 f"got kind {self.curve_kind!r}"
             )
-        if not 0.0 <= self.disturbance <= 0.5:
-            raise DomainError(
-                f"disturbance must lie in [0, 1/2], got {self.disturbance}"
-            )
+        check_interval(self.disturbance, "disturbance", 0.0, 0.5)
 
     @property
     def eve_noise(self) -> float:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the seed, count, grid and noise checks."""
+"""The package's exception types and its seed, count, grid, interval and noise checks."""
 
+import math
 import numbers
 
 __all__ = ["DomainError", "ConfigError", "ProtocolError", "StatisticalCheckError"]
@@ -52,7 +53,24 @@ def check_grid(values) -> list[int]:
     return grid
 
 
+def check_interval(value, name: str, low: float, high: float, ends: str = "[]") -> None:
+    """Raise DomainError unless value lies between low and high; package-internal.
+
+    ends holds the brackets, "[" or "(" then "]" or ")", of a closed or an open
+    end.  NaN lies in no interval.
+    """
+    if (low <= value if ends[0] == "[" else low < value) and (
+        value <= high if ends[1] == "]" else value < high
+    ):
+        return
+    if (low, high, ends) == (0.0, math.inf, "()"):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    low_text, high_text = ("1/2" if x == 0.5 else f"{x:g}" for x in (low, high))
+    raise DomainError(f"{name} must lie in {ends[0]}{low_text}, {high_text}{ends[1]}, got {value}")
+
+
 def check_noise(eta: float) -> None:
     """Raise DomainError unless the label noise rate eta lies in [0, 1/2); package-internal."""
-    if not 0.0 <= eta < 0.5:
+    if eta >= 0.5:
         raise DomainError(f"noise at or above one-half is unlearnable: eta={eta}")
+    check_interval(eta, "noise rate", 0.0, 0.5, "[)")

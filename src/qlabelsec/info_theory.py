@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_interval
 
 __all__ = [
     "ATTACK_KINDS",
@@ -64,46 +64,54 @@ def _bisect(goes_right, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon entropy of a coin with bias x, in bits.  h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"entropy argument must lie in [0, 1], got {x}")
+def _h(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def entropy_inverse(y: float) -> float:
-    """Inverse of binary_entropy on the branch [0, 1/2], by bisection."""
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"entropy value must lie in [0, 1], got {y}")
+def _h_inverse(y: float) -> float:
     if y == 0.0:
         return 0.0
     if y == 1.0:
         return 0.5
-    return _bisect(lambda x: binary_entropy(x) < y, 0.0, 0.5, 1e-15)
+    return _bisect(lambda x: _h(x) < y, 0.0, 0.5, 1e-15)
+
+
+def _eve_rate(kind: str, eta: float) -> float:
+    if kind == "collective":
+        return _h(eta)
+    if kind == "individual":
+        return 1.0 - _h(0.5 + math.sqrt(eta * (1.0 - eta)))
+    raise DomainError(
+        "no closed form: the memoryless attack class has a tabulated "
+        "threshold but no analytic information curve"
+    )
+
+
+def binary_entropy(x: float) -> float:
+    """Shannon entropy of a coin with bias x, in bits.  h(0) = h(1) = 0."""
+    check_interval(x, "entropy argument", 0.0, 1.0)
+    return _h(x)
+
+
+def entropy_inverse(y: float) -> float:
+    """Inverse of binary_entropy on the branch [0, 1/2], by bisection."""
+    check_interval(y, "entropy value", 0.0, 1.0)
+    return _h_inverse(y)
 
 
 def mutual_info_authorized(eta: float) -> float:
     """Information rate of the authorized label channel: 1 - h(eta)."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"flip rate must lie in [0, 1], got {eta}")
-    return 1.0 - binary_entropy(eta)
+    check_interval(eta, "flip rate", 0.0, 1.0)
+    return 1.0 - _h(eta)
 
 
 def mutual_info_eve(kind: str, eta: float) -> float:
     """Eavesdropper information rate for the given attack class at flip rate eta."""
     _check_kind(kind)
-    if not 0.0 <= eta <= 0.5:
-        raise DomainError(f"flip rate must lie in [0, 1/2], got {eta}")
-    if kind == "collective":
-        return binary_entropy(eta)
-    if kind == "individual":
-        return 1.0 - binary_entropy(0.5 + math.sqrt(eta * (1.0 - eta)))
-    raise DomainError(
-        "no closed form: the memoryless attack class has a tabulated "
-        "threshold but no analytic information curve"
-    )
+    check_interval(eta, "flip rate", 0.0, 0.5)
+    return _eve_rate(kind, eta)
 
 
 def holevo_gap(kind: str, eta: float) -> float:
@@ -112,11 +120,12 @@ def holevo_gap(kind: str, eta: float) -> float:
 
 
 def _bisect_gap_root(kind: str) -> float:
-    if holevo_gap(kind, _BISECT_LO) <= 0.0 or holevo_gap(kind, _BISECT_HI) >= 0.0:
+    def gap(eta: float) -> float:  # holevo_gap, unchecked
+        return (1.0 - _h(eta)) - _eve_rate(kind, eta)
+
+    if gap(_BISECT_LO) <= 0.0 or gap(_BISECT_HI) >= 0.0:
         raise DomainError(f"gap for {kind!r} does not change sign on the bracket")
-    return _bisect(
-        lambda eta: holevo_gap(kind, eta) > 0.0, _BISECT_LO, _BISECT_HI, _BISECT_TOL
-    )
+    return _bisect(lambda eta: gap(eta) > 0.0, _BISECT_LO, _BISECT_HI, _BISECT_TOL)
 
 
 def eta_star(kind: str) -> float:
@@ -164,12 +173,9 @@ def eve_noise_from_disturbance(kind: str, eta_a: float) -> float:
     This is a modeling choice, not an identity of the attack itself; it is
     confined to this function so callers share a single definition.
     """
-    _check_kind(kind)
-    if not 0.0 <= eta_a <= 0.5:
-        raise DomainError(f"flip rate must lie in [0, 1/2], got {eta_a}")
     residual_entropy = 1.0 - mutual_info_eve(kind, eta_a)
     if not 0.0 <= residual_entropy <= 1.0:
         raise DomainError(
             f"inversion failure: residual entropy {residual_entropy} outside [0, 1]"
         )
-    return entropy_inverse(residual_entropy)
+    return _h_inverse(residual_entropy)

@@ -25,7 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_grid, check_noise, check_seed
+from .errors import (
+    DomainError, check_count, check_grid, check_interval, check_noise, check_seed
+)
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
 from .stats import wilson_interval
@@ -215,11 +217,10 @@ def generate_task(
     sample_inputs; its labels are the concept's.
     """
     check_count(dimension, "dimension", 2)
-    if not 0.0 < separation < math.inf:
-        raise DomainError(f"separation must be positive and finite, got {separation}")
+    check_interval(separation, "separation", 0.0, math.inf, "()")
     check_count(test_size, "test set size", _MIN_TEST_SIZE)
     if epsilon_target is not None:
-        _check_target(epsilon_target)
+        check_interval(epsilon_target, "epsilon target", 0.0, 1.0, "()")
     check_seed(seed, "task seed")
     analytic = 0.5 * math.erfc(separation / (2.0 * math.sqrt(2.0)))
     if epsilon_target is not None and analytic >= epsilon_target / 2.0:
@@ -363,8 +364,7 @@ class LearnerConfig:
         if self.model not in MODEL_KINDS:
             raise DomainError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         check_count(self.hidden_width, "hidden width", 1)
-        if not 0.0 < self.step_size < math.inf:
-            raise DomainError(f"step size must be positive and finite, got {self.step_size}")
+        check_interval(self.step_size, "step size", 0.0, math.inf, "()")
         check_count(self.batch_size, "batch size", 1)
         check_count(self.evaluation_cadence, "evaluation cadence", 1)
 
@@ -416,16 +416,6 @@ class LearningTrial:
     samples_consumed: int
     halted: bool
     final_test_error: float
-
-
-def _check_target(epsilon_target: float) -> None:
-    if not 0.0 < epsilon_target < 1.0:
-        raise DomainError(f"epsilon target must lie in (0, 1), got {epsilon_target}")
-
-
-def _check_target_and_budget(epsilon_target: float, sample_budget: int) -> None:
-    _check_target(epsilon_target)
-    check_count(sample_budget, "sample budget", 0)
 
 
 def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, bitgen):
@@ -638,7 +628,8 @@ def train_until(
     reporting only, so the cadence is part of what a halting probability
     means.
     """
-    _check_target_and_budget(epsilon_target, sample_budget)
+    check_interval(epsilon_target, "epsilon target", 0.0, 1.0, "()")
+    check_count(sample_budget, "sample budget", 0)
     check_seed(seed, "model seed")
     xs = np.asarray(inputs, dtype=np.float64)
     ys = np.asarray(labels, dtype=np.float64)
@@ -826,7 +817,8 @@ def random_search_trials(
     sampler calls on its own generator, whose draws are discarded.  Every
     seed is checked before the first draw.
     """
-    _check_target_and_budget(epsilon_target, sample_budget)
+    check_interval(epsilon_target, "epsilon target", 0.0, 1.0, "()")
+    check_count(sample_budget, "sample budget", 0)
     seeds = list(seeds)
     for seed in seeds:
         check_seed(seed, "search seed")
@@ -951,7 +943,8 @@ def run_trials(
     if learner not in LEARNER_KINDS:
         raise DomainError(f"learner must be gradient or random-search, got {learner!r}")
     check_noise(eta)
-    _check_target_and_budget(epsilon_target, sample_budget)
+    check_interval(epsilon_target, "epsilon target", 0.0, 1.0, "()")
+    check_count(sample_budget, "sample budget", 0)
     check_count(n_trials, "trial count", 1)
     check_count(workers, "worker count", 1)
     check_seed(base_seed, "base seed")

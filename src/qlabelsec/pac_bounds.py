@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_count, check_noise
+from .errors import DomainError, check_count, check_interval, check_noise
 
 __all__ = [
     "DeltaFloor",
@@ -21,7 +21,6 @@ __all__ = [
     "sample_bound_noisy",
     "gamma",
     "delta_floor",
-    "search_rate",
     "random_search_curve",
     "pac_condition_met",
     "exclusivity_verdict",
@@ -32,23 +31,6 @@ __all__ = [
 # taking the ceiling, so that float noise cannot add a spurious +1 at exact
 # integer boundaries.
 _CEIL_SNAP = 1e-9
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"accuracy epsilon must lie in (0, 1), got {epsilon}")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"confidence delta must lie in (0, 1), got {delta}")
-
-
-def _check_log_count(log_hypothesis_count: float) -> None:
-    if not 0.0 < log_hypothesis_count < math.inf:
-        raise DomainError(
-            f"log hypothesis count must be positive and finite, got {log_hypothesis_count}"
-        )
 
 
 def _ceil_snapped(value: float) -> int:
@@ -80,9 +62,9 @@ def sample_bound_noiseless(
 
     Least integer >= (1/epsilon) * (ln|H| - ln delta).
     """
-    _check_epsilon(epsilon)
-    _check_delta(delta)
-    _check_log_count(log_hypothesis_count)
+    check_interval(epsilon, "accuracy epsilon", 0.0, 1.0, "()")
+    check_interval(delta, "confidence delta", 0.0, 1.0, "()")
+    check_interval(log_hypothesis_count, "log hypothesis count", 0.0, math.inf, "()")
     return _ceil_snapped(_noiseless_raw(epsilon, delta, log_hypothesis_count))
 
 
@@ -95,16 +77,16 @@ def sample_bound_noisy(
     Reduces to a quadratically worse version of the noiseless bound at
     eta = 0; the bound is sufficient, not tight.
     """
-    _check_epsilon(epsilon)
-    _check_delta(delta)
-    _check_log_count(log_hypothesis_count)
+    check_interval(epsilon, "accuracy epsilon", 0.0, 1.0, "()")
+    check_interval(delta, "confidence delta", 0.0, 1.0, "()")
+    check_interval(log_hypothesis_count, "log hypothesis count", 0.0, math.inf, "()")
     check_noise(eta)
     return _ceil_snapped(_noisy_raw(epsilon, delta, log_hypothesis_count, eta))
 
 
 def gamma(epsilon: float, eta: float) -> float:
     """Exponent rate epsilon^2 (1-2 eta)^2 / 2 governing the confidence floor."""
-    _check_epsilon(epsilon)
+    check_interval(epsilon, "accuracy epsilon", 0.0, 1.0, "()")
     check_noise(eta)
     return epsilon**2 * (1.0 - 2.0 * eta) ** 2 / 2.0
 
@@ -137,22 +119,12 @@ def delta_floor(epsilon: float, eta: float, n: int) -> DeltaFloor:
     return DeltaFloor(gamma=g, n=n, log_delta_star=-g * n)
 
 
-def search_rate(p: float) -> float:
-    """Exponential rate xi = -ln(1-p) of the random-search halting law."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"per-draw success probability must lie in [0, 1], got {p}")
-    if p == 1.0:
-        return math.inf
-    return -math.log1p(-p)
-
-
 def random_search_curve(p: float, n: int) -> float:
     """Probability that i.i.d. search with per-draw success p halts within n draws.
 
     Equals sum_{k=1..n} p (1-p)^(k-1) = 1 - (1-p)^n, evaluated in log-space.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"per-draw success probability must lie in [0, 1], got {p}")
+    check_interval(p, "per-draw success probability", 0.0, 1.0)
     check_count(n, "n", 0)
     if n == 0 or p == 0.0:
         return 0.0
@@ -163,11 +135,8 @@ def random_search_curve(p: float, n: int) -> float:
 
 def pac_condition_met(learning_probability: float, delta: float) -> bool:
     """Whether an observed learning probability certifies confidence delta."""
-    if not 0.0 <= learning_probability <= 1.0:
-        raise DomainError(
-            f"learning probability must lie in [0, 1], got {learning_probability}"
-        )
-    _check_delta(delta)
+    check_interval(learning_probability, "learning probability", 0.0, 1.0)
+    check_interval(delta, "confidence delta", 0.0, 1.0, "()")
     return learning_probability >= 1.0 - delta
 
 
@@ -207,8 +176,7 @@ def exclusivity_verdict(
     check_noise(eta_e)
     check_count(n_a, "n_a", 0)
     check_count(n_e, "n_e", 0)
-    if not 0.0 < eta_star < 0.5:
-        raise DomainError(f"eta_star must lie in (0, 1/2), got {eta_star}")
+    check_interval(eta_star, "eta_star", 0.0, 0.5, "()")
     if n_e > n_a:
         raise DomainError(
             f"size ordering violated: eavesdropper holds {n_e} examples "
@@ -254,7 +222,7 @@ def equalizing_epsilon(
     Exceeds epsilon_a whenever the eavesdropper is noisier and no better
     stocked with examples, i.e. matching the floor costs accuracy.
     """
-    _check_epsilon(epsilon_a)
+    check_interval(epsilon_a, "accuracy epsilon", 0.0, 1.0, "()")
     check_noise(eta_a)
     check_noise(eta_e)
     check_count(n_a, "n_a", 0)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
-from .errors import DomainError, ProtocolError, check_count, check_seed
+from .errors import DomainError, ProtocolError, check_count, check_interval, check_seed
 from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
 __all__ = [
@@ -209,10 +209,8 @@ def run_session(
     (so ``export_transcript`` refuses it), its datasets and rates the same.
     """
     check_count(target_data_count, "target data count", 1)
-    if abort_threshold is not None and not 0.0 < abort_threshold <= 0.5:
-        raise DomainError(
-            f"abort threshold must lie in (0, 1/2], got {abort_threshold}"
-        )
+    if abort_threshold is not None:
+        check_interval(abort_threshold, "abort threshold", 0.0, 0.5, "(]")
     if not isinstance(attack, (NoAttack, InterceptResend, AnalyticAttack)):
         raise DomainError(f"unknown attack strategy {attack!r}")
     check_seed(seed)

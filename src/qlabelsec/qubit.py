@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_interval
 
 __all__ = [
     "Basis",
@@ -115,8 +115,7 @@ def measure(state: Preparation, basis: Basis, randomness: float) -> MeasurementR
     """
     own_basis, bit = _lookup(_BASIS_AND_BIT, state, "preparation")
     eigenstates = _lookup(_EIGENSTATES, basis, "basis")
-    if not 0.0 <= randomness < 1.0:
-        raise DomainError(f"randomness must lie in [0, 1), got {randomness}")
+    check_interval(randomness, "randomness", 0.0, 1.0, "[)")
     outcome = bit if own_basis == basis else int(randomness >= 0.5)
     return MeasurementResult(outcome, eigenstates[outcome])
 

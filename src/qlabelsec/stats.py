@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, check_interval
 
 __all__ = ["wilson_interval", "binomial_pull"]
 
@@ -45,9 +45,8 @@ def binomial_pull(observed: float, n: int, p: float) -> float:
     and infinite otherwise.
     """
     check_count(n, "n", 1)
-    for name, rate in (("observed", observed), ("p", p)):
-        if not 0.0 <= rate <= 1.0:
-            raise DomainError(f"{name} rate must lie in [0, 1], got {rate}")
+    check_interval(observed, "observed rate", 0.0, 1.0)
+    check_interval(p, "p rate", 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0 if observed == p else math.inf
     return abs(observed - p) / math.sqrt(p * (1.0 - p) / n)

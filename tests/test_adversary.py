@@ -254,9 +254,28 @@ class TestSimulationAgreesWithTheory:
         for observed, expected, n in (
             (session.eta_a_estimate, 0.375, session.check_count),
             (session.eve_label_error_rate, 0.375, len(session.eavesdropper_dataset)),
-            (session.authorized_label_error_rate, 0.375, len(session.authorized_dataset)),
+            (
+                session.authorized_label_error_rate,
+                oracles.authorized_data_error_exact("randomPerLeg", 1.0),
+                len(session.authorized_dataset),
+            ),
         ):
             assert binomial_pull(observed, n, expected) <= 4.0
+
+    @pytest.mark.parametrize("f", [0.5, 1.0])
+    @pytest.mark.parametrize("legs", [(1, 2), (1,), (2,)])
+    @pytest.mark.parametrize("policy", ["alwaysZ", "randomPerLeg"])
+    def test_authorized_data_errors_match_branch_enumeration(self, policy, legs, f):
+        # pooled over two fixed seeds; an exact 0 must be met exactly
+        strategy = InterceptResend(attack_probability=f, basis_policy=policy, legs=legs)
+        flipped = delivered = 0
+        for seed in (808, 809):
+            session = run_session(simple_source(), 3_000, attack=strategy, seed=seed)
+            n = len(session.authorized_dataset)
+            flipped += round(session.authorized_label_error_rate * n)
+            delivered += n
+        exact = oracles.authorized_data_error_exact(policy, f, legs)
+        assert binomial_pull(flipped / delivered, delivered, exact) <= 4.0
 
     def test_no_strategy_raises_ensemble_fidelity_above_no_attack(self):
         baseline = run_session(simple_source(), 4_000, attack=NoAttack(), seed=55)

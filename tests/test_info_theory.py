@@ -32,6 +32,14 @@ EVE_NOISE_003_REF = 0.2464532703081757
 EVE_NOISE_001_REF = 0.334247072347599
 
 
+def test_frozen_references_are_the_oracle_rounded_to_double():
+    assert ETA_STAR_COLLECTIVE_REF == float(oracles.eta_star_collective_hp())
+    assert ETA_STAR_INDIVIDUAL_REF == float(oracles.eta_star_individual_hp())
+    eve_refs = {0.05: EVE_NOISE_005_REF, 0.03: EVE_NOISE_003_REF, 0.01: EVE_NOISE_001_REF}
+    for eta_a, ref in eve_refs.items():
+        assert ref == float(oracles.eve_noise_collective_hp(eta_a))
+
+
 class TestBinaryEntropy:
     def test_spot_values(self):
         assert binary_entropy(0.5) == 1.0

@@ -20,7 +20,6 @@ from qlabelsec.pac_bounds import (
     random_search_curve,
     sample_bound_noiseless,
     sample_bound_noisy,
-    search_rate,
 )
 
 LOG_H_20_BITS = 20 * math.log(2.0)
@@ -205,11 +204,6 @@ class TestRandomSearchLaw:
                 assert random_search_curve(p, n) == pytest.approx(
                     brute, rel=1e-12, abs=1e-15
                 )
-
-    def test_rate_accessor(self):
-        assert search_rate(0.1) == pytest.approx(-math.log(0.9), rel=1e-12)
-        assert search_rate(0.0) == 0.0
-        assert math.isinf(search_rate(1.0))
 
     def test_edge_cases(self):
         assert random_search_curve(0.0, 100) == 0.0

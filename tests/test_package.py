@@ -1,6 +1,6 @@
 """The package namespace: each public name is declared once, in its module;
-the float-arithmetic modules import no numpy; the README's library example
-runs."""
+the float-arithmetic modules import no numpy; only errors and cli write an
+interval message; the README's library example runs."""
 
 import ast
 import os
@@ -68,3 +68,15 @@ def test_readme_library_block_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
     exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+
+
+def test_interval_messages_come_only_from_the_errors_module():
+    # every rate, probability and threshold check goes through errors.check_interval;
+    # the CLI keeps its own ConfigError texts for two options
+    package = Path(qlabelsec.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("errors.py", "cli.py"):
+            continue
+        text = path.read_text()
+        for phrase in ("must lie in", "positive and finite"):
+            assert phrase not in text, f"{path.name} writes its own interval check: {phrase!r}"
