@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -24,17 +24,20 @@ import numpy as np
 from . import __version__
 from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from .errors import (
+    MIN_TRIALS,
     ConfigError,
     DomainError,
     ProtocolError,
     StatisticalCheckError,
     check_grid,
     check_seed,
+    check_trial_count,
 )
 from .info_theory import eta_star, eve_noise_from_disturbance, info_curve
 from .learn_harness import (
     LEARNER_KINDS,
     MODEL_KINDS,
+    CurvePoint,
     LearnerConfig,
     LinearThresholdModel,
     default_sample_budget,
@@ -239,6 +242,30 @@ def _point_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, *path)).generate_state(1)[0])
 
 
+def _check_disturbances(values, name: str) -> None:
+    """A paired experiment needs each eta_a in (0, 1/2); run before any trial."""
+    for eta_a in values:
+        if not 0.0 < eta_a < 0.5:
+            raise ConfigError(
+                f"{name} must lie in (0, 1/2); got {eta_a} "
+                "(at 0 the eavesdropper stream is a signal-free coin flip)"
+            )
+
+
+def _party_trials(task, opts, config, eta_a, budget, *path):
+    """The paired experiment at eta_a: eta_e, then the authorized learner's
+    batch on eta_a and the eavesdropper's on eta_e.
+
+    Party p (0 authorized, 1 eavesdropper) runs from base seed
+    _point_seed(seed, *path, p), so each batch replays on its own.
+    """
+    eta_e = _eve_noise(opts["attack_kind"], eta_a)
+    return eta_e, *(
+        _trials(task, opts, config, eta, budget, _point_seed(opts["seed"], *path, party))
+        for party, eta in enumerate((eta_a, eta_e))
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -360,6 +387,7 @@ def _cmd_learn(opts: dict) -> int:
     if grid is None:
         grid = [config.evaluation_cadence * k for k in (1, 2, 4, 8, 16)]
     grid = check_grid(grid)  # before any trial runs
+    check_trial_count(opts["trials"])
     budget = opts["budget"]
     if budget is None:
         budget = default_sample_budget(
@@ -383,22 +411,10 @@ def _cmd_learn(opts: dict) -> int:
     bundle = _bundle(opts, "learn")
     if bundle is not None:
         bundle.add_jsonl(
-            "learn-trials.jsonl",
-            (
-                {
-                    "index": i,
-                    "seed": t.seed,
-                    "samples_consumed": t.samples_consumed,
-                    "halted": t.halted,
-                    "final_test_error": t.final_test_error,
-                }
-                for i, t in enumerate(trials)
-            ),
+            "learn-trials.jsonl", ({"index": i, **vars(t)} for i, t in enumerate(trials))
         )
         bundle.add_csv(
-            "learn-curve.csv",
-            ("n", "p_hat", "wilson_low", "wilson_high", "trials"),
-            [(p.n, p.p_hat, p.wilson_low, p.wilson_high, p.trials) for p in curve.points],
+            "learn-curve.csv", [f.name for f in fields(CurvePoint)], map(astuple, curve.points)
         )
         if opts["svg"]:
             chart = svg_chart(
@@ -427,57 +443,26 @@ def _cmd_learn(opts: dict) -> int:
     return 0
 
 
-def _paired_point(task, eta_pair, opts, config, point_index):
-    """150-trial halting estimates for one (eta_A, eta_E) pair at n = n_op."""
-    n_op = opts["n_op"]
-    points = []
-    for party_index, eta in enumerate(eta_pair):
-        trials = _trials(
-            task, opts, config, eta, n_op,
-            _point_seed(opts["seed"], point_index, party_index),
-        )
-        curve = estimate_learning_probability(
-            trials, [n_op], eta=eta, epsilon_target=opts["epsilon_target"]
-        )
-        points.append(curve.points[0])
-    return points
-
-
 def _cmd_sweep_eta(opts: dict) -> int:
     if not opts["eta_grid"]:
         raise ConfigError("eta grid is empty; give at least one value in (0, 1/2)")
-    for eta_a in opts["eta_grid"]:
-        if not 0.0 < eta_a < 0.5:
-            raise ConfigError(
-                f"eta grid values must lie in (0, 1/2); got {eta_a} "
-                "(at 0 the eavesdropper stream is a signal-free coin flip)"
-            )
+    _check_disturbances(opts["eta_grid"], "eta grid values")
+    check_trial_count(opts["trials"])
+    n_op = opts["n_op"]
+    check_grid([n_op])
     kind = opts["attack_kind"]
     threshold = eta_star(kind)
     task = _trial_task(opts)
     config = _learner_config(opts)
     rows = []
     for index, eta_a in enumerate(opts["eta_grid"]):
-        eta_e = _eve_noise(kind, eta_a)
-        point_a, point_e = _paired_point(task, (eta_a, eta_e), opts, config, index)
-        overlap = not (
-            point_a.wilson_low > point_e.wilson_high
-            or point_e.wilson_low > point_a.wilson_high
-        )
-        rows.append(
-            (
-                eta_a,
-                eta_e,
-                point_a.p_hat,
-                point_a.wilson_low,
-                point_a.wilson_high,
-                point_e.p_hat,
-                point_e.wilson_low,
-                point_e.wilson_high,
-                overlap,
-                opts["trials"],
-            )
-        )
+        eta_e, *batches = _party_trials(task, opts, config, eta_a, n_op, index)
+        a, e = (estimate_learning_probability(t, [n_op]).points[0] for t in batches)
+        overlap = not (a.wilson_low > e.wilson_high or e.wilson_low > a.wilson_high)
+        rows.append((
+            eta_a, eta_e, a.p_hat, a.wilson_low, a.wilson_high,
+            e.p_hat, e.wilson_low, e.wilson_high, overlap, opts["trials"],
+        ))
     header = (
         "eta_a", "eta_e",
         "p_hat_a", "wilson_low_a", "wilson_high_a",
@@ -516,40 +501,27 @@ def _cmd_sweep_eta(opts: dict) -> int:
                     )
                     for party, col in (("authorized", 2), ("eavesdropper", 5))
                 ],
-                title=f"halting probability at n={opts['n_op']}",
+                title=f"halting probability at n={n_op}",
                 x_label="authorized disturbance eta_a",
                 y_label="P(halted)",
             )
             bundle.add_text("sweep-eta.svg", chart)
-        bundle.write_summary({"crossing": crossing, "n_op": opts["n_op"]})
+        bundle.write_summary({"crossing": crossing, "n_op": n_op})
     return 0
 
 
 def _cmd_histograms(opts: dict) -> int:
-    if not 0.0 < opts["eta_a"] < 0.5:
-        raise ConfigError(f"eta_a must lie in (0, 1/2), got {opts['eta_a']}")
-    eta_e = _eve_noise(opts["attack_kind"], opts["eta_a"])
+    _check_disturbances([opts["eta_a"]], "eta_a")
     task = _trial_task(opts)
     config = _learner_config(opts)
-    test_size = len(task.test_y)
-    counts = {}
-    for party_index, (party, eta) in enumerate(
-        (("authorized", opts["eta_a"]), ("eavesdropper", eta_e))
-    ):
-        trials = _trials(
-            task, opts, config, eta, opts["budget"], _point_seed(opts["seed"], party_index)
-        )
-        counts[party] = error_histogram(
-            [t.final_test_error for t in trials], test_size
-        )
+    eta_e, *batches = _party_trials(task, opts, config, opts["eta_a"], opts["budget"])
+    counts = [
+        error_histogram([t.final_test_error for t in trials], len(task.test_y))
+        for trials in batches
+    ]
     rows = [
-        (
-            round(i / HISTOGRAM_BIN_COUNT, 2),
-            round((i + 1) / HISTOGRAM_BIN_COUNT, 2),
-            counts["authorized"][i],
-            counts["eavesdropper"][i],
-        )
-        for i in range(HISTOGRAM_BIN_COUNT)
+        (round(i / HISTOGRAM_BIN_COUNT, 2), round((i + 1) / HISTOGRAM_BIN_COUNT, 2), a, e)
+        for i, (a, e) in enumerate(zip(*counts))
     ]
     occupied = [row for row in rows if row[2] or row[3]]
     print(f"{'bin_low':>8}  {'bin_high':>8}  {'authorized':>10}  {'eavesdropper':>12}")
@@ -582,8 +554,8 @@ def _cmd_histograms(opts: dict) -> int:
             {
                 "eta_a": opts["eta_a"],
                 "eta_e": eta_e,
-                "total_authorized": sum(counts["authorized"]),
-                "total_eavesdropper": sum(counts["eavesdropper"]),
+                "total_authorized": sum(counts[0]),
+                "total_eavesdropper": sum(counts[1]),
             }
         )
     return 0
@@ -731,7 +703,7 @@ _COMMANDS = {
     "learn": ("estimate a learning-probability curve", _cmd_learn, (
         Option("eta", 0.0, float, "stream label noise"),
         _EPSILON_TARGET,
-        Option("trials", 100, _as_int, "Monte Carlo trials, at least 30"),
+        Option("trials", 100, _as_int, f"Monte Carlo trials, at least {MIN_TRIALS}"),
         Option("budget", None, _as_int, "per-trial sample budget"),
         Option("grid", None, _as_int_list, "comma list of sample counts to report"),
         Option(

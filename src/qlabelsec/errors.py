@@ -1,9 +1,12 @@
-"""The package's exception types and its seed, count, grid, interval and noise checks."""
+"""The package's exception types and its seed, count, trial, grid, interval and noise checks."""
 
 import math
 import numbers
 
 __all__ = ["DomainError", "ConfigError", "ProtocolError", "StatisticalCheckError"]
+
+# Fewest trials a halting-probability estimate and its interval accept.
+MIN_TRIALS = 30
 
 
 class DomainError(ValueError):
@@ -37,6 +40,12 @@ def check_count(value, name: str, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_trial_count(count: int) -> None:
+    """Raise DomainError unless count reaches MIN_TRIALS; package-internal."""
+    if count < MIN_TRIALS:
+        raise DomainError(f"need at least {MIN_TRIALS} trials for interval estimates, got {count}")
 
 
 def check_grid(values) -> list[int]:

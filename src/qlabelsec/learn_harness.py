@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DomainError, check_count, check_grid, check_interval, check_noise, check_seed
+    DomainError, check_count, check_grid, check_interval, check_noise, check_seed,
+    check_trial_count,
 )
 from .pac_bounds import sample_bound_noisy
 from .protocol import ConceptSource
@@ -60,7 +61,7 @@ __all__ = [
 _DISCRETIZATION_LEVELS = 32
 
 _MIN_TEST_SIZE = 2000
-_MIN_TRIALS = 30
+_BUDGET_CAP = 1_000_000  # largest default_sample_budget
 
 # Largest per-block evaluation temporary, in float64s: held-out rows times
 # hidden units (one for linear models), summed over the block's trials.  A
@@ -397,17 +398,15 @@ def log_hypothesis_count(config: LearnerConfig, dimension: int) -> float:
     return sum(value.size for value in vars(model).values()) * math.log(_DISCRETIZATION_LEVELS)
 
 
-def default_sample_budget(
-    epsilon_target: float, eta: float, log_h: float, cap: int = 1_000_000
-) -> int:
-    """50x the noisy sample bound at delta = 1/2, capped.
+def default_sample_budget(epsilon_target: float, eta: float, log_h: float) -> int:
+    """50x the noisy sample bound at delta = 1/2, capped at _BUDGET_CAP.
 
     The bound is loose, so the default budget is generous on purpose: a
     budget that censors the halting distribution in the region being plotted
     would bias every curve downward.
     """
     bound = sample_bound_noisy(epsilon_target, 0.5, log_h, eta)
-    return min(50 * bound, cap)
+    return min(50 * bound, _BUDGET_CAP)
 
 
 @dataclass(frozen=True)
@@ -994,10 +993,7 @@ def estimate_learning_probability(
     learner: str = "gradient",
 ) -> LearningProbabilityCurve:
     """Empirical halting CDF of a trial batch on the given sample grid."""
-    if len(trials) < _MIN_TRIALS:
-        raise DomainError(
-            f"need at least {_MIN_TRIALS} trials for interval estimates, got {len(trials)}"
-        )
+    check_trial_count(len(trials))
     grid = check_grid(n_grid)
     counts = np.asarray([t.samples_consumed for t in trials])
     halted = np.asarray([t.halted for t in trials])

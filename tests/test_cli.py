@@ -1,5 +1,6 @@
 """Command surface: values, exit codes, layering, determinism, schemas."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -9,6 +10,9 @@ import pytest
 import qlabelsec.cli as cli_module
 from qlabelsec.cli import main
 from qlabelsec.info_theory import eve_noise_from_disturbance
+from qlabelsec.learn_harness import (
+    LearnerConfig, estimate_learning_probability, generate_task, run_trials
+)
 from qlabelsec.pac_bounds import sample_bound_noiseless, sample_bound_noisy
 from qlabelsec.protocol import run_session
 
@@ -258,7 +262,8 @@ class TestLearnCommand:
         assert err.startswith("error:") and "step size must be positive and finite" in err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_too_few_trials_exits_2(self, capsys):
+    def test_too_few_trials_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
         assert run_cli("learn", "--trials", "10") == 2
         assert "at least 30" in capsys.readouterr().err
 
@@ -320,8 +325,46 @@ class TestSweepEta:
         assert run_cli("sweep-eta", "--eta-grid", "0.01,0.7", "--trials", "30") == 2
         assert "eta grid values must lie in (0, 1/2); got 0.7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--trials", "10"), "need at least 30 trials for interval estimates, got 10"),
+            (("--n-op", "0"), "sample grid point must be >= 1, got 0"),
+        ],
+        ids=["trials", "n-op"],
+    )
+    def test_bad_trial_option_exits_2_before_any_trial(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
+        assert run_cli("sweep-eta", *flags) == 2
+        assert message in capsys.readouterr().err
+
+    def test_each_party_batch_replays_from_its_point_seed(self, tmp_path, capsys):
+        assert run_cli(
+            "sweep-eta", "--eta-grid", "0.05,0.03", "--trials", "30",
+            "--out", str(tmp_path), "--seed", "5",
+        ) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "sweep-eta.csv").read_text().splitlines()
+        row = dict(zip(rows[0].split(","), rows[2].split(",")))
+        task = generate_task(8, 6.0, 42, epsilon_target=0.03)
+        # grid index 1; party 0 is the authorized learner, party 1 the eavesdropper
+        for party, (suffix, eta) in enumerate((("a", 0.03), ("e", float(row["eta_e"])))):
+            base_seed = cli_module._point_seed(5, 1, party)
+            trials = run_trials(task, eta, 0.03, LearnerConfig(), 25, 30, base_seed=base_seed)
+            point = estimate_learning_probability(trials, [25]).points[0]
+            assert repr(point.p_hat) == row[f"p_hat_{suffix}"]
+
 
 class TestHistograms:
+    @pytest.mark.parametrize("value", ["0", "0.7"])
+    def test_out_of_range_disturbance_exits_2_before_any_trial(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setattr(cli_module, "run_trials", _no_trials)
+        assert run_cli("histograms", "--eta-a", value) == 2
+        err = capsys.readouterr().err
+        assert f"eta_a must lie in (0, 1/2); got {float(value)}" in err and "signal-free" in err
+
     def test_partition_and_conservation(self, tmp_path, capsys):
         assert run_cli(
             "histograms", "--trials", "30", "--out", str(tmp_path), "--seed", "8",
@@ -614,3 +657,43 @@ class TestTaskValidation:
         assert run_cli(*argv, f"--separation={value}", "--out", str(out)) == 2
         assert "separation must be positive and finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+# The README's eight invocations with --seed 7; the output directory is added
+# per command.
+_README_COMMANDS = (
+    ("bounds", "--epsilon", "0.03", "--delta", "0.2", "--log-h", "29.7", "--eta", "0.03",
+     "--n", "1000,10000"),
+    ("thresholds",),
+    ("protocol-run", "--target-data", "2000", "--attack", "intercept-resend",
+     "--fraction", "0.5", "--policy", "alwaysZ"),
+    ("learn", "--eta", "0.05", "--trials", "150", "--grid", "25,50,100,200", "--svg"),
+    ("learn", "--learner", "random-search", "--trials", "150"),
+    ("sweep-eta", "--eta-grid", "0.01,0.03,0.110028", "--trials", "150"),
+    ("histograms", "--eta-a", "0.03", "--trials", "150", "--svg"),
+    ("selfcheck",),
+)
+# sha256 over each command's exit code, stdout and output files, the summaries
+# without their provenance timestamp
+_README_DIGEST = "b1387b3bbe5bdeac85fa4d12e6783f7d7acbccc9025f3dda638741491615a9ba"
+
+
+@pytest.mark.blas_pins
+class TestReadmeOutputPin:
+    def test_readme_commands_match_the_pin(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QLABELSEC_OUTDIR", raising=False)
+        monkeypatch.delenv("QLABELSEC_WORKERS", raising=False)
+        digest = hashlib.sha256()
+        for index, argv in enumerate(_README_COMMANDS):
+            out = tmp_path / str(index)
+            code = run_cli(*argv, "--seed", "7", "--out", str(out))
+            digest.update(f"{argv[0]} exit {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+            for path in sorted(out.iterdir()):
+                data = path.read_bytes()
+                if path.name.endswith("-summary.json"):
+                    summary = json.loads(data)
+                    del summary["provenance"]["timestamp"]
+                    data = json.dumps(summary, sort_keys=True).encode()
+                digest.update(f"{path.name} {len(data)}\n".encode() + data)
+        assert digest.hexdigest() == _README_DIGEST

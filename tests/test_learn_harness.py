@@ -96,6 +96,7 @@ def task():
     return generate_task(dimension=8, separation=6.0, seed=42, epsilon_target=0.03)
 
 
+@pytest.mark.blas_pins
 class TestGenerateTask:
     def test_deterministic(self, task):
         again = generate_task(dimension=8, separation=6.0, seed=42, epsilon_target=0.03)
@@ -292,6 +293,7 @@ def _near_rows(direction, count, rng, scale=1e3):
     return v - np.outer(v @ direction, direction)
 
 
+@pytest.mark.blas_pins
 class TestConceptBits:
     """concept_bits against an exact Fraction referee."""
 
@@ -468,6 +470,7 @@ class TestModels:
         assert config == LearnerConfig(hidden_width=4, batch_size=5, evaluation_cadence=25)
 
 
+@pytest.mark.blas_pins
 class TestInitialModels:
     @pytest.mark.parametrize("dimension", [2, 8, 64])
     @pytest.mark.parametrize(
@@ -1012,6 +1015,7 @@ def _trial_seed(base_seed, index):
     return (int(key) + index) % 2**64
 
 
+@pytest.mark.blas_pins
 class TestTrialSeeds:
     """One 64-bit seed per trial, and every record replays from it."""
 
@@ -1161,6 +1165,7 @@ def _run_pinned(task, key, **kwargs):
     return run_trials(task, **_pinned_options(key), **kwargs)
 
 
+@pytest.mark.blas_pins
 class TestRecordPins:
     @pytest.mark.parametrize("key", sorted(_RECORD_DIGESTS))
     def test_batch_is_pinned(self, task, key):
@@ -1261,6 +1266,7 @@ def _assert_block_matches(task, eta, epsilon, config, budget, base_seed, expecte
         _assert_same_model(learn_harness._take(models, index), reference)
 
 
+@pytest.mark.blas_pins
 class TestAgainstPerTrialReference:
     @pytest.mark.parametrize("model", ["linear-threshold", "one-hidden-layer"])
     def test_lockstep_batch_equals_the_per_trial_loop_on_a_grid(self, task, model):
@@ -1350,6 +1356,7 @@ def _assert_records_match(trials, expected):
 _SEARCH_PINS = sorted(key for key in _PINNED_BATCHES if key.startswith("search"))
 
 
+@pytest.mark.blas_pins
 class TestAgainstPerDrawReference:
     @pytest.mark.parametrize("key", _SEARCH_PINS)
     def test_pinned_batch_equals_the_per_draw_loop(self, task, key):
@@ -1436,6 +1443,7 @@ def _first_block_errors(task, seed):
     ]
 
 
+@pytest.mark.blas_pins
 class TestSearchEngine:
     def test_zero_budget_reports_error_one(self, task):
         assert _run_search(task, 0.03, 0, 5, 3) == [
@@ -1655,6 +1663,7 @@ def _picker(draws):
     return lambda rng: draws[int(rng.integers(len(draws)))]
 
 
+@pytest.mark.blas_pins
 class TestSamplerSearchEngine:
     """random_search_trials against reference_search, one seed at a time."""
 
@@ -1731,6 +1740,7 @@ class TestSamplerSearchEngine:
         _assert_search_matches(task, 0.3, _picker(_edge_draws(task)), 40, seeds)
 
 
+@pytest.mark.blas_pins
 class TestEngineIdentity:
     """run_trials' random search is random_search_trials with the halfspace sampler."""
 

@@ -334,6 +334,7 @@ class TestInterceptResendSessions:
         assert session.ensemble_fidelity == 0.5
 
 
+@pytest.mark.blas_pins
 class TestTranscriptExport:
     def test_round_trip_and_field_contract(self, tmp_path):
         session = run_session(
@@ -551,6 +552,7 @@ class TestSessionViews:
         assert moved.authorized_dataset is session.authorized_dataset
 
 
+@pytest.mark.blas_pins
 class TestSessionPins:
     @pytest.mark.parametrize("key", sorted(_SESSION_DIGESTS))
     def test_whole_session_is_pinned(self, key):
@@ -616,6 +618,7 @@ def _same_value(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+@pytest.mark.blas_pins
 class TestAgainstScalarReference:
     @settings(deadline=None)
     @given(
