@@ -183,12 +183,12 @@ def _check_out(out: str | None) -> None:
     """Refuse an output directory that cannot be created, without creating it.
 
     Commands make their directory after their work, so this runs first: the
-    nearest existing ancestor of out must be a writable directory.
+    nearest ancestor of out that exists or is a link must be a writable directory.
     """
     if out is None:
         return
     ancestor = Path(out).absolute()
-    while not ancestor.exists():
+    while not (ancestor.exists() or ancestor.is_symlink()):
         ancestor = ancestor.parent
     if not ancestor.is_dir():
         reason = f"{ancestor} is not a directory"
@@ -693,10 +693,7 @@ _COMMANDS = {
         Option("disturbance", 0.05, float, "induced disturbance for analytic attacks"),
         Option("abort_threshold", None, float, "abort when the estimate exceeds this"),
         Option("strict_abort", False, _as_bool, "discard datasets on abort", switch=True),
-        Option(
-            "no_transcript", False, _as_bool,
-            "skip per-round records (faster, no transcript file)", switch=True,
-        ),
+        Option("no_transcript", False, _as_bool, "write no transcript file", switch=True),
         *_TASK,
         *_REPORT,
     )),
@@ -720,7 +717,7 @@ _COMMANDS = {
                 "comma list of authorized disturbances",
             ),
             Option("n_op", 25, _as_int, "sample count the halting probability is read at"),
-            Option("trials", 150, _as_int, "trials per grid point"),
+            Option("trials", 150, _as_int, f"trials per grid point, at least {MIN_TRIALS}"),
             _EPSILON_TARGET,
             _ATTACK_KIND,
             *_LEARNER,

@@ -21,7 +21,9 @@ import numpy as np
 
 from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from .errors import DomainError, ProtocolError, check_count, check_interval, check_seed
-from .qubit import Basis, Preparation, apply_oracle, fidelity, measure
+from .qubit import (
+    BASIS, BIT, FIDELITY, IS_CHECK, ORACLE, OUTCOME, POST_STATE, Basis, Preparation
+)
 
 __all__ = [
     "ConceptSource",
@@ -33,29 +35,7 @@ __all__ = [
     "export_transcript",
 ]
 
-_PREPARATIONS = tuple(Preparation)
-_BASES = tuple(Basis)
-
-# qubit's rules as arrays over preparation indices (_PREPARATIONS order) and
-# basis indices (_BASES order), filled by calling qubit's own functions.
-# measure() reads its variate only as a fair coin, 0 below 1/2 and 1 above,
-# so _OUTCOME and _POST_STATE are indexed [state, basis, coin].
-_INDEX = {k: i for i, k in enumerate(_PREPARATIONS)}
-_IS_DATA_ROUND = tuple(not k.is_check for k in _PREPARATIONS)
-_IS_CHECK = np.array([k.is_check for k in _PREPARATIONS])
-_BIT = np.array([k.bit for k in _PREPARATIONS])
-_BASIS = np.array([_BASES.index(k.basis) for k in _PREPARATIONS])
-_ORACLE = np.array(
-    [[_INDEX[apply_oracle(k, c)] for c in (0, 1)] for k in _PREPARATIONS]
-)
-_FIDELITY = np.array([[fidelity(k, r) for r in _PREPARATIONS] for k in _PREPARATIONS])
-_MEASURED = [
-    [[measure(k, b, u) for u in (0.0, 0.5)] for b in _BASES] for k in _PREPARATIONS
-]
-_OUTCOME = np.array([[[m.outcome for m in ms] for ms in row] for row in _MEASURED])
-_POST_STATE = np.array(
-    [[[_INDEX[m.post_state] for m in ms] for ms in row] for row in _MEASURED]
-)
+_IS_DATA_ROUND = tuple((~IS_CHECK).tolist())
 
 # Hard ceiling on rounds per target example; check rounds consume half the
 # budget in expectation, so 20x cannot be hit by chance at any real size.
@@ -224,10 +204,10 @@ def run_session(
         table = _qubit_pass(draws)
 
     prep, inputs = draws.preparations, draws.inputs
-    data = ~_IS_CHECK[prep]
+    data = ~IS_CHECK[prep]
     truth = draws.labels[data]
-    labels = table.outcomes[data] ^ _BIT[prep[data]]
-    check_errors = int((table.outcomes[~data] != _BIT[prep[~data]]).sum())
+    labels = table.outcomes[data] ^ BIT[prep[data]]
+    check_errors = int((table.outcomes[~data] != BIT[prep[~data]]).sum())
     data_count = len(inputs)
     checks = len(prep) - data_count
     eta_a = estimate_eta_a(checks, check_errors)
@@ -361,7 +341,7 @@ def _draw_rounds(
     draws = _Draws(
         preparations=prep,
         labels=_label_rows(concept_source.labeler, rows),
-        inputs=rows[~_IS_CHECK[prep]],
+        inputs=rows[~IS_CHECK[prep]],
         finals=np.array(finals),
         eve=np.array(eve),
         attacked=np.array(attacked_col, dtype=bool),
@@ -406,9 +386,9 @@ class _Table:
 
 def _analytic_pass(draws: _Draws, attack: AnalyticAttack) -> _Table:
     """Two flip channels: one on the returned outcome, one on Eve's copy of c."""
-    data = ~_IS_CHECK[draws.preparations]
+    data = ~IS_CHECK[draws.preparations]
     flips = draws.finals < attack.disturbance
-    outcomes = _BIT[draws.preparations] ^ flips ^ (draws.labels & data)
+    outcomes = BIT[ORACLE[draws.preparations, draws.labels]] ^ flips
     eve_labels = draws.labels[data] ^ (draws.eve < attack.eve_noise)
     # a data round's fidelity is 1 when its label arrived intact, 0 otherwise
     return _Table(outcomes, eve_labels, float((~flips[data]).sum()))
@@ -417,15 +397,15 @@ def _analytic_pass(draws: _Draws, attack: AnalyticAttack) -> _Table:
 def _qubit_pass(draws: _Draws) -> _Table:
     """Every round's state walked through the qubit tables at once."""
     prep, labels = draws.preparations, draws.labels
-    data = ~_IS_CHECK[prep]
+    data = ~IS_CHECK[prep]
     attacked = np.flatnonzero(draws.attacked)
     state = prep.copy()
     legs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     _intercept(state, attacked, draws, 1, legs)
-    state = _ORACLE[state, labels]
+    state = ORACLE[state, labels]
     _intercept(state, attacked, draws, 2, legs)
-    fidelity_sum = float(_FIDELITY[state[data], labels[data] ^ _BIT[prep[data]]].sum())
-    outcomes = _measure(state, slice(None), _BASIS[prep], draws.finals)
+    fidelity_sum = float(FIDELITY[state[data], ORACLE[prep[data], labels[data]]].sum())
+    outcomes = _measure(state, slice(None), BASIS[prep], draws.finals)
 
     eve = np.zeros(len(prep), dtype=np.intp)
     guessed = data.copy()
@@ -441,22 +421,22 @@ def _qubit_pass(draws: _Draws) -> _Table:
 def _intercept(state, attacked, draws: _Draws, leg: int, legs: dict) -> None:
     """Eve's measure-and-resend on one configured leg of every attacked round."""
     if leg in draws.variates:
-        basis = (~draws.z_bases[leg]).astype(np.intp)  # _BASES order: Z, X
+        basis = (~draws.z_bases[leg]).astype(np.intp)  # Basis order: Z, X
         legs[leg] = basis, _measure(state, attacked, basis, draws.variates[leg])
 
 
 def _measure(state: np.ndarray, rounds, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     """qubit.measure on state[rounds]: collapse them in place, return outcomes."""
     key = (state[rounds], basis, (u >= 0.5).astype(np.intp))
-    state[rounds] = _POST_STATE[key]
-    return _OUTCOME[key]
+    state[rounds] = POST_STATE[key]
+    return OUTCOME[key]
 
 
 # A transcript line (compact, key-sorted JSON) is a head set by the attack
 # (quiet; attacked with no record; attacked with each leg's basis index, 2 for
 # an unconfigured leg), a tail set by 2 * k + outcome, and the round id.
 _JSON_BOOL = ("false", "true")
-_JSON_BASES = tuple(f'"{b.value}"' for b in _BASES) + ("null",)
+_JSON_BASES = tuple(f'"{b.value}"' for b in Basis) + ("null",)
 _HEADS = tuple(
     f'{{"eve_basis":{basis},"flags":{{"attacked":{attacked},"check_error":'
     for basis, attacked in [("null", "false"), ("null", "true")]
@@ -465,7 +445,7 @@ _HEADS = tuple(
 _TAILS = tuple(
     f'{_JSON_BOOL[o != k.bit] if k.is_check else "null"}}},'
     f'"is_check":{_JSON_BOOL[k.is_check]},"k":"{k.value}","outcome":{o},"round_id":'
-    for k in _PREPARATIONS
+    for k in Preparation
     for o in (0, 1)
 )
 

@@ -4,7 +4,7 @@ The protocol needs exactly four preparations (the computational pair and the
 Hadamard pair), one conditional bit-flip, and destructive measurements in the
 two matching bases.  That set is closed: the flip maps it onto itself and a
 measurement collapses onto it, so a state *is* its ``Preparation`` and every
-operation here is a lookup.  Every Born probability is 0, 1/2 or 1.
+operation here reads a table below.  Every Born probability is 0, 1/2 or 1.
 Randomness is never drawn internally: ``measure`` takes one uniform variate
 from the caller so that sessions are bit-reproducible.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, check_interval
 
@@ -45,38 +47,41 @@ class Preparation(str, enum.Enum):
 
     @property
     def basis(self) -> Basis:
-        return _BASIS_AND_BIT[self][0]
+        return _BASES[BASIS[_STATE_INDEX[self]]]
 
     @property
     def bit(self) -> int:
         """Deterministic outcome when measured in the preparation's own basis."""
-        return _BASIS_AND_BIT[self][1]
+        return int(BIT[_STATE_INDEX[self]])
 
     @property
     def is_check(self) -> bool:
-        return self.basis is Basis.X
+        return bool(IS_CHECK[_STATE_INDEX[self]])
 
 
-# Measurement eigenstates per basis, indexed by outcome bit.
-_EIGENSTATES = {
-    Basis.Z: (Preparation.Z0, Preparation.Z1),
-    Basis.X: (Preparation.XPLUS, Preparation.XMINUS),
-}
+_PREPARATIONS = tuple(Preparation)
+_BASES = tuple(Basis)
+_STATE_INDEX = {k: i for i, k in enumerate(_PREPARATIONS)}
+_BASIS_INDEX = {b: i for i, b in enumerate(_BASES)}
 
-# Each preparation's own basis and the outcome it gives when measured there.
-_BASIS_AND_BIT = {
-    state: (basis, bit)
-    for basis, eigenstates in _EIGENSTATES.items()
-    for bit, state in enumerate(eigenstates)
-}
-
-# Each state after the oracle, indexed by label bit (X|-> is -|->: the same state).
-_ORACLE_IMAGES = {
-    Preparation.Z0: (Preparation.Z0, Preparation.Z1),
-    Preparation.Z1: (Preparation.Z1, Preparation.Z0),
-    Preparation.XPLUS: (Preparation.XPLUS, Preparation.XPLUS),
-    Preparation.XMINUS: (Preparation.XMINUS, Preparation.XMINUS),
-}
+# The rules as read-only tables, indexed by state (Preparation order, where a
+# state's index is 2 * basis + bit) and basis (Basis order); sessions read
+# them too.  The check states are the X pair.
+_PAIR = np.arange(2)  # the values of a basis, a label bit or a coin
+BASIS, BIT = np.divmod(np.arange(4), 2)
+IS_CHECK = BASIS == 1
+# ORACLE[state, label bit]: a 1 flips the computational pair's bit and leaves
+# X+ and X- (eigenstates of X, X|-> being -|->) in place.
+ORACLE = np.arange(4)[:, None] ^ (~IS_CHECK[:, None] * _PAIR)
+# OUTCOME and POST_STATE[state, basis, coin]: the state's bit in its own basis,
+# else the coin (1 for a variate >= 1/2); the post-state is the outcome's eigenstate.
+OUTCOME = np.where(BASIS[:, None, None] == _PAIR[:, None], BIT[:, None, None], _PAIR)
+POST_STATE = 2 * _PAIR[:, None] + OUTCOME
+# FIDELITY[state, reference]: 1 or 0 within one basis, 1/2 across the bases.
+FIDELITY = np.where(BASIS[:, None] == BASIS, (BIT[:, None] == BIT) * 1.0, 0.5)
+for _table in (BASIS, BIT, IS_CHECK, ORACLE, OUTCOME, POST_STATE, FIDELITY):
+    _table.flags.writeable = False
+del _table
 
 
 class MeasurementResult(NamedTuple):
@@ -84,10 +89,10 @@ class MeasurementResult(NamedTuple):
     post_state: Preparation
 
 
-def _lookup(table: dict, key, what: str):
-    """table[key], with a key outside the table reported as a DomainError."""
+def _index(positions: dict, key, what: str) -> int:
+    """positions[key], with a key outside the tables reported as a DomainError."""
     try:
-        return table[key]
+        return positions[key]
     except (KeyError, TypeError):
         raise DomainError(f"unknown {what} {key!r}") from None
 
@@ -97,10 +102,10 @@ def apply_oracle(state: Preparation, label_bit: int) -> Preparation:
 
     Only the computational pair toggles; X+ and X- are eigenstates of X.
     """
-    images = _lookup(_ORACLE_IMAGES, state, "preparation")
+    row = _index(_STATE_INDEX, state, "preparation")
     if label_bit not in (0, 1):
         raise DomainError(f"label bit must be 0 or 1, got {label_bit!r}")
-    return images[label_bit]
+    return _PREPARATIONS[ORACLE[row, int(label_bit)]]
 
 
 def measure(state: Preparation, basis: Basis, randomness: float) -> MeasurementResult:
@@ -113,11 +118,11 @@ def measure(state: Preparation, basis: Basis, randomness: float) -> MeasurementR
     the outcome's eigenstate (Z0/Z1 in Z, X+/X- in X), so measuring it again
     in the same basis is deterministic.
     """
-    own_basis, bit = _lookup(_BASIS_AND_BIT, state, "preparation")
-    eigenstates = _lookup(_EIGENSTATES, basis, "basis")
+    row = _index(_STATE_INDEX, state, "preparation")
+    column = _index(_BASIS_INDEX, basis, "basis")
     check_interval(randomness, "randomness", 0.0, 1.0, "[)")
-    outcome = bit if own_basis == basis else int(randomness >= 0.5)
-    return MeasurementResult(outcome, eigenstates[outcome])
+    key = row, column, int(randomness >= 0.5)
+    return MeasurementResult(int(OUTCOME[key]), _PREPARATIONS[POST_STATE[key]])
 
 
 def fidelity(state: Preparation, reference: Preparation) -> float:
@@ -125,8 +130,5 @@ def fidelity(state: Preparation, reference: Preparation) -> float:
 
     1 or 0 for two states of one basis, 1/2 for states of different bases.
     """
-    state_basis, state_bit = _lookup(_BASIS_AND_BIT, state, "preparation")
-    reference_basis, reference_bit = _lookup(_BASIS_AND_BIT, reference, "preparation")
-    if state_basis != reference_basis:
-        return 0.5
-    return 1.0 if state_bit == reference_bit else 0.0
+    row = _index(_STATE_INDEX, state, "preparation")
+    return float(FIDELITY[row, _index(_STATE_INDEX, reference, "preparation")])

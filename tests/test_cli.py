@@ -9,6 +9,7 @@ import pytest
 
 import qlabelsec.cli as cli_module
 from qlabelsec.cli import main
+from qlabelsec.errors import MIN_TRIALS
 from qlabelsec.info_theory import eve_noise_from_disturbance
 from qlabelsec.learn_harness import (
     LearnerConfig, estimate_learning_probability, generate_task, run_trials
@@ -405,18 +406,25 @@ class TestConfigLayering:
         assert summary["config"]["trials"] == 30
 
     @pytest.mark.parametrize(
+        "out", ["file/sub", "link", "link/sub"],
+        ids=["under-file", "dangling-link", "under-dangling-link"],
+    )
+    @pytest.mark.parametrize(
         "argv",
         [("thresholds",), ("learn", "--trials", "30", "--budget", "25", "--grid", "25")],
         ids=["no-trials", "trials"],
     )
-    def test_uncreatable_outdir_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+    def test_uncreatable_outdir_exits_2(self, tmp_path, capsys, monkeypatch, argv, out):
         monkeypatch.setattr(cli_module, "run_trials", _no_trials)
-        blocker = tmp_path / "file"
+        blocker, link = tmp_path / "file", tmp_path / "link"
         blocker.write_text("")
-        assert run_cli(*argv, "--out", str(blocker / "sub")) == 2
+        link.symlink_to(tmp_path / "missing")
+        assert run_cli(*argv, "--out", str(tmp_path / out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory")
-        assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
+        # refused at the blocking file or link, before any work
+        assert err.rstrip().endswith(f"{tmp_path / out.split('/')[0]} is not a directory")
+        assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker, link]
 
     def test_env_supplies_default_outdir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QLABELSEC_OUTDIR", str(tmp_path / "envout"))
@@ -498,6 +506,16 @@ _TRIAL_ECHO = _TASK_ECHO | {
     "batch_size": 5,
     "cadence": 25,
 }
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["learn", "sweep-eta"])
+    def test_trials_help_states_the_minimum(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(command, "--help")
+        assert stop.value.code == 0
+        entry = capsys.readouterr().out.split("--trials TRIALS", 2)[2].split("\n  --")[0]
+        assert f"at least {MIN_TRIALS} " in " ".join(entry.split())
 
 
 class TestResolvedDefaults:

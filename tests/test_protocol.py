@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlabelsec.protocol as protocol_module
+import qlabelsec.qubit as qubit_module
 from _oracles import reference_columns, reference_session, reference_transcript
 from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
@@ -68,6 +69,24 @@ def session_digest(session) -> str:
         text = value.hex() if isinstance(value, float) else repr(value)
         digest.update(f"{name}={type(value).__name__}:{text};".encode())
     return digest.hexdigest()
+
+
+class TestRuleTables:
+    """Sessions read qubit's one set of rule tables, which no caller can write."""
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [("BASIS", np.int64), ("BIT", np.int64), ("IS_CHECK", np.bool_),
+         ("ORACLE", np.int64), ("OUTCOME", np.int64), ("POST_STATE", np.int64),
+         ("FIDELITY", np.float64)],
+    )
+    def test_tables_are_shared_read_only_and_keep_their_dtype(self, name, dtype):
+        table = getattr(qubit_module, name)
+        assert getattr(protocol_module, name) is table
+        assert table.dtype == dtype
+        corner = (0,) * table.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            table[corner] = table[corner]
 
 
 class TestNoAttackSession:
