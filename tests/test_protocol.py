@@ -72,7 +72,7 @@ def session_digest(session) -> str:
 
 
 class TestRuleTables:
-    """Sessions read qubit's one set of rule tables, which no caller can write."""
+    """Sessions read qubit's one set of rule tables; a write into one raises."""
 
     @pytest.mark.parametrize(
         "name, dtype",
