@@ -266,6 +266,28 @@ def _party_trials(task, opts, config, eta_a, budget, *path):
     )
 
 
+def _add_chart(bundle, opts, file_name, rows, lines, title, x_label, y_label, step=False):
+    """Chart a command's table rows into the bundle when --svg is set.
+
+    Column 0 is x; each (name, column) in lines is one series of that
+    column, shaded by the Wilson band in the two columns after it, or drawn
+    as steps.
+    """
+    if not opts["svg"]:
+        return
+    series = [
+        ChartSeries(
+            name=name,
+            xs=[row[0] for row in rows],
+            ys=[float(row[column]) for row in rows],
+            low=None if step else [row[column + 1] for row in rows],
+            high=None if step else [row[column + 2] for row in rows],
+        )
+        for name, column in lines
+    ]
+    bundle.add_text(file_name, svg_chart(series, title, x_label, y_label, step=step))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -388,56 +410,35 @@ def _cmd_learn(opts: dict) -> int:
         grid = [config.evaluation_cadence * k for k in (1, 2, 4, 8, 16)]
     grid = check_grid(grid)  # before any trial runs
     check_trial_count(opts["trials"])
+    log_h = log_hypothesis_count(config, opts["dimension"])
     budget = opts["budget"]
     if budget is None:
-        budget = default_sample_budget(
-            opts["epsilon_target"], opts["eta"],
-            log_hypothesis_count(config, opts["dimension"]),
+        budget = min(
+            default_sample_budget(opts["epsilon_target"], opts["eta"], log_h), 4 * grid[-1]
         )
-        budget = min(budget, 4 * grid[-1])
     trials = _trials(
         task, opts, config, opts["eta"], budget, opts["seed"], learner=opts["learner"]
     )
-    curve = estimate_learning_probability(
-        trials, grid, eta=opts["eta"],
-        epsilon_target=opts["epsilon_target"], learner=opts["learner"],
-    )
+    rows = [astuple(p) for p in estimate_learning_probability(trials, grid).points]
     print(f"{'n':>8}  {'p_hat':>8}  {'wilson_low':>10}  {'wilson_high':>11}")
-    for point in curve.points:
-        print(
-            f"{point.n:>8}  {point.p_hat:>8.4f}  "
-            f"{point.wilson_low:>10.4f}  {point.wilson_high:>11.4f}"
-        )
+    for n, p_hat, low, high, _ in rows:
+        print(f"{n:>8}  {p_hat:>8.4f}  {low:>10.4f}  {high:>11.4f}")
     bundle = _bundle(opts, "learn")
     if bundle is not None:
         bundle.add_jsonl(
             "learn-trials.jsonl", ({"index": i, **vars(t)} for i, t in enumerate(trials))
         )
-        bundle.add_csv(
-            "learn-curve.csv", [f.name for f in fields(CurvePoint)], map(astuple, curve.points)
+        bundle.add_csv("learn-curve.csv", [f.name for f in fields(CurvePoint)], rows)
+        _add_chart(
+            bundle, opts, "learn-curve.svg", rows, [(f"eta={opts['eta']}", 1)],
+            "learning probability", "samples n", "P(halted within n)",
         )
-        if opts["svg"]:
-            chart = svg_chart(
-                [
-                    ChartSeries(
-                        name=f"eta={opts['eta']}",
-                        xs=[p.n for p in curve.points],
-                        ys=[p.p_hat for p in curve.points],
-                        low=[p.wilson_low for p in curve.points],
-                        high=[p.wilson_high for p in curve.points],
-                    )
-                ],
-                title="learning probability",
-                x_label="samples n",
-                y_label="P(halted within n)",
-            )
-            bundle.add_text("learn-curve.svg", chart)
         bundle.write_summary(
             {
                 "budget": budget,
                 "halted_fraction": sum(t.halted for t in trials) / len(trials),
                 "grid": grid,
-                "log_hypothesis_count": log_hypothesis_count(config, opts["dimension"]),
+                "log_hypothesis_count": log_h,
             }
         )
     return 0
@@ -489,23 +490,10 @@ def _cmd_sweep_eta(opts: dict) -> int:
     bundle = _bundle(opts, "sweep-eta")
     if bundle is not None:
         bundle.add_csv("sweep-eta.csv", header, rows)
-        if opts["svg"]:
-            chart = svg_chart(
-                [
-                    ChartSeries(
-                        name=party,
-                        xs=[r[0] for r in rows],
-                        ys=[r[col] for r in rows],
-                        low=[r[col + 1] for r in rows],
-                        high=[r[col + 2] for r in rows],
-                    )
-                    for party, col in (("authorized", 2), ("eavesdropper", 5))
-                ],
-                title=f"halting probability at n={n_op}",
-                x_label="authorized disturbance eta_a",
-                y_label="P(halted)",
-            )
-            bundle.add_text("sweep-eta.svg", chart)
+        _add_chart(
+            bundle, opts, "sweep-eta.svg", rows, [("authorized", 2), ("eavesdropper", 5)],
+            f"halting probability at n={n_op}", "authorized disturbance eta_a", "P(halted)",
+        )
         bundle.write_summary({"crossing": crossing, "n_op": n_op})
     return 0
 
@@ -534,22 +522,10 @@ def _cmd_histograms(opts: dict) -> int:
             ("bin_low", "bin_high", "count_authorized", "count_eavesdropper"),
             rows,
         )
-        if opts["svg"]:
-            chart = svg_chart(
-                [
-                    ChartSeries(
-                        name=party,
-                        xs=[r[0] for r in rows],
-                        ys=[float(r[col]) for r in rows],
-                    )
-                    for party, col in (("authorized", 2), ("eavesdropper", 3))
-                ],
-                title="final test error distribution",
-                x_label="test error",
-                y_label="trials",
-                step=True,
-            )
-            bundle.add_text("histograms.svg", chart)
+        _add_chart(
+            bundle, opts, "histograms.svg", rows, [("authorized", 2), ("eavesdropper", 3)],
+            "final test error distribution", "test error", "trials", step=True,
+        )
         bundle.write_summary(
             {
                 "eta_a": opts["eta_a"],

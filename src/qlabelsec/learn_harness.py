@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -519,14 +519,15 @@ def _linear_wrong(task: SyntheticTask, hypotheses: np.ndarray) -> np.ndarray:
     return wrong
 
 
-def _test_errors(models, count: int, task: SyntheticTask, width: int) -> np.ndarray:
-    """Held-out error of each of count stacked trials, a bounded block at a time."""
+def _test_errors(models, task: SyntheticTask) -> np.ndarray:
+    """Held-out error of each stacked trial, a bounded block at a time."""
     test_x, test_y = task.test_x, task.test_y
     if isinstance(models, LinearThresholdModel):
         hypotheses = np.column_stack((models.weights, models.bias))
         return _linear_wrong(task, hypotheses) / len(test_x)
     if len(test_x) == 0:
         raise DomainError("cannot evaluate on an empty test set")
+    count, _, width = models.w1.shape
     block = max(1, _EVAL_FLOATS // (len(test_x) * width))
     errors = np.empty(count)
     for start in range(0, count, block):
@@ -560,7 +561,6 @@ def _train_lockstep(
     # on final keeps the weights each trial had when it left the stack.
     final = models
     active = np.arange(len(seeds))
-    width = config.hidden_width if config.model == "one-hidden-layer" else 1
     batch = config.batch_size
     trials: list[LearningTrial | None] = [None] * len(seeds)
 
@@ -593,7 +593,7 @@ def _train_lockstep(
             next_eval += config.evaluation_cadence * (
                 1 + (consumed - next_eval) // config.evaluation_cadence
             )
-            errors = _test_errors(models, len(active), task, width)
+            errors = _test_errors(models, task)
             halted = errors <= epsilon_target
             if halted.any():
                 record(active[halted], _take(models, halted), consumed, True, errors[halted])
@@ -601,7 +601,7 @@ def _train_lockstep(
                 active, models, errors = active[kept], _take(models, kept), errors[kept]
     if len(active):
         if errors is None:
-            errors = _test_errors(models, len(active), task, width)
+            errors = _test_errors(models, task)
         record(active, models, consumed, False, errors)
     return trials, final
 
@@ -827,8 +827,7 @@ def random_search_trials(
     )
     size = max(1, _GROUP_FLOATS // (_SEARCH_BLOCK * (task.dimension + 1)))
     trials = []
-    for start in range(0, len(seeds), size):
-        group = seeds[start:start + size]
+    for group in _chunks(seeds, size):
         rngs = [np.random.default_rng(seed) for seed in group]
         if blocked:
             errors = _halfspace_errors(task, rngs)
@@ -865,7 +864,7 @@ def _trial_seeds(base_seed: int, indices) -> list[int]:
     """The seed of each trial index i: (K + i) mod 2**64, a Python int.
 
     K is the first 64-bit word of SeedSequence(base_seed), one hash per
-    block, so adjacent base seeds give unrelated trial seeds.  A trial's
+    batch, so adjacent base seeds give unrelated trial seeds.  A trial's
     seed keys everything it draws, and is its record seed.
     """
     check_seed(base_seed, "base seed")
@@ -874,13 +873,17 @@ def _trial_seeds(base_seed: int, indices) -> list[int]:
     return (key + np.asarray(indices, dtype=np.uint64)).tolist()
 
 
-def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed, indices):
-    """The gradient trials of the given indices, in lockstep: (trials, final models).
+def _chunks(items: Sequence, size: int) -> list:
+    """items as consecutive slices of size items each, the last one possibly shorter."""
+    return [items[start:start + size] for start in range(0, len(items), size)]
 
-    Trial i's seed keys its label stream, the one noisy_sample(task, eta,
+
+def _gradient_block(task, eta, epsilon_target, config, sample_budget, seeds):
+    """The gradient trials of the given seeds, in lockstep: (trials, final models).
+
+    Each seed keys its trial's label stream, the one noisy_sample(task, eta,
     seed, n) gives, and its initial model, as in train_until(..., seed=seed).
     """
-    seeds = _trial_seeds(base_seed, indices)
     models = config.initial_models(task.dimension, seeds)
     bitgen = np.random.Philox(0)
 
@@ -893,28 +896,21 @@ def _gradient_block(task, eta, epsilon_target, config, sample_budget, base_seed,
     )
 
 
-def _split(indices: range, parts: int) -> list[range]:
-    """indices as at most parts contiguous, non-empty ranges of near-equal length."""
-    edges = [len(indices) * k // parts for k in range(parts + 1)]
-    return [indices[a:b] for a, b in zip(edges, edges[1:]) if a < b]
-
-
-def _run_block(job) -> list[LearningTrial]:
-    """The trials of one job's indices, in index order.
+def _run_block(task, eta, epsilon_target, config, budget, learner, seeds) -> list[LearningTrial]:
+    """The trials of one block of seeds, in order.
 
     Random-search trial i is random_search_learner on its seed with the
-    task's halfspace sampler.
+    task's halfspace sampler.  Gradient trials run in lockstep groups that
+    keep a step's draw within _GROUP_FLOATS.
     """
-    task, eta, epsilon_target, config, budget, base_seed, learner, indices = job
     if learner == "random-search":
         sampler = random_halfspace_sampler(task.dimension)
-        seeds = _trial_seeds(base_seed, indices)
         return random_search_trials(task, epsilon_target, sampler, budget, seeds)
     group = max(1, _GROUP_FLOATS // (config.batch_size * task.dimension))
     return [
         trial
-        for part in _split(indices, -(-len(indices) // group))
-        for trial in _gradient_block(task, eta, epsilon_target, config, budget, base_seed, part)[0]
+        for part in _chunks(seeds, group)
+        for trial in _gradient_block(task, eta, epsilon_target, config, budget, part)[0]
     ]
 
 
@@ -934,7 +930,7 @@ def run_trials(
     Each trial draws everything from one seed, a function of (base_seed,
     index) alone (see _trial_seeds), so the result list is identical no
     matter how many workers ran it; each worker runs one contiguous block of
-    indices.  A record replays from its own seed: noisy_sample and
+    seeds.  A record replays from its own seed: noisy_sample and
     train_until for gradient trials, random_search_learner for random
     search.  Every argument is checked before any trial runs, eta included
     even when no sample is drawn.
@@ -946,18 +942,15 @@ def run_trials(
     check_count(sample_budget, "sample budget", 0)
     check_count(n_trials, "trial count", 1)
     check_count(workers, "worker count", 1)
-    check_seed(base_seed, "base seed")
-    jobs = [
-        (task, eta, epsilon_target, config, sample_budget, base_seed, learner, block)
-        for block in _split(range(n_trials), workers)
-    ]
-    if len(jobs) == 1:
-        return _run_block(jobs[0])
+    blocks = _chunks(_trial_seeds(base_seed, range(n_trials)), -(-n_trials // workers))
+    run = partial(_run_block, task, eta, epsilon_target, config, sample_budget, learner)
+    if len(blocks) == 1:
+        return run(blocks[0])
     # imported here, so that importing the package loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return [trial for block in pool.map(_run_block, jobs) for trial in block]
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        return [trial for block in pool.map(run, blocks) for trial in block]
 
 
 @dataclass(frozen=True)

@@ -183,8 +183,10 @@ def run_session(
     computes every outcome.
 
     When an abort threshold is set and the final noise estimate exceeds it,
-    the result is flagged; with strict_abort the datasets are additionally
-    emptied so a pipeline cannot train on data the check rounds condemned.
+    the result is flagged; with strict_abort the authorized dataset is
+    additionally emptied so a pipeline cannot train on data the check rounds
+    condemned.  Eve's dataset keeps every label: she measured during
+    delivery, and the abort comes after it.
     keep_rounds=False keeps no round columns: the result's rounds is None
     (so ``export_transcript`` refuses it), its datasets and rates the same.
     """
@@ -212,11 +214,11 @@ def run_session(
     checks = len(prep) - data_count
     eta_a = estimate_eta_a(checks, check_errors)
     aborted = abort_threshold is not None and eta_a > abort_threshold
+    eavesdropper = Dataset(inputs, table.eve_labels)
     if aborted and strict_abort:
-        authorized = eavesdropper = Dataset(inputs[:0], labels[:0])
+        authorized = Dataset(inputs[:0], labels[:0])
     else:
         authorized = Dataset(inputs, labels)
-        eavesdropper = Dataset(inputs, table.eve_labels)
     return SessionResult(
         authorized_dataset=authorized,
         eavesdropper_dataset=eavesdropper,

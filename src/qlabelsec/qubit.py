@@ -79,9 +79,11 @@ OUTCOME = np.where(BASIS[:, None, None] == _PAIR[:, None], BIT[:, None, None], _
 POST_STATE = 2 * _PAIR[:, None] + OUTCOME
 # FIDELITY[state, reference]: 1 or 0 within one basis, 1/2 across the bases.
 FIDELITY = np.where(BASIS[:, None] == BASIS, (BIT[:, None] == BIT) * 1.0, 0.5)
-for _table in (BASIS, BIT, IS_CHECK, ORACLE, OUTCOME, POST_STATE, FIDELITY):
-    _table.flags.writeable = False
-del _table
+# Each table becomes a view of immutable bytes, so it cannot be made writable again.
+BASIS, BIT, IS_CHECK, ORACLE, OUTCOME, POST_STATE, FIDELITY = (
+    np.frombuffer(t.tobytes(), t.dtype).reshape(t.shape)
+    for t in (BASIS, BIT, IS_CHECK, ORACLE, OUTCOME, POST_STATE, FIDELITY)
+)
 
 
 class MeasurementResult(NamedTuple):

@@ -518,11 +518,11 @@ def reference_session(
     aborted = abort_threshold is not None and eta_a > abort_threshold
     data_count = len(authorized)
     xs, labels = np.array(inputs), np.array(authorized, dtype=np.intp)
+    eavesdropper_data = Dataset(xs, np.array(eavesdropped, dtype=np.intp))
     if aborted and strict_abort:
-        authorized_data = eavesdropper_data = Dataset(xs[:0], labels[:0])
+        authorized_data = Dataset(xs[:0], labels[:0])
     else:
         authorized_data = Dataset(xs, labels)
-        eavesdropper_data = Dataset(xs, np.array(eavesdropped, dtype=np.intp))
     return SessionResult(
         authorized_dataset=authorized_data,
         eavesdropper_dataset=eavesdropper_data,

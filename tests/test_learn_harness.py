@@ -998,7 +998,7 @@ class TestRunTrials:
     def test_rejects_a_bad_base_seed_before_any_trial_runs(
         self, task, monkeypatch, seed, learner
     ):
-        def no_trials(job):
+        def no_trials(*args):
             raise AssertionError("a trial block ran")
 
         monkeypatch.setattr(learn_harness, "_run_block", no_trials)
@@ -1039,16 +1039,24 @@ class TestTrialSeeds:
         base_seed=st.integers(0, 2**160 - 1),
         start=st.one_of(st.integers(0, 300), st.integers(2**32 - 40, 2**32 + 40)),
         length=st.integers(0, 300),
-        parts=st.integers(1, 4),
+        size=st.integers(1, 160),
     )
-    @example(base_seed=5, start=0, length=150, parts=2)  # a two-worker split
+    @example(base_seed=5, start=0, length=150, size=75)  # a two-worker split
     @settings(max_examples=50, deadline=None)
-    def test_a_range_has_the_seeds_of_its_parts(self, base_seed, start, length, parts):
+    def test_a_range_has_the_seeds_of_its_parts(self, base_seed, start, length, size):
         indices = range(start, start + length)
         seeds = learn_harness._trial_seeds(base_seed, indices)
         assert seeds == [_trial_seed(base_seed, index) for index in indices]
-        split = learn_harness._split(indices, parts)
-        assert [s for part in split for s in learn_harness._trial_seeds(base_seed, part)] == seeds
+        parts = learn_harness._chunks(indices, size)
+        assert [s for part in parts for s in learn_harness._trial_seeds(base_seed, part)] == seeds
+
+    @given(items=st.lists(st.integers()), size=st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_chunks_are_full_consecutive_slices(self, items, size):
+        chunks = learn_harness._chunks(items, size)
+        assert [item for chunk in chunks for item in chunk] == items
+        assert all(1 <= len(chunk) <= size for chunk in chunks)
+        assert all(len(chunk) == size for chunk in chunks[:-1])
 
     def test_adjacent_base_seeds_share_no_trial_seed(self):
         blocks = [set(learn_harness._trial_seeds(base_seed, range(150))) for base_seed in range(4)]
@@ -1258,7 +1266,8 @@ def _reference_batch(task, eta, epsilon, config, budget, base_seed, n_trials):
 
 def _assert_block_matches(task, eta, epsilon, config, budget, base_seed, expected):
     trials, models = learn_harness._gradient_block(
-        task, eta, epsilon, config, budget, base_seed, range(len(expected))
+        task, eta, epsilon, config, budget,
+        learn_harness._trial_seeds(base_seed, range(len(expected))),
     )
     assert trials == [trial for trial, _ in expected]
     for index, (trial, reference) in enumerate(expected):

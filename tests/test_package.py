@@ -1,6 +1,7 @@
 """The package namespace: each public name is declared once, in its module;
 the float-arithmetic modules import no numpy; only errors and cli write an
-interval message; the README's library example runs."""
+interval message; cli charts every command through one helper; the
+README's library example runs."""
 
 import ast
 import os
@@ -80,3 +81,13 @@ def test_interval_messages_come_only_from_the_errors_module():
         text = path.read_text()
         for phrase in ("must lie in", "positive and finite"):
             assert phrase not in text, f"{path.name} writes its own interval check: {phrase!r}"
+
+
+def test_cli_builds_chart_series_in_one_place():
+    # learn, sweep-eta and histograms chart their table rows through one helper
+    tree = ast.parse((Path(qlabelsec.__file__).resolve().parent / "cli.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ChartSeries"
+    ]
+    assert len(calls) == 1

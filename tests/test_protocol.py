@@ -88,6 +88,15 @@ class TestRuleTables:
         with pytest.raises(ValueError, match="read-only"):
             table[corner] = table[corner]
 
+    @pytest.mark.parametrize(
+        "name", ["BASIS", "BIT", "IS_CHECK", "ORACLE", "OUTCOME", "POST_STATE", "FIDELITY"]
+    )
+    def test_tables_cannot_be_made_writable(self, name):
+        table = getattr(qubit_module, name)
+        with pytest.raises(ValueError):
+            table.flags.writeable = True
+        assert not table.flags.writeable
+
 
 class TestNoAttackSession:
     def test_labels_are_exact_and_estimate_is_zero(self):
@@ -285,8 +294,27 @@ class TestAbortSemantics:
         )
         assert session.aborted
         assert len(session.authorized_dataset) == 0
-        assert len(session.eavesdropper_dataset) == 0
+        # Eve measured during delivery, so the abort cannot recall her labels
+        assert len(session.eavesdropper_dataset) == 2_000
         assert session.check_count > 0  # the evidence is retained
+
+    def test_strict_abort_leaves_eve_every_label_she_read(self):
+        task = generate_task(8, 6.0, 42)
+        source = task.concept_source()
+        session = run_session(
+            source,
+            2_000,
+            attack=InterceptResend(1.0),
+            abort_threshold=0.11,
+            seed=3,
+            strict_abort=True,
+        )
+        assert session.aborted and len(session.authorized_dataset) == 0
+        eve = session.eavesdropper_dataset
+        assert eve.inputs.shape == (2_000, 8) and eve.labels.shape == (2_000,)
+        # alwaysZ on both legs reads every data label exactly
+        assert session.eve_label_error_rate == 0.0
+        assert np.array_equal(eve.labels, source.labeler(eve.inputs))
 
     def test_quiet_channel_does_not_abort(self):
         session = run_session(
@@ -555,11 +583,12 @@ class TestSessionViews:
             seed=17,
             strict_abort=True,
         )
-        assert session.authorized_dataset is session.eavesdropper_dataset
-        dataset = session.authorized_dataset
-        assert len(dataset) == 0
-        assert dataset.inputs.shape == (0, 2) and dataset.labels.shape == (0,)
-        assert not dataset.inputs.flags.writeable and not dataset.labels.flags.writeable
+        authorized, eavesdropper = session.authorized_dataset, session.eavesdropper_dataset
+        assert len(authorized) == 0
+        assert authorized.inputs.shape == (0, 2) and authorized.labels.shape == (0,)
+        assert eavesdropper.inputs.shape == (500, 2) and eavesdropper.labels.shape == (500,)
+        for dataset in (authorized, eavesdropper):
+            assert not dataset.inputs.flags.writeable and not dataset.labels.flags.writeable
         assert len(session.rounds.preparations) == session.check_count + 500
 
     def test_session_result_is_frozen(self):
