@@ -12,10 +12,10 @@ holds their parameters and the closed-form trade-off points.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, check_interval
-from .info_theory import eve_noise_from_disturbance
+from .info_theory import CURVE_KINDS, eve_noise_from_disturbance
 
 __all__ = [
     "BasisPolicy",
@@ -37,8 +37,6 @@ class BasisPolicy(str, enum.Enum):
 class NoAttack:
     """Passive placeholder: the channel is untouched and Eve only guesses."""
 
-    kind: str = field(default="none", init=False)
-
 
 @dataclass(frozen=True)
 class InterceptResend:
@@ -53,7 +51,6 @@ class InterceptResend:
     attack_probability: float = 1.0
     basis_policy: BasisPolicy = BasisPolicy.ALWAYS_Z
     legs: tuple[int, ...] = BOTH_LEGS
-    kind: str = field(default="intercept-resend", init=False)
 
     def __post_init__(self) -> None:
         check_interval(self.attack_probability, "attack probability", 0.0, 1.0)
@@ -74,10 +71,9 @@ class AnalyticAttack:
 
     curve_kind: str
     disturbance: float
-    kind: str = field(default="analytic", init=False)
 
     def __post_init__(self) -> None:
-        if self.curve_kind not in ("individual", "collective"):
+        if self.curve_kind not in CURVE_KINDS:
             raise DomainError(
                 f"analytic attacks require an information curve; "
                 f"got kind {self.curve_kind!r}"

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
+from .adversary import BOTH_LEGS, AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from .errors import (
     MIN_TRIALS,
     ConfigError,
@@ -33,7 +33,9 @@ from .errors import (
     check_seed,
     check_trial_count,
 )
-from .info_theory import eta_star, eve_noise_from_disturbance, info_curve
+from .info_theory import (
+    ATTACK_KINDS, CURVE_KINDS, eta_star, eve_noise_from_disturbance, info_curve
+)
 from .learn_harness import (
     LEARNER_KINDS,
     MODEL_KINDS,
@@ -70,7 +72,7 @@ __all__ = ["main"]
 _ENV_OUTDIR = "QLABELSEC_OUTDIR"
 _ENV_WORKERS = "QLABELSEC_WORKERS"
 
-_LEG_CHOICES = {"both": (1, 2), "1": (1,), "2": (2,)}
+_LEG_CHOICES = {"both": BOTH_LEGS, "1": (1,), "2": (2,)}
 
 _THRESHOLD_METHOD_TAGS = {
     "bisection": "solved",
@@ -98,16 +100,17 @@ def _as_bool(value) -> bool:
     raise ConfigError(f"expected a JSON boolean, got {value!r}")
 
 
-def _as_float_list(value) -> list[float]:
+def _as_list(value, item=float) -> list:
+    """A comma list or JSON array, each entry cast by item."""
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
     if not isinstance(value, list):
         raise ConfigError(f"expected a comma list or JSON array, got {value!r}")
-    return [float(v) for v in value]
+    return [item(v) for v in value]
 
 
 def _as_int_list(value) -> list[int]:
-    return [_as_int(v) for v in _as_float_list(value)]
+    return _as_list(value, _as_int)
 
 
 @dataclass(frozen=True)
@@ -332,7 +335,7 @@ def _cmd_bounds(opts: dict) -> int:
 
 def _cmd_thresholds(opts: dict) -> int:
     rows = []
-    for kind in ("collective", "individual", "memoryless"):
+    for kind in ATTACK_KINDS:
         curve = info_curve(kind)
         tag = _THRESHOLD_METHOD_TAGS[curve.method]
         residual = "n/a" if curve.residual is None else f"{curve.residual:.3e}"
@@ -359,7 +362,7 @@ def _build_attack(opts: dict):
             legs=_LEG_CHOICES[opts["legs"]],
         ),
     }
-    for kind in ("collective", "individual"):
+    for kind in CURVE_KINDS:
         attacks[kind] = AnalyticAttack(curve_kind=kind, disturbance=opts["disturbance"])
     return attacks[opts["attack"]]
 
@@ -611,8 +614,7 @@ _WORKERS = Option("workers", 1, _as_int, "trial parallelism", env=_ENV_WORKERS)
 _SVG = Option("svg", False, _as_bool, "also render SVG charts", switch=True)
 _EPSILON_TARGET = Option("epsilon_target", 0.03, float, "halting error target")
 _ATTACK_KIND = Option(
-    "attack_kind", "collective", str, "eavesdropper noise curve",
-    choices=("collective", "individual"),
+    "attack_kind", CURVE_KINDS[0], str, "eavesdropper noise curve", choices=CURVE_KINDS
 )
 
 
@@ -632,11 +634,14 @@ _TASK = (
 )
 
 _LEARNER = (
-    Option("model", "linear-threshold", str, "model family", choices=MODEL_KINDS),
-    Option("hidden_width", 8, _as_int, "hidden layer width"),
-    Option("step_size", 0.3, float, "SGD step size"),
-    Option("batch_size", 5, _as_int, "SGD batch size"),
-    Option("cadence", 25, _as_int, "samples between test evaluations"),
+    Option("model", LearnerConfig.model, str, "model family", choices=MODEL_KINDS),
+    Option("hidden_width", LearnerConfig.hidden_width, _as_int, "hidden layer width"),
+    Option("step_size", LearnerConfig.step_size, float, "SGD step size"),
+    Option("batch_size", LearnerConfig.batch_size, _as_int, "SGD batch size"),
+    Option(
+        "cadence", LearnerConfig.evaluation_cadence, _as_int,
+        "samples between test evaluations",
+    ),
 )
 
 # subcommand -> (help, handler, the options it reads); flags are listed in
@@ -655,12 +660,15 @@ _COMMANDS = {
         Option("target_data", 1000, _as_int, "data labels to deliver"),
         Option(
             "attack", "none", str, "eavesdropping model",
-            choices=("none", "intercept-resend", "collective", "individual"),
+            choices=("none", "intercept-resend", *CURVE_KINDS),
         ),
-        Option("fraction", 1.0, float, "attacked round fraction for intercept-resend"),
         Option(
-            "policy", "alwaysZ", str, "interception basis policy",
-            choices=("alwaysZ", "randomPerLeg"),
+            "fraction", InterceptResend.attack_probability, float,
+            "attacked round fraction for intercept-resend",
+        ),
+        Option(
+            "policy", InterceptResend.basis_policy.value, str, "interception basis policy",
+            choices=tuple(policy.value for policy in BasisPolicy),
         ),
         Option(
             "legs", "both", str, "which channel legs are attacked",
@@ -668,7 +676,10 @@ _COMMANDS = {
         ),
         Option("disturbance", 0.05, float, "induced disturbance for analytic attacks"),
         Option("abort_threshold", None, float, "abort when the estimate exceeds this"),
-        Option("strict_abort", False, _as_bool, "discard datasets on abort", switch=True),
+        Option(
+            "strict_abort", False, _as_bool, "empty the authorized dataset on abort",
+            switch=True,
+        ),
         Option("no_transcript", False, _as_bool, "write no transcript file", switch=True),
         *_TASK,
         *_REPORT,
@@ -689,7 +700,7 @@ _COMMANDS = {
     "sweep-eta": (
         "paired authorized/eavesdropper sweep over disturbance", _cmd_sweep_eta, (
             Option(
-                "eta_grid", [0.01, 0.03, 0.05, 0.08, 0.11], _as_float_list,
+                "eta_grid", [0.01, 0.03, 0.05, 0.08, 0.11], _as_list,
                 "comma list of authorized disturbances",
             ),
             Option("n_op", 25, _as_int, "sample count the halting probability is read at"),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import DomainError, check_interval
 
 __all__ = [
+    "CURVE_KINDS",
     "ATTACK_KINDS",
     "InfoCurve",
     "binary_entropy",
@@ -32,7 +33,9 @@ __all__ = [
     "eve_noise_from_disturbance",
 ]
 
-ATTACK_KINDS = ("individual", "collective", "memoryless")
+# Attack classes with an information curve, then every class.
+CURVE_KINDS = ("collective", "individual")
+ATTACK_KINDS = (*CURVE_KINDS, "memoryless")
 
 # No analytic curve is known for memoryless attacks; the threshold itself is
 # a published numerical value and is kept as a constant.
@@ -140,7 +143,7 @@ def eta_star(kind: str) -> float:
 
 @dataclass(frozen=True)
 class InfoCurve:
-    """An attack class together with its threshold and how it was obtained.
+    """An attack class's threshold and how it was obtained.
 
     method is "bisection" when the threshold is the numerical root of the
     gap, "closed-form" when it has an exact expression, and "tabulated" when
@@ -148,7 +151,6 @@ class InfoCurve:
     exists, None otherwise.
     """
 
-    kind: str
     eta_star: float
     method: str
     residual: float | None
@@ -159,9 +161,7 @@ def info_curve(kind: str) -> InfoCurve:
     _check_kind(kind)
     threshold = eta_star(kind)
     residual = None if kind == "memoryless" else abs(holevo_gap(kind, threshold))
-    return InfoCurve(
-        kind=kind, eta_star=threshold, method=_METHODS[kind], residual=residual
-    )
+    return InfoCurve(eta_star=threshold, method=_METHODS[kind], residual=residual)
 
 
 def eve_noise_from_disturbance(kind: str, eta_a: float) -> float:

@@ -60,7 +60,7 @@ __all__ = [
 # finite hypothesis-class size is needed for the bound formulas.
 _DISCRETIZATION_LEVELS = 32
 
-_MIN_TEST_SIZE = 2000
+_TEST_SIZE = 2000  # held-out points per task
 _BUDGET_CAP = 1_000_000  # largest default_sample_budget
 
 # Largest per-block evaluation temporary, in float64s: held-out rows times
@@ -125,9 +125,6 @@ class TaskLabeler:
 
     direction: np.ndarray
 
-    def __call__(self, x: np.ndarray) -> int:
-        return int(concept_bits(x, self.direction))
-
     def predict(self, xs: np.ndarray) -> np.ndarray:
         return concept_bits(xs, self.direction).astype(np.int64)
 
@@ -148,7 +145,6 @@ class SyntheticTask:
     test_x: np.ndarray
     test_y: np.ndarray
     analytic_overlap: float
-    seed: int
 
     @property
     def labeler(self) -> TaskLabeler:
@@ -205,7 +201,6 @@ def generate_task(
     dimension: int,
     separation: float,
     seed: int,
-    test_size: int = _MIN_TEST_SIZE,
     epsilon_target: float | None = None,
 ) -> SyntheticTask:
     """Build a task, rejecting geometries too overlapped for the target.
@@ -214,12 +209,11 @@ def generate_task(
     Phi(-separation/2) must stay below epsilon_target / 2; otherwise trials
     could stall for geometric reasons and noise comparisons would be
     confounded.  Every argument and the overlap are checked before the first
-    draw.  The draws are the direction, then the held-out set through
-    sample_inputs; its labels are the concept's.
+    draw.  The draws are the direction, then the _TEST_SIZE-point held-out
+    set through sample_inputs; its labels are the concept's.
     """
     check_count(dimension, "dimension", 2)
     check_interval(separation, "separation", 0.0, math.inf, "()")
-    check_count(test_size, "test set size", _MIN_TEST_SIZE)
     if epsilon_target is not None:
         check_interval(epsilon_target, "epsilon target", 0.0, 1.0, "()")
     check_seed(seed, "task seed")
@@ -241,9 +235,8 @@ def generate_task(
         test_x=np.empty((0, dimension)),
         test_y=np.empty(0, dtype=np.int64),
         analytic_overlap=analytic,
-        seed=seed,
     )
-    test_x = task.sample_inputs(test_size, rng)
+    test_x = task.sample_inputs(_TEST_SIZE, rng)
     test_y = concept_bits(test_x, direction).astype(np.int64)
     return replace(task, test_x=test_x, test_y=test_y)
 
@@ -970,12 +963,6 @@ class LearningProbabilityCurve:
     eta: float
     epsilon_target: float
     learner: str
-
-    def p_at(self, n: int) -> float:
-        for point in self.points:
-            if point.n == n:
-                return point.p_hat
-        raise DomainError(f"{n} is not a grid point of this curve")
 
 
 def estimate_learning_probability(

@@ -40,7 +40,7 @@ import numpy as np
 from qlabelsec import protocol
 from qlabelsec.adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError, check_seed
-from qlabelsec.learn_harness import _MIN_TEST_SIZE, LearningTrial, SyntheticTask
+from qlabelsec.learn_harness import LearningTrial, SyntheticTask
 from qlabelsec.protocol import Dataset, Rounds, SessionResult, estimate_eta_a
 from qlabelsec.qubit import Basis, Preparation, apply_oracle, fidelity, measure
 
@@ -169,16 +169,21 @@ def _measure_branches(ket: np.ndarray, basis: str):
             yield prob, bit, basis_ket
 
 
-def _leg_basis_choices(policy: str):
-    """Per-leg basis alternatives with their probabilities."""
-    if policy == "alwaysZ":
-        return [("Z", 0.5), ("Z", 0.5)]  # two equal branches keep the loop uniform
-    if policy == "randomPerLeg":
-        return [("Z", 0.5), ("X", 0.5)]
-    raise ValueError(policy)
+# The per-leg chance of a Z measurement under each BasisPolicy.
+_POLICY_Z = {"alwaysZ": 1.0, "randomPerLeg": 0.5}
 
 
-def check_round_error_exact(policy: str, f: float, legs=(1, 2)) -> float:
+def _leg_basis_choices(policy):
+    """Per-leg basis alternatives with their probabilities.
+
+    policy is a BasisPolicy name or q, the chance that Eve measures a leg in
+    Z; she measures it in X otherwise.
+    """
+    q = _POLICY_Z[policy] if isinstance(policy, str) else policy
+    return [("Z", q), ("X", 1.0 - q)]
+
+
+def check_round_error_exact(policy: str | float, f: float, legs=(1, 2)) -> float:
     """Exact probability that a check round registers an error.
 
     Enumerates preparation (|+> or |->), the attack coin, Eve's per-leg basis
@@ -221,7 +226,7 @@ def check_round_error_exact(policy: str, f: float, legs=(1, 2)) -> float:
     return total
 
 
-def eve_data_error_exact(policy: str, f: float, legs=(1, 2)) -> float:
+def eve_data_error_exact(policy: str | float, f: float, legs=(1, 2)) -> float:
     """Exact probability that Eve's inferred label disagrees with the true one.
 
     Eve XORs her two outcomes when both legs were measured in Z; in every
@@ -255,7 +260,7 @@ def eve_data_error_exact(policy: str, f: float, legs=(1, 2)) -> float:
     return total
 
 
-def authorized_data_error_exact(policy: str, f: float, legs=(1, 2)) -> float:
+def authorized_data_error_exact(policy: str | float, f: float, legs=(1, 2)) -> float:
     """Exact probability that a data round delivers a flipped label."""
     total = 0.0
     for prep_name, prep_prob in (("Z0", 0.5), ("Z1", 0.5)):
@@ -586,12 +591,12 @@ def reference_task(
     dimension: int,
     separation: float,
     seed: int,
-    test_size: int = _MIN_TEST_SIZE,
     epsilon_target: float | None = None,
 ) -> SyntheticTask:
     """``learn_harness.generate_task``, built in one pass.
 
-    Builds a task, rejecting geometries too overlapped for the target.
+    Builds a task with a 2000-point held-out set, rejecting geometries too
+    overlapped for the target.
 
     When epsilon_target is given, the exact cluster-vs-concept overlap
     Phi(-separation/2) must stay below epsilon_target / 2; otherwise trials
@@ -602,8 +607,6 @@ def reference_task(
         raise DomainError(f"dimension must be >= 2, got {dimension}")
     if not separation > 0.0:
         raise DomainError(f"separation must be positive, got {separation}")
-    if test_size < _MIN_TEST_SIZE:
-        raise DomainError(f"test set needs at least {_MIN_TEST_SIZE} points, got {test_size}")
     check_seed(seed, "task seed")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dimension)
@@ -630,9 +633,8 @@ def reference_task(
         test_x=np.empty((0, dimension)),
         test_y=np.empty(0, dtype=np.int64),
         analytic_overlap=analytic,
-        seed=seed,
     )
-    test_x = task.sample_inputs(test_size, rng)
+    test_x = task.sample_inputs(2000, rng)
     test_y = task.labeler.predict(test_x)
     return replace(task, test_x=test_x, test_y=test_y)
 

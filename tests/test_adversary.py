@@ -32,7 +32,6 @@ class TestStrategyValidation:
         assert strategy.attack_probability == 1.0
         assert strategy.basis_policy is BasisPolicy.ALWAYS_Z
         assert strategy.legs == (1, 2)
-        assert strategy.kind == "intercept-resend"
 
     def test_accepts_policy_by_string(self):
         strategy = InterceptResend(basis_policy="randomPerLeg")
@@ -52,15 +51,11 @@ class TestStrategyValidation:
             InterceptResend(legs=(3,))
 
     def test_analytic_attack_validation(self):
-        attack = AnalyticAttack(curve_kind="collective", disturbance=0.05)
-        assert attack.kind == "analytic"
+        AnalyticAttack(curve_kind="collective", disturbance=0.05)
         with pytest.raises(DomainError):
             AnalyticAttack(curve_kind="memoryless", disturbance=0.05)
         with pytest.raises(DomainError):
             AnalyticAttack(curve_kind="collective", disturbance=0.6)
-
-    def test_no_attack_is_inert_marker(self):
-        assert NoAttack().kind == "none"
 
 
 class TestIntercept:
@@ -187,6 +182,21 @@ class TestTradeoffCurves:
             assert eta_e == pytest.approx(
                 oracles.eve_data_error_exact(policy, f, legs), abs=1e-12
             )
+
+    @pytest.mark.parametrize("f", [0.3, 1.0])
+    @pytest.mark.parametrize("legs", [(1, 2), (1,), (2,)])
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_branch_enumeration_at_any_z_probability(self, q, legs, f):
+        # q is Eve's per-leg chance of measuring in Z.  Checks are X states the
+        # oracle leaves in place, so an X measurement never disturbs one, while
+        # it turns a Z data label into a coin flip.
+        if legs == (1, 2):
+            check, data, eve = f * q * (2 - q) / 2, f * (1 - q * q) / 2, (1 - f * q * q) / 2
+        else:
+            check, data, eve = f * q / 2, f * (1 - q) / 2, 0.5
+        assert oracles.check_round_error_exact(q, f, legs) == pytest.approx(check, abs=1e-12)
+        assert oracles.authorized_data_error_exact(q, f, legs) == pytest.approx(data, abs=1e-12)
+        assert oracles.eve_data_error_exact(q, f, legs) == pytest.approx(eve, abs=1e-12)
 
     def test_curve_sweeps_the_attack_probability(self):
         curve = [

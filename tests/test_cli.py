@@ -53,6 +53,26 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "delta_star[n=10]" in out and "delta_star[n=20]" in out
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_integer_list_keeps_every_digit(self, tmp_path, capsys, source):
+        # 2**53 + 1 once lost its last bit through a float cast
+        argv = ["bounds", "--epsilon", "0.1", "--delta", "0.05", "--log-h", "1.0"]
+        if source == "flag":
+            argv += ["--n", "9007199254740993"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"n": [9007199254740993]}')
+            argv += ["--config", str(config)]
+        assert run_cli(*argv) == 0
+        assert "delta_star[n=9007199254740993]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["1e3", "25.0"])
+    def test_integer_list_items_follow_the_scalar_rule(self, capsys, value):
+        # as --trials 30.0 does, a list item written as a float exits 2
+        argv = ("bounds", "--epsilon", "0.1", "--delta", "0.05", "--log-h", "1.0")
+        assert run_cli(*argv, "--n", f"10,{value}") == 2
+        assert "bad value for 'n'" in capsys.readouterr().err
+
     def test_unlearnable_noise_exits_2(self, capsys):
         code = run_cli(
             "bounds", "--epsilon", "0.1", "--delta", "0.05", "--log-h", "1.0",
@@ -516,6 +536,13 @@ class TestHelp:
         assert stop.value.code == 0
         entry = capsys.readouterr().out.split("--trials TRIALS", 2)[2].split("\n  --")[0]
         assert f"at least {MIN_TRIALS} " in " ".join(entry.split())
+
+    def test_strict_abort_help_names_the_authorized_dataset(self, capsys):
+        # a strict abort empties only the authorized dataset; Eve keeps hers
+        with pytest.raises(SystemExit):
+            run_cli("protocol-run", "--help")
+        entry = capsys.readouterr().out.split("\n  --strict-abort", 1)[1].split("\n  --")[0]
+        assert " ".join(entry.split()) == "empty the authorized dataset on abort"
 
 
 class TestResolvedDefaults:

@@ -1,15 +1,18 @@
 """The package namespace: each public name is declared once, in its module;
 the float-arithmetic modules import no numpy; only errors and cli write an
-interval message; cli charts every command through one helper; the
-README's library example runs."""
+interval message; cli charts every command through one helper and reads
+the defaults and choices the library declares; the README's library example
+runs."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import qlabelsec
+import qlabelsec.cli as cli
 from qlabelsec import (
     adversary,
     errors,
@@ -91,3 +94,31 @@ def test_cli_builds_chart_series_in_one_place():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ChartSeries"
     ]
     assert len(calls) == 1
+
+
+def _option(command, key):
+    (option,) = [opt for opt in cli._COMMANDS[command][2] if opt.key == key]
+    return option
+
+
+def test_cli_defaults_and_choices_are_the_library_values(capsys):
+    config = learn_harness.LearnerConfig()
+    for command in ("learn", "sweep-eta", "histograms"):
+        for field in dataclasses.fields(config):
+            key = {"evaluation_cadence": "cadence"}.get(field.name, field.name)
+            assert _option(command, key).default == getattr(config, field.name), key
+        assert _option(command, "model").choices == learn_harness.MODEL_KINDS
+    for command in ("sweep-eta", "histograms"):
+        assert _option(command, "attack_kind").choices == info_theory.CURVE_KINDS
+    attack = adversary.InterceptResend()
+    assert _option("protocol-run", "policy").default == attack.basis_policy.value
+    assert _option("protocol-run", "policy").choices == tuple(
+        policy.value for policy in adversary.BasisPolicy
+    )
+    assert _option("protocol-run", "fraction").default == attack.attack_probability
+    assert cli._LEG_CHOICES["both"] == adversary.BOTH_LEGS == attack.legs
+    assert _option("protocol-run", "attack").choices[-2:] == info_theory.CURVE_KINDS
+    assert info_theory.ATTACK_KINDS[:2] == info_theory.CURVE_KINDS
+    assert cli.main(["thresholds"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert tuple(row.split()[0] for row in rows) == info_theory.ATTACK_KINDS
