@@ -178,23 +178,17 @@ class SyntheticTask:
         )
 
     def concept_source(self) -> ConceptSource:
-        """One input per sampler call: sample_inputs(1, rng)[0], byte for byte.
+        """Session inputs and labels: round r of session seed s is row r of
+        the eta = 0 stream keyed by (K, 1) (see _noisy_rows), K the first
+        64-bit word of SeedSequence(s).  No label flips, so each bit is
+        concept_bits' label of its row."""
 
-        A call makes the same two draws (the word integers(2) takes for the
-        side, then the Gaussian row) and one addition of an offset row.  The
-        row labeler is concept_bits.
-        """
-        offsets = tuple(self._offsets)  # rows, read without an array index per call
-        dimension = self.dimension
-        direction = self.direction
+        def rows(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+            keys = _trial_seeds(seed, [0])
+            xs, bits = _noisy_rows(self, 0.0, keys, 0, count, np.random.Philox(0), 1)
+            return xs[0], bits[0]
 
-        def sampler(rng: np.random.Generator) -> np.ndarray:
-            side = int(rng.random(None, np.float32) * 2.0)  # integers(2)
-            x = rng.standard_normal(dimension)
-            x += offsets[side]
-            return x
-
-        return ConceptSource(sampler=sampler, labeler=lambda xs: concept_bits(xs, direction))
+        return ConceptSource(rows)
 
 
 def generate_task(
@@ -410,14 +404,16 @@ class LearningTrial:
     final_test_error: float
 
 
-def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, bitgen):
+def _noisy_rows(
+    task: SyntheticTask, eta: float, seeds, start: int, count: int, bitgen, word: int = 0
+):
     """Rows [start, start + count) of each seed's noisy stream: (T, count, d)
     inputs and (T, count) labels, 0.0 or 1.0.
 
     Row r of seed s is words [rW, (r + 1)W) of the random_raw stream of a
-    Philox keyed by the 64-bit words (s, 0), W = 4 * ceil((d' + 2) / 4) for
-    d' = d rounded up to even; bitgen is a Philox reused with its state set
-    per seed.  Word 0's top bit is the cluster side; word 1's top 53 bits are
+    Philox keyed by the 64-bit words (s, word), word 0 for trial streams and
+    1 for session inputs; W = 4 * ceil((d' + 2) / 4) for d' = d rounded up to
+    even; bitgen is a Philox reused with its state set per seed.  Word 0's top bit is the cluster side; word 1's top 53 bits are
     u in [0, 1), and the label flips iff u < eta; the next d' words pair up as
     Box-Muller (u1, u2), u1 in (0, 1].  Every step is elementwise on fresh
     arrays and the concept label is concept_bits', so a row's bits do not
@@ -427,7 +423,7 @@ def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, 
     width = 4 * -(-(2 * pairs + 2) // 4)
     state = bitgen.state
     state["state"]["counter"][:] = (start * width // 4, 0, 0, 0)
-    state["state"]["key"][1], state["buffer_pos"] = 0, 4
+    state["state"]["key"][1], state["buffer_pos"] = word, 4
     words = np.empty((len(seeds), count, width), dtype=np.uint64)
     for row, seed in zip(words.reshape(len(seeds), -1), seeds):
         state["state"]["key"][0] = seed
@@ -443,7 +439,8 @@ def _noisy_rows(task: SyntheticTask, eta: float, seeds, start: int, count: int, 
     normals = np.empty(radius.shape + (2,))
     np.multiply(radius, np.cos(angle), out=normals[..., 0])
     np.multiply(radius, np.sin(angle, out=angle), out=normals[..., 1])
-    xs = normals.reshape(radius.shape[:-1] + (2 * pairs,))[..., :dimension]
+    del radius, angle  # freed before the offset rows and the labels are made
+    xs = normals.reshape(normals.shape[:-2] + (2 * pairs,))[..., :dimension]
     xs = xs + task._offsets[words[..., 0] >> np.uint64(63)]
     flips = (words[..., 1] >> np.uint64(11)) * _UNIT < eta
     labels = concept_bits(xs, task.direction) ^ flips

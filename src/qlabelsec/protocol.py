@@ -13,7 +13,6 @@ counts need no reweighting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,27 +39,21 @@ _IS_DATA_ROUND = tuple((~IS_CHECK).tolist())
 # Hard ceiling on rounds per target example; check rounds consume half the
 # budget in expectation, so 20x cannot be hit by chance at any real size.
 _ROUND_CAP_FACTOR = 20
-# A session runs 2 * target +- sqrt(2 * target) rounds, so an input array of
-# 2 * target + _ROW_MARGIN * (sqrt(target) + 1) rows, more than 5 sigma above
-# the mean, is almost never regrown.
-_ROW_MARGIN = 8
 
 
 @dataclass(frozen=True)
 class ConceptSource:
-    """Where inputs come from and what their true labels are.
+    """Where a session's inputs come from and what their true labels are.
 
-    sampler draws one feature vector given the session generator, and is
-    called once per round, check rounds included (their input is drawn and
-    discarded).  labeler is a deterministic row labeler: it maps an (m, d)
-    array of a session's round inputs, check rounds included, to an array of
-    m bits, one per row, and is called once per session after the last
-    round.  A bit may have any numeric type but must equal 0 or 1; the row's
-    label must not depend on the other rows.
+    rows(seed, count) returns the (count, d) inputs and count label bits of
+    rounds 0 ... count - 1 of the session with that seed, check rounds
+    included (their rows are discarded).  Row r must not depend on count,
+    and the rows come from a stream of the source's own, never
+    default_rng(seed), which drives the rounds.  A bit may have any numeric
+    type but must equal 0 or 1.
     """
 
-    sampler: Callable[[np.random.Generator], np.ndarray]
-    labeler: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +159,9 @@ def run_session(
     included).
 
     1. the word ``integers(4)`` takes: the preparation;
-    2. ``sampler(rng)`` (check rounds too);
-    3. under an analytic attack, ``random()`` for the channel flip and, on
+    2. under an analytic attack, ``random()`` for the channel flip and, on
        data rounds, ``random()`` for Eve's flip;
-    4. otherwise: ``random()`` for the attack coin under intercept-resend;
+    3. otherwise: ``random()`` for the attack coin under intercept-resend;
        on attacked rounds, for leg 1 and then leg 2 where configured, the
        policy basis ``random()`` (randomPerLeg only) and the measurement
        ``random()``; the receiver's measurement ``random()``; and on data
@@ -177,10 +169,10 @@ def run_session(
        measured both legs in Z.
 
     The draw pattern depends only on the preparation, the attack coin and
-    Eve's bases, so one loop records the variates and every round's input.
-    After the last round the concept source's labeler labels all the
-    inputs at once, and a table pass over the ``qubit`` lookup tables
-    computes every outcome.
+    Eve's bases, so one loop records the variates.  After the last round one
+    ``concept_source.rows(seed, rounds)`` call gives every round's input and
+    label, and a table pass over the ``qubit`` lookup tables computes every
+    outcome.
 
     When an abort threshold is set and the final noise estimate exceeds it,
     the result is flagged; with strict_abort the authorized dataset is
@@ -197,9 +189,7 @@ def run_session(
         raise DomainError(f"unknown attack strategy {attack!r}")
     check_seed(seed)
 
-    draws = _draw_rounds(
-        concept_source, target_data_count, attack, np.random.default_rng(seed)
-    )
+    draws = _draw_rounds(concept_source, target_data_count, attack, seed)
     if isinstance(attack, AnalyticAttack):
         table = _analytic_pass(draws, attack)
     else:
@@ -266,14 +256,12 @@ def _draw_rounds(
     concept_source: ConceptSource,
     target_data_count: int,
     attack,
-    rng: np.random.Generator,
+    seed: int,
 ) -> _Draws:
-    """Make the session's generator calls (see ``run_session``) and keep them.
-
-    The loop makes only the generator calls and records them; every round's
-    input goes into one array, which the labeler reads once afterwards.
+    """Make the session's generator calls (see ``run_session``) and keep them,
+    then read the rounds' inputs and labels from the concept source's rows.
     """
-    random, sampler, float32 = rng.random, concept_source.sampler, np.float32
+    random, float32 = np.random.default_rng(seed).random, np.float32
     analytic = isinstance(attack, AnalyticAttack)
     intercepting = isinstance(attack, InterceptResend)
     if intercepting:
@@ -285,20 +273,9 @@ def _draw_rounds(
     attacked_col, z1_col, u1_col, z2_col, u2_col = [], [], [], [], []
     data = 0
     round_cap = _ROUND_CAP_FACTOR * target_data_count
-    margin = _ROW_MARGIN * (math.isqrt(target_data_count) + 1)
-    capacity = min(round_cap, 2 * target_data_count + margin)
-    for m in range(round_cap):
+    for _ in range(round_cap):
         # int(random(None, float32) * 4.0) is integers(4): the top 2 bits of one word
         k = int(random(None, float32) * 4.0)
-        x = sampler(rng)
-        if m == 0:  # one array for every round's input, with the first one's shape
-            inputs = np.empty((capacity, *np.shape(x)), np.asarray(x).dtype)
-        elif m == capacity:
-            capacity = min(round_cap, 2 * capacity)
-            grown = np.empty((capacity, *inputs.shape[1:]), inputs.dtype)
-            grown[:m] = inputs
-            inputs = grown
-        inputs[m] = x
         preparations.append(k)
         is_data = _IS_DATA_ROUND[k]
         if analytic:
@@ -337,13 +314,13 @@ def _draw_rounds(
         )
 
     prep = np.array(preparations, dtype=np.intp)
-    rows = inputs[: len(prep)]
+    inputs, labels = _source_rows(concept_source.rows, seed, len(prep))
     if not intercepting:  # an analytic attack hits every round, no attack none
         attacked_col = np.full(len(prep), analytic)
     draws = _Draws(
         preparations=prep,
-        labels=_label_rows(concept_source.labeler, rows),
-        inputs=rows[~IS_CHECK[prep]],
+        labels=labels,
+        inputs=inputs[~IS_CHECK[prep]],
         finals=np.array(finals),
         eve=np.array(eve),
         attacked=np.array(attacked_col, dtype=bool),
@@ -358,17 +335,20 @@ def _draw_rounds(
     return draws
 
 
-def _label_rows(labeler, rows: np.ndarray) -> np.ndarray:
-    """labeler(rows) as intp bits, checked to hold one 0 or 1 per row."""
-    bits = np.asarray(labeler(rows))
-    if bits.shape != (len(rows),):
+def _source_rows(rows, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """rows(seed, count), checked to be a (count, d) input array and count
+    bits, 0 or 1; the bits as intp."""
+    inputs, bits = rows(seed, count)
+    inputs, bits = np.asarray(inputs), np.asarray(bits)
+    if inputs.ndim != 2 or len(inputs) != count or bits.shape != (count,):
         raise DomainError(
-            f"labeler must return one bit per row: {len(rows)} rows gave shape {bits.shape}"
+            f"concept source rows must be {count} (n, d) inputs and {count} bits, "
+            f"got shapes {inputs.shape} and {bits.shape}"
         )
     bad = (bits != 0) & (bits != 1)
     if bad.any():
-        raise DomainError(f"labeler must return a bit, got {bits.item(bad.argmax())!r}")
-    return bits.astype(np.intp)
+        raise DomainError(f"concept source rows must hold bits, got {bits.item(bad.argmax())!r}")
+    return inputs, bits.astype(np.intp)
 
 
 @dataclass

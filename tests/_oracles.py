@@ -417,7 +417,9 @@ def reference_session(
 
     Same arguments, generator calls and result as ``protocol.run_session``;
     only the round cap factor is read from ``protocol`` so a monkeypatched
-    cap applies to both.
+    cap applies to both.  The concept source's rows for the whole round cap
+    are taken up front and round r reads row r, which does not depend on the
+    count, so these are the rows ``run_session`` reads after its loop.
     """
     if target_data_count < 1:
         raise DomainError(f"target data count must be >= 1, got {target_data_count}")
@@ -443,6 +445,7 @@ def reference_session(
     eve_errors = 0
     fidelity_sum = 0.0
     round_cap = protocol._ROUND_CAP_FACTOR * target_data_count
+    source_inputs, source_bits = concept_source.rows(seed, round_cap)
     round_id = 0
 
     while len(authorized) < target_data_count:
@@ -453,10 +456,9 @@ def reference_session(
             )
         k = _PREPARATIONS[rng.integers(4)]
         is_check = k.is_check
-        x = concept_source.sampler(rng)
-        c = concept_source.labeler(x[None])[0]
+        x, c = source_inputs[round_id], source_bits[round_id]
         if c not in (0, 1):
-            raise DomainError(f"labeler must return a bit, got {c.item()!r}")
+            raise DomainError(f"concept source rows must hold bits, got {c.item()!r}")
         c = int(c)
 
         eve_record = None

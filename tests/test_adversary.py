@@ -20,10 +20,12 @@ from qlabelsec.stats import binomial_pull
 
 
 def simple_source() -> ConceptSource:
-    return ConceptSource(
-        sampler=lambda rng: rng.standard_normal(2),
-        labeler=lambda xs: xs[:, 0] >= 0.0,
-    )
+    def rows(seed, count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        xs = rng.standard_normal((count, 2))
+        return xs, xs[:, 0] >= 0.0
+
+    return ConceptSource(rows=rows)
 
 
 class TestStrategyValidation:

@@ -167,6 +167,14 @@ class TestProtocolRun:
         capsys.readouterr()
         assert not (tmp_path / "protocol-transcript.jsonl").exists()
 
+    def test_a_seed_beyond_64_bits_runs(self, tmp_path, capsys):
+        assert run_cli(
+            "protocol-run", "--target-data", "100", "--no-transcript",
+            "--seed", str(2**64 + 5), "--out", str(tmp_path),
+        ) == 0
+        capsys.readouterr()
+        assert read_summary(tmp_path, "protocol-run")["results"]["authorized_dataset_size"] == 100
+
     @pytest.mark.parametrize(
         "out, flags, keep_rounds",
         [(False, (), False), (True, (), True), (True, ("--no-transcript",), False)],
@@ -621,7 +629,7 @@ class TestSelfcheck:
         assert run_cli("selfcheck", "--seed", "0", "--out", str(tmp_path)) == 0
         capsys.readouterr()
         results = read_summary(tmp_path, "selfcheck")["results"]
-        assert results["protocol_pull"] == 0.0702554919986509
+        assert results["protocol_pull"] == 1.0213022814527497
         assert results["random_search_law"] == [
             {"n": 1, "pull": 1.7392527130926076},
             {"n": 5, "pull": 0.5174259875058538},
@@ -720,7 +728,7 @@ _README_COMMANDS = (
 )
 # sha256 over each command's exit code, stdout and output files, the summaries
 # without their provenance timestamp
-_README_DIGEST = "b1387b3bbe5bdeac85fa4d12e6783f7d7acbccc9025f3dda638741491615a9ba"
+_README_DIGEST = "84198823fa7f20087ec00fb1029d4f79a6c3bfea321db549b28f51ba2a1825e3"
 
 
 @pytest.mark.blas_pins

@@ -66,9 +66,12 @@ def task():
 
 
 def _source():
-    return protocol.ConceptSource(
-        sampler=lambda rng: rng.standard_normal(2), labeler=lambda xs: xs[:, 0] >= 0.0
-    )
+    def rows(seed, count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        xs = rng.standard_normal((count, 2))
+        return xs, xs[:, 0] >= 0.0
+
+    return protocol.ConceptSource(rows=rows)
 
 
 def _verdict(epsilon=0.1, eta_a=0.05, eta_e=0.2, eta_star=0.11):

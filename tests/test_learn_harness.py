@@ -258,16 +258,6 @@ class TestGenerateTask:
         assert a.shape == (50, 8)
         np.testing.assert_array_equal(a, b)
 
-    def test_concept_sampler_is_one_row_of_sample_inputs(self, task):
-        # same draws, same bytes, and the generator left in the same state
-        sampler = task.concept_source().sampler
-        rng, batch_rng = np.random.default_rng(10), np.random.default_rng(10)
-        for _ in range(200):
-            x = sampler(rng)
-            row = task.sample_inputs(1, batch_rng)[0]
-            assert x.dtype == row.dtype and x.tobytes() == row.tobytes()
-        assert rng.random() == batch_rng.random()
-
     @pytest.mark.parametrize("count", sorted(_SAMPLE_INPUT_DIGESTS))
     def test_sample_inputs_bytes_are_pinned(self, task, count):
         # bytes of ten draws and the generator state each leaves behind
@@ -317,7 +307,8 @@ class TestConceptBits:
         task = generate_task(dimension=dimension, separation=6.0, seed=42)
         xs = _near_rows(task.direction, 200, np.random.default_rng(dimension))
         bits = concept_bits(xs, task.direction)
-        assert np.array_equal(task.concept_source().labeler(xs), bits)
+        inputs, source_bits = task.concept_source().rows(dimension, 200)
+        assert np.array_equal(source_bits, concept_bits(inputs, task.direction))
         assert np.array_equal(task.labeler.predict(xs), bits)
         assert [int(concept_bits(x, task.direction)) for x in xs] == bits.tolist()
         assert np.array_equal(task.test_y, concept_bits(task.test_x, task.direction))
@@ -559,19 +550,21 @@ def _reference_row(task, eta, words):
 
 
 class TestStreamRows:
+    @pytest.mark.parametrize("word", [0, 1])
     @pytest.mark.parametrize("dimension", [2, 3, 8])
-    def test_raw_words_are_numpy_philox(self, dimension):
+    def test_raw_words_are_numpy_philox(self, dimension, word):
         # numpy's own Philox is the referee for the words; a scalar loop over
-        # those words is the referee for the rows
+        # those words is the referee for the rows.  Key word 0 keys trial
+        # streams, 1 session inputs.
         task = generate_task(dimension, 6.0, 1)
         width = _row_width(dimension)
         seeds = [0, 5, 2**32 + 7, 2**64 - 1]
         bitgen = _RecordingPhilox()
-        xs, ys = learn_harness._noisy_rows(task, 0.3, seeds, 3, 5, bitgen)
+        xs, ys = learn_harness._noisy_rows(task, 0.3, seeds, 3, 5, bitgen, word)
         assert xs.shape == (4, 5, dimension) and ys.shape == (4, 5)
         assert len(bitgen.draws) == len(seeds)
         for seed, words, x_rows, y_rows in zip(seeds, bitgen.draws, xs, ys):
-            key = np.array([seed, 0], dtype=np.uint64)
+            key = np.array([seed, word], dtype=np.uint64)
             fresh = np.random.Philox(key=key).random_raw(8 * width)[3 * width:]
             assert words.tolist() == fresh.tolist()
             for row, x, y in zip(fresh.reshape(5, width), x_rows, y_rows):
@@ -597,6 +590,16 @@ class TestStreamRows:
             )
             assert xs.tobytes() == whole[0][order, 100:100 + size].tobytes()
             assert ys.tobytes() == whole[1][order, 100:100 + size].tobytes()
+
+    @pytest.mark.parametrize("head", [1, 7, 300])
+    def test_fewer_session_rows_are_a_prefix(self, task, head):
+        # row r of a session's inputs does not depend on how many are drawn
+        rows = task.concept_source().rows
+        xs, bits = rows(9, 300)
+        head_xs, head_bits = rows(9, head)
+        assert head_xs.tobytes() == xs[:head].tobytes()
+        assert head_bits.tobytes() == bits[:head].tobytes()
+        assert np.array_equal(head_bits, concept_bits(head_xs, task.direction))
 
     def test_a_shorter_sample_is_a_prefix(self, task):
         xs, ys = noisy_sample(task, 0.2, 8, 600)

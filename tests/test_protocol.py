@@ -16,7 +16,7 @@ from _oracles import reference_columns, reference_session, reference_transcript
 from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.info_theory import eve_noise_from_disturbance
-from qlabelsec.learn_harness import generate_task
+from qlabelsec.learn_harness import concept_bits, generate_task
 from qlabelsec.protocol import (
     ConceptSource,
     estimate_eta_a,
@@ -30,11 +30,23 @@ from qlabelsec.stats import binomial_pull
 IS_CHECK = np.array([k.is_check for k in Preparation])
 
 
+def _normal_rows(seed, count, dim=2):
+    """count standard normal rows from a child stream of the session seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    return rng.standard_normal((count, dim))
+
+
 def halfspace_source(dim: int = 2) -> ConceptSource:
-    return ConceptSource(
-        sampler=lambda rng: rng.standard_normal(dim),
-        labeler=lambda xs: xs[:, 0] >= 0.0,
-    )
+    def rows(seed, count):
+        xs = _normal_rows(seed, count, dim)
+        return xs, xs[:, 0] >= 0.0
+
+    return ConceptSource(rows=rows)
+
+
+def constant_source(bit, dim: int = 2) -> ConceptSource:
+    """Normal rows that all carry the label bit, whatever its type."""
+    return ConceptSource(rows=lambda seed, count: (_normal_rows(seed, count, dim), [bit] * count))
 
 
 _SCALAR_FIELDS = (
@@ -109,7 +121,7 @@ class TestNoAttackSession:
         assert session.authorized_label_error_rate == 0.0
         dataset = session.authorized_dataset
         for x, label in zip(dataset.inputs, dataset.labels):
-            assert label == source.labeler(x[None])[0]
+            assert label == (x[0] >= 0.0)
 
     def test_dataset_sizes(self):
         session = run_session(halfspace_source(), 1_500, seed=11)
@@ -182,19 +194,6 @@ class TestRoundAccounting:
         with pytest.raises(ProtocolError, match="round cap"):
             run_session(halfspace_source(), 50, seed=16)
 
-    def test_a_regrown_input_array_gives_the_same_session(self, monkeypatch):
-        # with no margin the first input array holds 2 * target rows, and
-        # about half of all sessions run longer and regrow it
-        monkeypatch.setattr(protocol_module, "_ROW_MARGIN", 0)
-        attack = InterceptResend(attack_probability=0.5)
-        regrown = 0
-        for seed in range(8):
-            session = run_session(_SOURCES["task"], 100, attack=attack, seed=seed)
-            expected = reference_session(_SOURCES["task"], 100, attack=attack, seed=seed)
-            assert session_digest(session) == session_digest(expected)
-            regrown += len(session.rounds.preparations) > 200
-        assert regrown > 0
-
     def test_rejects_bad_target_and_threshold(self):
         with pytest.raises(DomainError):
             run_session(halfspace_source(), 0, seed=1)
@@ -223,32 +222,55 @@ class TestRoundAccounting:
             run_session(halfspace_source(), 10, seed=seed)
 
     def test_rejects_non_binary_labeler(self):
-        source = ConceptSource(
-            sampler=lambda rng: rng.standard_normal(2),
-            labeler=lambda xs: np.full(len(xs), 2),
-        )
         with pytest.raises(DomainError, match="bit"):
-            run_session(source, 10, seed=1)
+            run_session(constant_source(2), 10, seed=1)
 
     @pytest.mark.parametrize("value", [0.7, 1.9, -0.4])
     def test_rejects_fractional_labeler_output(self, value):
         # int() would floor these to a bit; the raw value is checked first
-        source = ConceptSource(
-            sampler=lambda rng: rng.standard_normal(2),
-            labeler=lambda xs: np.full(len(xs), value),
-        )
         with pytest.raises(DomainError, match="bit"):
-            run_session(source, 10, seed=1)
+            run_session(constant_source(value), 10, seed=1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda seed, count: (_normal_rows(seed, count - 1), np.ones(count - 1)),
+            lambda seed, count: (_normal_rows(seed, count + 1), np.ones(count + 1)),
+            lambda seed, count: (_normal_rows(seed, count), np.ones(count + 1)),
+            lambda seed, count: (_normal_rows(seed, count)[:, 0], np.ones(count)),
+        ],
+        ids=["one-row-too-few", "one-row-too-many", "one-bit-too-many", "1-D-inputs"],
+    )
+    def test_rejects_rows_that_do_not_match_the_rounds(self, rows):
+        with pytest.raises(DomainError, match="concept source rows must be"):
+            run_session(ConceptSource(rows=rows), 10, seed=1)
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**100], ids=["2**64+5", "2**100"])
+    def test_seeds_beyond_64_bits_equal_the_scalar_loop(self, seed):
+        attack = InterceptResend(attack_probability=0.5, basis_policy="randomPerLeg")
+        for source in _SOURCES.values():
+            session = run_session(source, 200, attack=attack, seed=seed)
+            expected = reference_session(source, 200, attack=attack, seed=seed)
+            assert session_digest(session) == session_digest(expected)
+
+    def test_task_rows_are_not_keyed_by_the_seed_mod_2_64(self):
+        rows = _SOURCES["task"].rows
+        for seed in (0, 5):
+            assert rows(seed, 50)[0].tobytes() != rows(seed + 2**64, 50)[0].tobytes()
+
+    def test_rows_are_read_once_after_the_rounds(self):
+        calls = []
+
+        def rows(seed, count):
+            calls.append((seed, count))
+            return halfspace_source().rows(seed, count)
+
+        session = run_session(ConceptSource(rows=rows), 40, seed=5)
+        assert calls == [(5, len(session.rounds.preparations))]
 
     @pytest.mark.parametrize("one", [True, 1.0, np.int64(1)], ids=repr)
     def test_accepts_bits_of_any_numeric_type(self, one):
-        def source(bit):
-            return ConceptSource(
-                sampler=lambda rng: rng.standard_normal(2),
-                labeler=lambda xs: np.full(len(xs), bit),
-            )
-
-        plain, typed = source(1), source(one)
+        plain, typed = constant_source(1), constant_source(one)
         attack = AnalyticAttack(curve_kind="collective", disturbance=0.05)
         expected = run_session(plain, 50, attack=attack, seed=2)
         session = run_session(typed, 50, attack=attack, seed=2)
@@ -314,7 +336,7 @@ class TestAbortSemantics:
         assert eve.inputs.shape == (2_000, 8) and eve.labels.shape == (2_000,)
         # alwaysZ on both legs reads every data label exactly
         assert session.eve_label_error_rate == 0.0
-        assert np.array_equal(eve.labels, source.labeler(eve.inputs))
+        assert np.array_equal(eve.labels, concept_bits(eve.inputs, task.direction))
 
     def test_quiet_channel_does_not_abort(self):
         session = run_session(
@@ -436,11 +458,11 @@ class TestTranscriptExport:
         [
             (
                 InterceptResend(basis_policy="randomPerLeg"),
-                "81f287e9eabc6eddb7d9700a3997612064fc5bfb3c9e70e3513fc493ac4e388f",
+                "fdf64fb1fe5dc5cd37595521b8043694ae02a458c79bf9f7c375b3429325be63",
             ),
             (
                 InterceptResend(attack_probability=0.5, legs=(2,)),
-                "7e10a4b0e85da2328a1818baa48310391a06974cb4f6d49b668de059f73464f9",
+                "7894f670c9f16a8925aa5bfc35eab108e90f97108e34bb08ad86c061aeccb9f9",
             ),
         ],
         ids=["randomPerLeg-f1", "alwaysZ-leg2-f0.5"],
@@ -503,25 +525,25 @@ _SOURCES = {
 }
 
 # session_digest of 200-label sessions at seed 3 with abort threshold 0.11,
-# taken before the session was split into a draw loop and a table pass.  A
-# change that moves the random stream, an input byte, a label or a reported
-# rate changes these digests; such a change updates them and says so in
-# CHANGES.md.
+# taken when the inputs moved out of the round loop to the concept source's
+# rows.  A change that moves the random stream, an input byte, a label or a
+# reported rate changes these digests; such a change updates them and says so
+# in CHANGES.md.
 _SESSION_DIGESTS = {
-    "halfspace/none": "f36cb048f9c2c7059acd24437c78aea24153e2301bc8576c083fae44a79cfaf9",
-    "halfspace/alwaysZ-f1": "ed8dc947b0e1c5b78026bdfa3a0bb1a10ac7895f2d21f6621cf4dcd900c0322c",
-    "halfspace/randomPerLeg-f0.5": "3ab490bae9b8980f4c0ad22ee130eabba5798fb08a8277c2cbbaf82d228daa4b",
-    "halfspace/alwaysZ-leg1": "d5af43cb5702e366cfb1487e41d8936cfdc03644acec68d349769b991737faf9",
-    "halfspace/randomPerLeg-leg2-f0.7": "a41b741950309cebab9984c1aab8da30d5cc8e9041920e8fcb44436de1c4ef11",
-    "halfspace/collective-0.05": "4efbada18b6d5d964c419404540266d2c84838b2d172f9b4de2e5bd5bc01de30",
-    "halfspace/individual-0.08": "db9462f65b66e7ca0888bea5a39f42cbbec4fac84b582fd869d4f77753b924d2",
-    "task/none": "4cb0420cf7a7c65ea1f9412cfa6694fc45fff63ee2ac85ddbac08b8ebc6d4809",
-    "task/alwaysZ-f1": "411ff03655ad17a4521d2ece47cbfd325b48b60d74543fbda3c4a5bb880a9648",
-    "task/randomPerLeg-f0.5": "65f2a689ce72137a2f5b0ddf5e4a5454880be912d18adc7bd6b93d7b695a08fe",
-    "task/alwaysZ-leg1": "7d5121fff425ed0555d229c6b51ffcd9519e922f8617edfa30bbd32b7b79c893",
-    "task/randomPerLeg-leg2-f0.7": "de00bfa63854e44e837be9b536b927cf8fd7781663684630fd0f6230d6a6c200",
-    "task/collective-0.05": "80239a10e3778c1364d5b0d6a5e50bfa6b79922a97fc11f1d20aaefa2629888b",
-    "task/individual-0.08": "b91146eb40ba15ec33aaa5f593be556ca863ee625b73ce94d5e7e4e61b8f63bd",
+    "halfspace/none": "ba9cce1c1dfbd68a0e84852ad666beb8b47350dc6ce6ad4261d4d99d62008131",
+    "halfspace/alwaysZ-f1": "c0871e406e3b79f15096aa9f1e254b0a0411f582b45d69ade7731332a14bef96",
+    "halfspace/randomPerLeg-f0.5": "466f73cb8a8fc3fbfb05f913723a2005fb18e3b386c154300d73646b400bd6a0",
+    "halfspace/alwaysZ-leg1": "782d6f06fe9e2bcf3300dcdef32d896343946015cb5b970d23fabf969468d456",
+    "halfspace/randomPerLeg-leg2-f0.7": "b1a31b68930b14e89c312b90ff8b93878f9757c2a1113a008f89456b85fe0534",
+    "halfspace/collective-0.05": "83238bf4f80834ab4305483505eaa21ef858eff772ed98e4545dc21676a80b78",
+    "halfspace/individual-0.08": "0ad09821a26154f27a4710c9ebc5f53abfba0c1553a771b89e517b1e95ba6e51",
+    "task/none": "95943c5062ba686cf76bca5481009585d3256f578b12c6986f1981fcb89f29a7",
+    "task/alwaysZ-f1": "e27c1d06336e161ac5117592440d9c57bc5eee4ac2ab7aaaf5568f143b6324ee",
+    "task/randomPerLeg-f0.5": "70432491ddd374a260ef9b41883ebb6e99906a15f762e2ce8dd3733897af20a6",
+    "task/alwaysZ-leg1": "8d452ff26fbcdde932f5f49861343ac256b95b53a47f5ff23b561504d9febe93",
+    "task/randomPerLeg-leg2-f0.7": "ec463ea51fbe00162caddc4ede01c3bbe7df3335038dc884b208617a20ee1248",
+    "task/collective-0.05": "07cb82e0fd0237009dfa9f145a6bed82d717e13205ecab9db3a5772866104e11",
+    "task/individual-0.08": "1572176f1d226bc065edfb48e9804aaaa1218e88fdbfb806d7d1d05593385d5e",
 }
 
 
