@@ -17,6 +17,7 @@ nondecreasing in n by construction.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,7 +31,6 @@ from .errors import (
     check_trial_count,
 )
 from .pac_bounds import sample_bound_noisy
-from .protocol import ConceptSource
 from .stats import wilson_interval
 
 __all__ = [
@@ -177,7 +177,7 @@ class SyntheticTask:
             (count, self.dimension)
         )
 
-    def concept_source(self) -> ConceptSource:
+    def concept_source(self) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
         """Session inputs and labels: round r of session seed s is row r of
         the eta = 0 stream keyed by (K, 1) (see _noisy_rows), K the first
         64-bit word of SeedSequence(s).  No label flips, so each bit is
@@ -188,7 +188,7 @@ class SyntheticTask:
             xs, bits = _noisy_rows(self, 0.0, keys, 0, count, np.random.Philox(0), 1)
             return xs[0], bits[0]
 
-        return ConceptSource(rows)
+        return rows
 
 
 def generate_task(
@@ -919,11 +919,11 @@ def run_trials(
 
     Each trial draws everything from one seed, a function of (base_seed,
     index) alone (see _trial_seeds), so the result list is identical no
-    matter how many workers ran it; each worker runs one contiguous block of
-    seeds.  A record replays from its own seed: noisy_sample and
-    train_until for gradient trials, random_search_learner for random
-    search.  Every argument is checked before any trial runs, eta included
-    even when no sample is drawn.
+    matter how many workers ran it; the seeds are cut into contiguous blocks,
+    one per worker, and at most one process per core runs them.  A record
+    replays from its own seed: noisy_sample and train_until for gradient
+    trials, random_search_learner for random search.  Every argument is
+    checked before any trial runs, eta included even when no sample is drawn.
     """
     if learner not in LEARNER_KINDS:
         raise DomainError(f"learner must be gradient or random-search, got {learner!r}")
@@ -939,7 +939,7 @@ def run_trials(
     # imported here, so that importing the package loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
         return [trial for block in pool.map(run, blocks) for trial in block]
 
 

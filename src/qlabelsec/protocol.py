@@ -25,7 +25,6 @@ from .qubit import (
 )
 
 __all__ = [
-    "ConceptSource",
     "Dataset",
     "Rounds",
     "SessionResult",
@@ -41,19 +40,19 @@ _IS_DATA_ROUND = tuple((~IS_CHECK).tolist())
 _ROUND_CAP_FACTOR = 20
 
 
-@dataclass(frozen=True)
-class ConceptSource:
-    """Where a session's inputs come from and what their true labels are.
-
-    rows(seed, count) returns the (count, d) inputs and count label bits of
-    rounds 0 ... count - 1 of the session with that seed, check rounds
-    included (their rows are discarded).  Row r must not depend on count,
-    and the rows come from a stream of the source's own, never
-    default_rng(seed), which drives the rounds.  A bit may have any numeric
-    type but must equal 0 or 1.
-    """
-
-    rows: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """column as a read-only view whose owner is locked first, so that
+    neither can be made writable again (a view of a writable owner could
+    be).  No data is copied; a column that is a view already is returned
+    itself, locked."""
+    owner = column
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    owner.flags.writeable = False
+    if column is owner:
+        column = column.view()
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +67,8 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.inputs.flags.writeable = False
-        self.labels.flags.writeable = False
+        object.__setattr__(self, "inputs", _read_only(self.inputs))
+        object.__setattr__(self, "labels", _read_only(self.labels))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -94,9 +93,10 @@ class Rounds:
     legs: dict[int, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        columns = [self.preparations, self.outcomes, self.attacked]
-        for column in columns + [c for pair in self.legs.values() for c in pair]:
-            column.flags.writeable = False
+        for name in ("preparations", "outcomes", "attacked"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        legs = {leg: tuple(map(_read_only, pair)) for leg, pair in self.legs.items()}
+        object.__setattr__(self, "legs", legs)
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def estimate_eta_a(check_count: int, check_error_count: int) -> float:
 
 
 def run_session(
-    concept_source: ConceptSource,
+    concept_source: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     target_data_count: int,
     attack=NoAttack(),
     abort_threshold: float | None = None,
@@ -147,6 +147,13 @@ def run_session(
     keep_rounds: bool = True,
 ) -> SessionResult:
     """Run rounds until the authorized dataset holds target_data_count labels.
+
+    concept_source(seed, count) gives the session's inputs and true labels:
+    the (count, d) inputs and count label bits of rounds 0 ... count - 1 of
+    the session with that seed, check rounds included (their rows are
+    discarded).  Row r must not depend on count, and the rows come from a
+    stream of the source's own, never default_rng(seed), which drives the
+    rounds.  A bit may have any numeric type but must equal 0 or 1.
 
     The round type is drawn uniformly over the four preparations, so half of
     all rounds are checks in expectation and the session runs roughly twice
@@ -170,7 +177,7 @@ def run_session(
 
     The draw pattern depends only on the preparation, the attack coin and
     Eve's bases, so one loop records the variates.  After the last round one
-    ``concept_source.rows(seed, rounds)`` call gives every round's input and
+    ``concept_source(seed, rounds)`` call gives every round's input and
     label, and a table pass over the ``qubit`` lookup tables computes every
     outcome.
 
@@ -195,7 +202,7 @@ def run_session(
     else:
         table = _qubit_pass(draws)
 
-    prep, inputs = draws.preparations, draws.inputs
+    prep, inputs = draws.preparations, _read_only(draws.inputs)
     data = ~IS_CHECK[prep]
     truth = draws.labels[data]
     labels = table.outcomes[data] ^ BIT[prep[data]]
@@ -253,7 +260,7 @@ class _Draws:
 
 
 def _draw_rounds(
-    concept_source: ConceptSource,
+    concept_source: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     target_data_count: int,
     attack,
     seed: int,
@@ -314,7 +321,7 @@ def _draw_rounds(
         )
 
     prep = np.array(preparations, dtype=np.intp)
-    inputs, labels = _source_rows(concept_source.rows, seed, len(prep))
+    inputs, labels = _source_rows(concept_source, seed, len(prep))
     if not intercepting:  # an analytic attack hits every round, no attack none
         attacked_col = np.full(len(prep), analytic)
     draws = _Draws(

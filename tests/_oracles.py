@@ -445,7 +445,7 @@ def reference_session(
     eve_errors = 0
     fidelity_sum = 0.0
     round_cap = protocol._ROUND_CAP_FACTOR * target_data_count
-    source_inputs, source_bits = concept_source.rows(seed, round_cap)
+    source_inputs, source_bits = concept_source(seed, round_cap)
     round_id = 0
 
     while len(authorized) < target_data_count:

@@ -14,18 +14,18 @@ from qlabelsec.adversary import (
 )
 from qlabelsec.errors import DomainError
 from qlabelsec.info_theory import eta_star, eve_noise_from_disturbance
-from qlabelsec.protocol import ConceptSource, run_session
+from qlabelsec.protocol import run_session
 from qlabelsec.qubit import Basis, Preparation
 from qlabelsec.stats import binomial_pull
 
 
-def simple_source() -> ConceptSource:
+def simple_source():
     def rows(seed, count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         xs = rng.standard_normal((count, 2))
         return xs, xs[:, 0] >= 0.0
 
-    return ConceptSource(rows=rows)
+    return rows
 
 
 class TestStrategyValidation:

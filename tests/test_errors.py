@@ -71,7 +71,7 @@ def _source():
         xs = rng.standard_normal((count, 2))
         return xs, xs[:, 0] >= 0.0
 
-    return protocol.ConceptSource(rows=rows)
+    return rows
 
 
 def _verdict(epsilon=0.1, eta_a=0.05, eta_e=0.2, eta_star=0.11):

@@ -307,7 +307,7 @@ class TestConceptBits:
         task = generate_task(dimension=dimension, separation=6.0, seed=42)
         xs = _near_rows(task.direction, 200, np.random.default_rng(dimension))
         bits = concept_bits(xs, task.direction)
-        inputs, source_bits = task.concept_source().rows(dimension, 200)
+        inputs, source_bits = task.concept_source()(dimension, 200)
         assert np.array_equal(source_bits, concept_bits(inputs, task.direction))
         assert np.array_equal(task.labeler.predict(xs), bits)
         assert [int(concept_bits(x, task.direction)) for x in xs] == bits.tolist()
@@ -594,7 +594,7 @@ class TestStreamRows:
     @pytest.mark.parametrize("head", [1, 7, 300])
     def test_fewer_session_rows_are_a_prefix(self, task, head):
         # row r of a session's inputs does not depend on how many are drawn
-        rows = task.concept_source().rows
+        rows = task.concept_source()
         xs, bits = rows(9, 300)
         head_xs, head_bits = rows(9, head)
         assert head_xs.tobytes() == xs[:head].tobytes()
@@ -914,6 +914,31 @@ class TestRunTrials:
             task, 0.1, 0.03, LearnerConfig(), 2_000, 16, base_seed=32, workers=2
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("cores, expected", [(3, 3), (None, 1)])
+    def test_pool_holds_at_most_one_process_per_core(self, task, monkeypatch, cores, expected):
+        # an in-process pool: it records its size and starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        args = (task, 0.1, 0.03, LearnerConfig(), 500, 40)
+        many = run_trials(*args, base_seed=34, workers=10**6)
+        assert sizes == [expected]
+        assert many == run_trials(*args, base_seed=34, workers=1)
 
     def test_random_search_mode(self, task):
         trials = run_trials(

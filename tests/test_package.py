@@ -1,5 +1,6 @@
 """The package namespace: each public name is declared once, in its module;
-the float-arithmetic modules import no numpy; only errors and cli write an
+the float-arithmetic modules import no numpy; the protocol and learning
+layers import nothing from each other; only errors and cli write an
 interval message; cli charts every command through one helper and reads
 the defaults and choices the library declares; the README's library example
 runs."""
@@ -51,6 +52,26 @@ def test_float_arithmetic_modules_import_no_numpy():
             else:
                 continue
             assert all(name.split(".")[0] != "numpy" for name in names), module.__name__
+
+
+def _imported_modules(module):
+    """Every dotted name a module's source imports, relative ones without dots."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".")}
+
+
+def test_protocol_and_learning_layers_import_nothing_from_each_other():
+    # the session's row function is the only seam, and it is a plain callable
+    protocol_layer = {"protocol", "adversary", "qubit"}
+    assert not _imported_modules(learn_harness) & protocol_layer
+    for module in (protocol, adversary, qubit):
+        assert not _imported_modules(module) & {"learn_harness", "reports", "cli"}, module.__name__
 
 
 def test_import_leaves_the_process_pool_unloaded():

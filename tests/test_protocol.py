@@ -17,12 +17,7 @@ from qlabelsec.adversary import AnalyticAttack, InterceptResend, NoAttack
 from qlabelsec.errors import DomainError, ProtocolError
 from qlabelsec.info_theory import eve_noise_from_disturbance
 from qlabelsec.learn_harness import concept_bits, generate_task
-from qlabelsec.protocol import (
-    ConceptSource,
-    estimate_eta_a,
-    export_transcript,
-    run_session,
-)
+from qlabelsec.protocol import estimate_eta_a, export_transcript, run_session
 from qlabelsec.qubit import Preparation
 from qlabelsec.stats import binomial_pull
 
@@ -36,17 +31,17 @@ def _normal_rows(seed, count, dim=2):
     return rng.standard_normal((count, dim))
 
 
-def halfspace_source(dim: int = 2) -> ConceptSource:
+def halfspace_source(dim: int = 2):
     def rows(seed, count):
         xs = _normal_rows(seed, count, dim)
         return xs, xs[:, 0] >= 0.0
 
-    return ConceptSource(rows=rows)
+    return rows
 
 
-def constant_source(bit, dim: int = 2) -> ConceptSource:
+def constant_source(bit, dim: int = 2):
     """Normal rows that all carry the label bit, whatever its type."""
-    return ConceptSource(rows=lambda seed, count: (_normal_rows(seed, count, dim), [bit] * count))
+    return lambda seed, count: (_normal_rows(seed, count, dim), [bit] * count)
 
 
 _SCALAR_FIELDS = (
@@ -243,7 +238,7 @@ class TestRoundAccounting:
     )
     def test_rejects_rows_that_do_not_match_the_rounds(self, rows):
         with pytest.raises(DomainError, match="concept source rows must be"):
-            run_session(ConceptSource(rows=rows), 10, seed=1)
+            run_session(rows, 10, seed=1)
 
     @pytest.mark.parametrize("seed", [2**64 + 5, 2**100], ids=["2**64+5", "2**100"])
     def test_seeds_beyond_64_bits_equal_the_scalar_loop(self, seed):
@@ -254,7 +249,7 @@ class TestRoundAccounting:
             assert session_digest(session) == session_digest(expected)
 
     def test_task_rows_are_not_keyed_by_the_seed_mod_2_64(self):
-        rows = _SOURCES["task"].rows
+        rows = _SOURCES["task"]
         for seed in (0, 5):
             assert rows(seed, 50)[0].tobytes() != rows(seed + 2**64, 50)[0].tobytes()
 
@@ -263,9 +258,9 @@ class TestRoundAccounting:
 
         def rows(seed, count):
             calls.append((seed, count))
-            return halfspace_source().rows(seed, count)
+            return halfspace_source()(seed, count)
 
-        session = run_session(ConceptSource(rows=rows), 40, seed=5)
+        session = run_session(rows, 40, seed=5)
         assert calls == [(5, len(session.rounds.preparations))]
 
     @pytest.mark.parametrize("one", [True, 1.0, np.int64(1)], ids=repr)
@@ -596,6 +591,34 @@ class TestSessionViews:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            "authorized.inputs", "authorized.labels", "eavesdropper.inputs",
+            "eavesdropper.labels", "preparations", "outcomes", "attacked",
+            "leg1.basis", "leg1.outcome", "leg2.basis", "leg2.outcome",
+        ],
+    )
+    def test_record_arrays_cannot_be_made_writable(self, column):
+        session = run_session(
+            halfspace_source(), 300, attack=InterceptResend(0.5), seed=11, keep_rounds=True
+        )
+        rounds = session.rounds
+        arrays = {
+            "authorized.inputs": session.authorized_dataset.inputs,
+            "authorized.labels": session.authorized_dataset.labels,
+            "eavesdropper.inputs": session.eavesdropper_dataset.inputs,
+            "eavesdropper.labels": session.eavesdropper_dataset.labels,
+            "preparations": rounds.preparations,
+            "outcomes": rounds.outcomes,
+            "attacked": rounds.attacked,
+        }
+        for leg, (basis, outcome) in rounds.legs.items():
+            arrays[f"leg{leg}.basis"], arrays[f"leg{leg}.outcome"] = basis, outcome
+        with pytest.raises(ValueError):
+            arrays[column].flags.writeable = True
+        assert not arrays[column].flags.writeable
+
     def test_strictly_aborted_datasets_are_empty_records(self):
         session = run_session(
             halfspace_source(),
@@ -609,8 +632,9 @@ class TestSessionViews:
         assert len(authorized) == 0
         assert authorized.inputs.shape == (0, 2) and authorized.labels.shape == (0,)
         assert eavesdropper.inputs.shape == (500, 2) and eavesdropper.labels.shape == (500,)
-        for dataset in (authorized, eavesdropper):
-            assert not dataset.inputs.flags.writeable and not dataset.labels.flags.writeable
+        for array in (authorized.inputs, authorized.labels, eavesdropper.inputs):
+            with pytest.raises(ValueError):  # the empty views' owners are locked too
+                array.flags.writeable = True
         assert len(session.rounds.preparations) == session.check_count + 500
 
     def test_session_result_is_frozen(self):
