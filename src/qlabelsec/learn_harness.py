@@ -863,6 +863,14 @@ def _trial_seeds(base_seed: int, indices) -> list[int]:
     return (key + np.asarray(indices, dtype=np.uint64)).tolist()
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else os.cpu_count(), and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _chunks(items: Sequence, size: int) -> list:
     """items as consecutive slices of size items each, the last one possibly shorter."""
     return [items[start:start + size] for start in range(0, len(items), size)]
@@ -919,8 +927,9 @@ def run_trials(
 
     Each trial draws everything from one seed, a function of (base_seed,
     index) alone (see _trial_seeds), so the result list is identical no
-    matter how many workers ran it; the seeds are cut into contiguous blocks,
-    one per worker, and at most one process per core runs them.  A record
+    matter how many workers ran it.  The worker count is capped at the cores
+    this process may run on, and the seeds are cut into contiguous blocks,
+    one per worker and process; a single block runs in this process.  A record
     replays from its own seed: noisy_sample and train_until for gradient
     trials, random_search_learner for random search.  Every argument is
     checked before any trial runs, eta included even when no sample is drawn.
@@ -932,6 +941,7 @@ def run_trials(
     check_count(sample_budget, "sample budget", 0)
     check_count(n_trials, "trial count", 1)
     check_count(workers, "worker count", 1)
+    workers = min(workers, _usable_cores())
     blocks = _chunks(_trial_seeds(base_seed, range(n_trials)), -(-n_trials // workers))
     run = partial(_run_block, task, eta, epsilon_target, config, sample_budget, learner)
     if len(blocks) == 1:
@@ -939,7 +949,7 @@ def run_trials(
     # imported here, so that importing the package loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         return [trial for block in pool.map(run, blocks) for trial in block]
 
 

@@ -60,7 +60,9 @@ class Dataset:
     """One party's data from a session as read-only arrays.
 
     inputs is the session's (n, d) input array, which both parties share,
-    and labels the party's n label bits, one per input row.
+    and labels the party's n label bits, one per input row.  Each array is
+    stored as a read-only view, and the array that owns its memory is made
+    read-only too: Dataset(X[:100], y[:100]) locks the caller's X and y.
     """
 
     inputs: np.ndarray
@@ -84,7 +86,8 @@ class Rounds:
     attack, none without an attack).  legs maps each configured
     intercept-resend leg to a (basis index in Basis order, outcome) pair of
     arrays over the attacked rounds; an analytic attack or none leaves it
-    empty.
+    empty.  As in Dataset, every column is stored as a read-only view and
+    the array that owns its memory is made read-only too.
     """
 
     preparations: np.ndarray

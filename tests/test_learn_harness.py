@@ -915,14 +915,19 @@ class TestRunTrials:
         )
         assert serial == parallel
 
-    @pytest.mark.parametrize("cores, expected", [(3, 3), (None, 1)])
-    def test_pool_holds_at_most_one_process_per_core(self, task, monkeypatch, cores, expected):
-        # an in-process pool: it records its size and starts no process
-        sizes = []
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, expected",
+        [({0, 1, 2}, 64, 3), ({5}, 64, None), (None, 4, 4), (None, None, None)],
+    )
+    def test_pool_holds_at_most_one_process_per_core(
+        self, task, monkeypatch, affinity, cpu_count, expected
+    ):
+        # an in-process pool: it records its size and its blocks and starts no process
+        pools = []
 
         class InlinePool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
                 return self
@@ -931,13 +936,19 @@ class TestRunTrials:
                 return False
 
             def map(self, fn, blocks):
+                pools.append((self.max_workers, len(blocks)))
                 return map(fn, blocks)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        if affinity is None:
+            monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
         args = (task, 0.1, 0.03, LearnerConfig(), 500, 40)
         many = run_trials(*args, base_seed=34, workers=10**6)
-        assert sizes == [expected]
+        # one core runs its single block inline, with no pool at all
+        assert pools == ([] if expected is None else [(expected, expected)])
         assert many == run_trials(*args, base_seed=34, workers=1)
 
     def test_random_search_mode(self, task):

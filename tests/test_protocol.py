@@ -618,9 +618,10 @@ class TestSessionViews:
         assert len(authorized) == 0
         assert authorized.inputs.shape == (0, 2) and authorized.labels.shape == (0,)
         assert eavesdropper.inputs.shape == (500, 2) and eavesdropper.labels.shape == (500,)
-        for array in (authorized.inputs, authorized.labels, eavesdropper.inputs):
-            with pytest.raises(ValueError):  # the empty views' owners are locked too
-                array.flags.writeable = True
+        for dataset in (authorized, eavesdropper):
+            for array in (dataset.inputs, dataset.labels):
+                with pytest.raises(ValueError):  # the empty views' owners are locked too
+                    array.flags.writeable = True
         assert len(session.rounds.preparations) == session.check_count + 500
 
     def test_session_result_is_frozen(self):
