@@ -32,6 +32,11 @@ class BasisPolicy(str, enum.Enum):
     ALWAYS_Z = "alwaysZ"
     RANDOM_PER_LEG = "randomPerLeg"
 
+    @property
+    def z_probability(self) -> float:
+        """Eve's per-leg chance q of measuring in Z; she measures in X otherwise."""
+        return 1.0 if self is BasisPolicy.ALWAYS_Z else 0.5
+
 
 @dataclass(frozen=True)
 class NoAttack:
@@ -90,19 +95,15 @@ def tradeoff_point(strategy) -> tuple[float, float]:
 
     eta_a is the check-round error rate the attack induces; eta_e is the
     flip rate of Eve's resulting label channel.  Both are closed-form:
-    intercept-resend values come from enumerating the measurement branches,
-    analytic values from the information curve.
+    intercept-resend values, in f and the policy's Z probability q, come from
+    enumerating the measurement branches, analytic values from the information curve.
     """
     if isinstance(strategy, InterceptResend):
-        f = strategy.attack_probability
-        both = strategy.legs == BOTH_LEGS
-        if strategy.basis_policy is BasisPolicy.ALWAYS_Z:
-            eta_a = f / 2.0
-            eta_e = (1.0 - f) / 2.0 if both else 0.5
-        else:
-            eta_a = 3.0 * f / 8.0 if both else f / 4.0
-            eta_e = 0.5 - f / 8.0 if both else 0.5
-        return eta_a, eta_e
+        f, q = strategy.attack_probability, strategy.basis_policy.z_probability
+        if strategy.legs == BOTH_LEGS:
+            # the exact factor 4 q (2 - q) first: 3 f / 8 rounds as one product
+            return 4.0 * q * (2.0 - q) * f / 8.0, (1.0 - f * q * q) / 2.0
+        return f * q / 2.0, 0.5
     if isinstance(strategy, AnalyticAttack):
         return strategy.disturbance, strategy.eve_noise
     raise DomainError(f"no trade-off is defined for strategy {strategy!r}")

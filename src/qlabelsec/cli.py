@@ -13,6 +13,7 @@ self-check failed.  All CSV/JSONL outputs are byte-stable under a fixed
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -22,7 +23,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .adversary import BOTH_LEGS, AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
+from .adversary import (
+    BOTH_LEGS, AnalyticAttack, BasisPolicy, InterceptResend, NoAttack, tradeoff_point
+)
 from .errors import (
     MIN_TRIALS,
     ConfigError,
@@ -65,7 +68,7 @@ from .reports import (
     load_config,
     svg_chart,
 )
-from .stats import binomial_pull
+from .stats import binomial_pull, binomial_tails
 
 __all__ = ["main"]
 
@@ -80,8 +83,9 @@ _THRESHOLD_METHOD_TAGS = {
     "tabulated": "constant (no curve)",
 }
 
-# selfcheck's pull limit: each statistic must lie within this many sigma.
-_MAX_SIGMA = 4.0
+# selfcheck's limit: a statistic fails when either exact one-sided binomial
+# tail of its count is below Phi(-4), the one-sided tail of a 4-sigma cut.
+_TAIL_LIMIT = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def _build_attack(opts: dict):
         "none": NoAttack(),
         "intercept-resend": InterceptResend(
             attack_probability=opts["fraction"],
-            basis_policy=BasisPolicy(opts["policy"]),
+            basis_policy=opts["policy"],
             legs=_LEG_CHOICES[opts["legs"]],
         ),
     }
@@ -550,24 +554,29 @@ def _cmd_selfcheck(opts: dict) -> int:
     print(f"ok thresholds: collective residual {curve.residual:.3e}")
 
     task = generate_task(8, 6.0, seed=opts["seed"] + 1)
+    attack = InterceptResend()
+    eta_a, eta_e = tradeoff_point(attack)
     session = run_session(
         task.concept_source(),
         5000,
-        attack=InterceptResend(),
+        attack=attack,
         seed=opts["seed"],
         keep_rounds=False,
     )
-    protocol_pull = binomial_pull(session.eta_a_estimate, session.check_count, 0.5)
-    if protocol_pull > _MAX_SIGMA:
-        raise StatisticalCheckError(
-            f"intercept-resend disturbance estimate {session.eta_a_estimate:.4f} "
-            f"is {protocol_pull:.1f} sigma from 0.5 (limit {_MAX_SIGMA})"
-        )
+    checks = session.check_count
+    protocol_pull = binomial_pull(session.eta_a_estimate, checks, eta_a)
+    _check_tails(
+        session.check_error_count, checks, eta_a,
+        f"intercept-resend disturbance estimate {session.eta_a_estimate:.4f} "
+        f"is {protocol_pull:.1f} sigma from {eta_a}",
+    )
     print(f"ok protocol: full-attack disturbance pull {protocol_pull:.2f} sigma")
-    if session.eve_label_error_rate != 0.0:
-        raise StatisticalCheckError(
-            "full Z-basis interception must read every data label exactly"
-        )
+    data = len(session.eavesdropper_dataset)
+    _check_tails(
+        round(session.eve_label_error_rate * data), data, eta_e,
+        "full Z-basis interception read labels at error rate "
+        f"{session.eve_label_error_rate:.4f}, not {eta_e}",
+    )
     print("ok protocol: full-attack eavesdropper labels exact")
 
     p = 0.2
@@ -584,11 +593,11 @@ def _cmd_selfcheck(opts: dict) -> int:
     for point in estimate_learning_probability(trials, (1, 5, 10, 25)).points:
         law = random_search_curve(p, point.n)
         pull = binomial_pull(point.p_hat, point.trials, law)
-        if pull > _MAX_SIGMA:
-            raise StatisticalCheckError(
-                f"random-search CDF at n={point.n}: observed {point.p_hat:.4f} vs law "
-                f"{law:.4f} is {pull:.1f} sigma off (limit {_MAX_SIGMA})"
-            )
+        _check_tails(
+            round(point.p_hat * point.trials), point.trials, law,
+            f"random-search CDF at n={point.n}: observed {point.p_hat:.4f} vs law "
+            f"{law:.4f} is {pull:.1f} sigma off",
+        )
         print(f"ok random-search law at n={point.n}: pull {pull:.2f} sigma")
         law_pulls.append({"n": point.n, "pull": pull})
     print("selfcheck passed")
@@ -603,6 +612,14 @@ def _cmd_selfcheck(opts: dict) -> int:
             }
         )
     return 0
+
+
+def _check_tails(count: int, n: int, p: float, failure: str) -> None:
+    """Raise StatisticalCheckError(failure) when count of n is improbable at
+    rate p: either exact binomial tail below _TAIL_LIMIT."""
+    tail = min(binomial_tails(count, n, p))
+    if tail < _TAIL_LIMIT:
+        raise StatisticalCheckError(f"{failure} (tail {tail:.2e} < {_TAIL_LIMIT:.2e})")
 
 
 # ---------------------------------------------------------------------------

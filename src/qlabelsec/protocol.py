@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adversary import AnalyticAttack, BasisPolicy, InterceptResend, NoAttack
+from .adversary import AnalyticAttack, InterceptResend, NoAttack
 from .errors import DomainError, ProtocolError, check_count, check_interval, check_seed
 from .qubit import (
     BASIS, BIT, FIDELITY, IS_CHECK, ORACLE, OUTCOME, POST_STATE, Basis, Preparation
@@ -83,22 +83,23 @@ class Rounds:
     preparations holds each round's preparation as its index in Preparation
     order (Z0, Z1, X+, X-), outcomes the receiver's measured bit, and
     attacked whether Eve touched the round (every round under an analytic
-    attack, none without an attack).  legs maps each configured
-    intercept-resend leg to a (basis index in Basis order, outcome) pair of
-    arrays over the attacked rounds; an analytic attack or none leaves it
-    empty.  As in Dataset, every column is stored as a read-only view and
-    the array that owns its memory is made read-only too.
+    attack, none without an attack).  legs is a pair indexed by leg - 1:
+    legs[leg - 1] is a configured intercept-resend leg's (basis index in
+    Basis order, outcome) pair of arrays over the attacked rounds, and None
+    for a leg Eve leaves alone (both under an analytic attack or none).  As
+    in Dataset, every column is stored as a read-only view and the array
+    that owns its memory is made read-only too.
     """
 
     preparations: np.ndarray
     outcomes: np.ndarray
     attacked: np.ndarray
-    legs: dict[int, tuple[np.ndarray, np.ndarray]]
+    legs: tuple
 
     def __post_init__(self) -> None:
         for name in ("preparations", "outcomes", "attacked"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        legs = {leg: tuple(map(_read_only, pair)) for leg, pair in self.legs.items()}
+        legs = tuple(None if pair is None else tuple(map(_read_only, pair)) for pair in self.legs)
         object.__setattr__(self, "legs", legs)
 
 
@@ -173,10 +174,10 @@ def run_session(
        data rounds, ``random()`` for Eve's flip;
     3. otherwise: ``random()`` for the attack coin under intercept-resend;
        on attacked rounds, for leg 1 and then leg 2 where configured, the
-       policy basis ``random()`` (randomPerLeg only) and the measurement
-       ``random()``; the receiver's measurement ``random()``; and on data
-       rounds the word ``integers(2)`` takes for Eve's guess, unless she
-       measured both legs in Z.
+       basis ``random() < q``, q the policy's Z probability (only for
+       0 < q < 1), and the measurement ``random()``; the receiver's
+       measurement ``random()``; and on data rounds the word ``integers(2)``
+       takes for Eve's guess, unless she measured both legs in Z.
 
     The draw pattern depends only on the preparation, the attack coin and
     Eve's bases, so one loop records the variates.  After the last round one
@@ -275,8 +276,8 @@ def _draw_rounds(
     analytic = isinstance(attack, AnalyticAttack)
     intercepting = isinstance(attack, InterceptResend)
     if intercepting:
-        f = attack.attack_probability
-        random_policy = attack.basis_policy is BasisPolicy.RANDOM_PER_LEG
+        f, q = attack.attack_probability, attack.basis_policy.z_probability
+        draw_basis, fixed_z = 0.0 < q < 1.0, q == 1.0  # a fixed basis draws nothing
         leg1, leg2 = 1 in attack.legs, 2 in attack.legs
 
     preparations, finals, eve = [], [], []
@@ -298,15 +299,15 @@ def _draw_rounds(
                 attacked = random() < f
                 attacked_col.append(attacked)
                 if attacked:
-                    z1 = z2 = True
+                    z1 = z2 = fixed_z
                     if leg1:
-                        if random_policy:
-                            z1 = random() < 0.5
+                        if draw_basis:
+                            z1 = random() < q
                             z1_col.append(z1)
                         u1_col.append(random())
                     if leg2:
-                        if random_policy:
-                            z2 = random() < 0.5
+                        if draw_basis:
+                            z2 = random() < q
                             z2_col.append(z2)
                         u2_col.append(random())
                     eve_reads = leg1 and leg2 and z1 and z2
@@ -336,11 +337,10 @@ def _draw_rounds(
         attacked=np.array(attacked_col, dtype=bool),
     )
     if intercepting:
-        always_z = np.ones(int(draws.attacked.sum()), dtype=bool)
+        fixed = np.full(int(draws.attacked.sum()), fixed_z)
         for leg, z_col, u_col in ((1, z1_col, u1_col), (2, z2_col, u2_col)):
             if leg in attack.legs:
-                z_bases = np.array(z_col, dtype=bool) if random_policy else always_z
-                draws.z_bases[leg] = z_bases
+                draws.z_bases[leg] = np.array(z_col, dtype=bool) if draw_basis else fixed
                 draws.variates[leg] = np.array(u_col)
     return draws
 
@@ -366,14 +366,13 @@ class _Table:
     """What the table pass computed from one session's draws.
 
     outcomes holds the receiver's outcome per round, eve_labels Eve's label
-    per data round; legs[leg] holds, per attacked round, the basis index and
-    outcome of Eve's measurement on each configured leg.
+    per data round; legs is the Rounds record's legs pair.
     """
 
     outcomes: np.ndarray
     eve_labels: np.ndarray
     fidelity_sum: float
-    legs: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    legs: tuple = (None, None)
 
 
 def _analytic_pass(draws: _Draws, attack: AnalyticAttack) -> _Table:
@@ -392,29 +391,30 @@ def _qubit_pass(draws: _Draws) -> _Table:
     data = ~IS_CHECK[prep]
     attacked = np.flatnonzero(draws.attacked)
     state = prep.copy()
-    legs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    _intercept(state, attacked, draws, 1, legs)
+    leg1 = _intercept(state, attacked, draws, 1)
     state = ORACLE[state, labels]
-    _intercept(state, attacked, draws, 2, legs)
+    leg2 = _intercept(state, attacked, draws, 2)
     fidelity_sum = float(FIDELITY[state[data], ORACLE[prep[data], labels[data]]].sum())
     outcomes = _measure(state, slice(None), BASIS[prep], draws.finals)
 
     eve = np.zeros(len(prep), dtype=np.intp)
     guessed = data.copy()
-    if len(legs) == 2:
+    if leg1 and leg2:
         # two Z outcomes XOR to the label; every other data round is a guess
         reads = draws.z_bases[1] & draws.z_bases[2]
-        eve[attacked[reads]] = legs[1][1][reads] ^ legs[2][1][reads]
+        eve[attacked[reads]] = leg1[1][reads] ^ leg2[1][reads]
         guessed[attacked[reads]] = False
     eve[guessed] = draws.eve
-    return _Table(outcomes, eve[data], fidelity_sum, legs)
+    return _Table(outcomes, eve[data], fidelity_sum, (leg1, leg2))
 
 
-def _intercept(state, attacked, draws: _Draws, leg: int, legs: dict) -> None:
-    """Eve's measure-and-resend on one configured leg of every attacked round."""
-    if leg in draws.variates:
-        basis = (~draws.z_bases[leg]).astype(np.intp)  # Basis order: Z, X
-        legs[leg] = basis, _measure(state, attacked, basis, draws.variates[leg])
+def _intercept(state, attacked, draws: _Draws, leg: int):
+    """Eve's measure-and-resend on one leg of every attacked round: the leg's
+    (basis index, outcome) pair, or None when the leg is not configured."""
+    if leg not in draws.variates:
+        return None
+    basis = (~draws.z_bases[leg]).astype(np.intp)  # Basis order: Z, X
+    return basis, _measure(state, attacked, basis, draws.variates[leg])
 
 
 def _measure(state: np.ndarray, rounds, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -453,8 +453,8 @@ def export_transcript(session: SessionResult, path) -> None:
     if rounds is None:
         raise ProtocolError("the session kept no rounds; run it with keep_rounds=True")
     heads = rounds.attacked.astype(np.intp)
-    if rounds.legs:
-        basis1, basis2 = (rounds.legs[leg][0] if leg in rounds.legs else 2 for leg in (1, 2))
+    if rounds.legs != (None, None):
+        basis1, basis2 = (2 if pair is None else pair[0] for pair in rounds.legs)
         heads[rounds.attacked] = 2 + 3 * basis1 + basis2
     tails = 2 * rounds.preparations + rounds.outcomes
     with open(path, "w") as fh:

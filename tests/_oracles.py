@@ -183,116 +183,48 @@ def _leg_basis_choices(policy):
     return [("Z", q), ("X", 1.0 - q)]
 
 
-def check_round_error_exact(policy: str | float, f: float, legs=(1, 2)) -> float:
-    """Exact probability that a check round registers an error.
+def _leg_branches(ket: np.ndarray, basis):
+    """Eve's measurement branches on one leg, or the untouched ket when she
+    leaves the leg alone (basis None)."""
+    if basis is None:
+        return [(1.0, None, ket)]
+    return list(_measure_branches(ket, basis))
 
-    Enumerates preparation (|+> or |->), the attack coin, Eve's per-leg basis
-    choices, every Born branch of every measurement, and the oracle's
-    conditional bit flip.  The state is tracked as a pure ket throughout.
+
+def intercept_resend_exact(policy: str | float, f: float, legs=(1, 2)) -> tuple:
+    """Exact (check error, authorized data error, Eve's label error) rates.
+
+    One walk over the preparation, the attack coin, Eve's basis on each
+    configured leg, every Born branch of her measurements, the oracle's
+    label bit (a conditional X, both values equally likely) and the
+    receiver's measurement in the preparation basis, the state a pure ket
+    throughout.  The check error is conditional on a check round, the other
+    two on a data round.  Eve XORs her two outcomes when she measured both
+    legs in Z; every other data round she guesses, an error of 1/2.
     """
-    total = 0.0
-    for prep_name, prep_prob in (("X+", 0.5), ("X-", 0.5)):
-        expected_bit = 0 if prep_name == "X+" else 1
+    check = data = eve = 0.0
+    for prep_name in ("Z0", "Z1", "X+", "X-"):
+        k_bit = prep_name in ("Z1", "X-")
         for attacked, attack_prob in ((True, f), (False, 1.0 - f)):
-            if attack_prob == 0.0:
-                continue
-            leg_options = (
-                itertools.product(_leg_basis_choices(policy), repeat=2)
-                if attacked
-                else [((None, 1.0), (None, 1.0))]
-            )
-            for (b1, p1), (b2, p2) in leg_options:
-                base_prob = prep_prob * attack_prob * p1 * p2
-                # branch on leg 1
-                states1 = [(1.0, _KETS[prep_name])]
-                if attacked and 1 in legs and b1 is not None:
-                    states1 = [
-                        (q, k) for q, _, k in _measure_branches(_KETS[prep_name], b1)
-                    ]
-                for q1, ket1 in states1:
-                    # oracle applies X conditioned on the label bit; both
-                    # label values are equally likely
-                    for c, pc in ((0, 0.5), (1, 0.5)):
+            choices = [
+                _leg_basis_choices(policy) if attacked and leg in legs else [(None, 1.0)]
+                for leg in (1, 2)
+            ]
+            for (b1, p1), (b2, p2) in itertools.product(*choices):
+                reads = b1 == b2 == "Z"
+                for q1, out1, ket1 in _leg_branches(_KETS[prep_name], b1):
+                    for c in (0, 1):
                         ket_mid = ket1 if c == 0 else _PAULI_X @ ket1
-                        states2 = [(1.0, ket_mid)]
-                        if attacked and 2 in legs and b2 is not None:
-                            states2 = [
-                                (q, k) for q, _, k in _measure_branches(ket_mid, b2)
-                            ]
-                        for q2, ket2 in states2:
-                            for qf, bit, _ in _measure_branches(ket2, "X"):
-                                if bit != expected_bit:
-                                    total += base_prob * q1 * pc * q2 * qf
-    return total
-
-
-def eve_data_error_exact(policy: str | float, f: float, legs=(1, 2)) -> float:
-    """Exact probability that Eve's inferred label disagrees with the true one.
-
-    Eve XORs her two outcomes when both legs were measured in Z; in every
-    other situation (wrong bases, missing leg, round not attacked) her guess
-    is uniform and contributes an error probability of 1/2.
-    """
-    total = 0.0
-    for prep_name, prep_prob in (("Z0", 0.5), ("Z1", 0.5)):
-        for attacked, attack_prob in ((True, f), (False, 1.0 - f)):
-            if attack_prob == 0.0:
-                continue
-            if not attacked:
-                total += prep_prob * attack_prob * 0.5
-                continue
-            for (b1, p1), (b2, p2) in itertools.product(
-                _leg_basis_choices(policy), repeat=2
-            ):
-                base_prob = prep_prob * attack_prob * p1 * p2
-                has1 = 1 in legs
-                has2 = 2 in legs
-                if not (has1 and has2 and b1 == "Z" and b2 == "Z"):
-                    total += base_prob * 0.5
-                    continue
-                states1 = list(_measure_branches(_KETS[prep_name], b1))
-                for q1, out1, ket1 in states1:
-                    for c, pc in ((0, 0.5), (1, 0.5)):
-                        ket_mid = ket1 if c == 0 else _PAULI_X @ ket1
-                        for q2, out2, _ in _measure_branches(ket_mid, b2):
-                            if out1 ^ out2 != c:
-                                total += base_prob * q1 * pc * q2
-    return total
-
-
-def authorized_data_error_exact(policy: str | float, f: float, legs=(1, 2)) -> float:
-    """Exact probability that a data round delivers a flipped label."""
-    total = 0.0
-    for prep_name, prep_prob in (("Z0", 0.5), ("Z1", 0.5)):
-        k_bit = 0 if prep_name == "Z0" else 1
-        for attacked, attack_prob in ((True, f), (False, 1.0 - f)):
-            if attack_prob == 0.0:
-                continue
-            leg_options = (
-                itertools.product(_leg_basis_choices(policy), repeat=2)
-                if attacked
-                else [((None, 1.0), (None, 1.0))]
-            )
-            for (b1, p1), (b2, p2) in leg_options:
-                base_prob = prep_prob * attack_prob * p1 * p2
-                states1 = [(1.0, _KETS[prep_name])]
-                if attacked and 1 in legs and b1 is not None:
-                    states1 = [
-                        (q, k) for q, _, k in _measure_branches(_KETS[prep_name], b1)
-                    ]
-                for q1, ket1 in states1:
-                    for c, pc in ((0, 0.5), (1, 0.5)):
-                        ket_mid = ket1 if c == 0 else _PAULI_X @ ket1
-                        states2 = [(1.0, ket_mid)]
-                        if attacked and 2 in legs and b2 is not None:
-                            states2 = [
-                                (q, k) for q, _, k in _measure_branches(ket_mid, b2)
-                            ]
-                        for q2, ket2 in states2:
-                            for qf, bit, _ in _measure_branches(ket2, "Z"):
-                                if bit ^ k_bit != c:
-                                    total += base_prob * q1 * pc * q2 * qf
-    return total
+                        for q2, out2, ket2 in _leg_branches(ket_mid, b2):
+                            for qf, bit, _ in _measure_branches(ket2, prep_name[0]):
+                                # 1/2 for the preparation within its round type, 1/2 for c
+                                w = 0.5 * attack_prob * p1 * p2 * q1 * 0.5 * q2 * qf
+                                if prep_name[0] == "X":
+                                    check += w * (bit != k_bit)
+                                else:
+                                    data += w * (bit ^ k_bit != c)
+                                    eve += w * ((out1 ^ out2 != c) if reads else 0.5)
+    return check, data, eve
 
 
 def double_cnot_branches(prep_name: str, c: int):
@@ -317,6 +249,22 @@ def double_cnot_branches(prep_name: str, c: int):
 def gaussian_tail_hp(t) -> mp.mpf:
     """P(Z >= t) for standard normal Z, at oracle precision."""
     return mp.ncdf(-mp.mpf(t))
+
+
+def binomial_pmfs_hp(n: int, p) -> list:
+    """P(X = k) for k = 0 ... n, X ~ Binomial(n, p) with 0 <= p < 1, at
+    oracle precision: (1 - p)^n, then the pmf ratio from k = 0 up."""
+    p = mp.mpf(p)
+    pmfs = [(1 - p) ** n]
+    for k in range(n):
+        pmfs.append(pmfs[-1] * (n - k) / (k + 1) * p / (1 - p))
+    return pmfs
+
+
+def binomial_tails_hp(k: int, n: int, p) -> tuple:
+    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p): plain pmf sums."""
+    pmfs = binomial_pmfs_hp(n, p)
+    return mp.fsum(pmfs[: k + 1]), mp.fsum(pmfs[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +496,10 @@ def reference_session(
 
 def reference_columns(rounds, attack) -> Rounds:
     """``run_session``'s Rounds record, built from ``reference_session``'s rounds."""
-    legs = {}
+    legs = [None, None]
     for leg in attack.legs if isinstance(attack, InterceptResend) else ():
         records = [getattr(r.eve_record, f"leg{leg}") for r in rounds if r.attacked]
-        legs[leg] = (
+        legs[leg - 1] = (
             np.array([(Basis.Z, Basis.X).index(rec.basis) for rec in records], dtype=np.intp),
             np.array([rec.outcome for rec in records], dtype=np.int64),
         )

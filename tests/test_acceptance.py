@@ -37,9 +37,9 @@ from qlabelsec.stats import binomial_pull
 from _oracles import (
     bound_noiseless_raw,
     bound_noisy_raw,
-    check_round_error_exact,
     delta_floor_hp,
     gamma_hp,
+    intercept_resend_exact,
     random_search_hp,
 )
 
@@ -167,9 +167,9 @@ def test_criterion_3_protocol_physics(default_task, capsys):
         ),
     ]
     # the branch-enumeration oracle must agree with each stated constant
-    assert check_round_error_exact("alwaysZ", 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert check_round_error_exact("randomPerLeg", 1.0) == pytest.approx(0.375, abs=1e-12)
-    assert check_round_error_exact("alwaysZ", 0.5) == pytest.approx(0.25, abs=1e-12)
+    assert intercept_resend_exact("alwaysZ", 1.0)[0] == pytest.approx(0.5, abs=1e-12)
+    assert intercept_resend_exact("randomPerLeg", 1.0)[0] == pytest.approx(0.375, abs=1e-12)
+    assert intercept_resend_exact("alwaysZ", 0.5)[0] == pytest.approx(0.25, abs=1e-12)
     details = []
     ok = True
     for name, attack, expected, seed in cases:

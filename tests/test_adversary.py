@@ -93,7 +93,7 @@ class TestIntercept:
         assert session.check_error_count == 0
         assert session.authorized_label_error_rate == 0.0
         assert not session.rounds.attacked.any()
-        for basis, outcome in session.rounds.legs.values():
+        for basis, outcome in session.rounds.legs:
             assert len(basis) == len(outcome) == 0
 
     def test_unconfigured_leg_passes(self):
@@ -107,8 +107,8 @@ class TestIntercept:
             simple_source(), 500, attack=InterceptResend(legs=(1,)), seed=8
         )
         assert session.rounds.attacked.all()
-        assert list(session.rounds.legs) == [1]
-        basis, outcome = session.rounds.legs[1]
+        assert session.rounds.legs[1] is None
+        basis, outcome = session.rounds.legs[0]
         assert len(basis) == len(outcome) == len(session.rounds.attacked)
 
     def test_rejects_bad_leg_and_strategy(self):
@@ -150,7 +150,43 @@ class TestInferLabel:
         assert binomial_pull(ones / n, n, 0.5) <= 4.0
 
 
+def _tradeoff_grid():
+    """Attack fractions for bit-level checks: the endpoints, random draws, and
+    subnormal and near-subnormal values, where a product rounds twice."""
+    tiny = 5e-324
+    rng = np.random.default_rng(40)
+    fractions = [0.0, 0.5, 1.0, 1e-300, tiny, 2.0**-1022, np.nextafter(1.0, 0.0)]
+    fractions += (np.arange(2000) * tiny).tolist() + rng.random(5000).tolist()
+    for edge in (2.0**-1023, 2.0**-1022, 2.0**-1021, 2.0**-1020, 2.0**-1019):
+        fractions += (np.arange(-500, 500) * tiny + edge).tolist()
+    fractions += np.ldexp(rng.random(5000), rng.integers(-1074, 1, 5000)).tolist()
+    return fractions
+
+
 class TestTradeoffCurves:
+    def test_policy_z_probabilities(self):
+        assert BasisPolicy.ALWAYS_Z.z_probability == 1.0
+        assert BasisPolicy.RANDOM_PER_LEG.z_probability == 0.5
+        with pytest.raises(AttributeError):
+            BasisPolicy.ALWAYS_Z.z_probability = 0.0
+
+    def test_closed_form_is_bit_identical_to_the_policy_literals(self):
+        # the per-policy literals the closed form in (f, q) replaced, compared with ==
+        literals = {
+            (BasisPolicy.ALWAYS_Z, True): lambda f: (f / 2.0, (1.0 - f) / 2.0),
+            (BasisPolicy.ALWAYS_Z, False): lambda f: (f / 2.0, 0.5),
+            (BasisPolicy.RANDOM_PER_LEG, True): lambda f: (3.0 * f / 8.0, 0.5 - f / 8.0),
+            (BasisPolicy.RANDOM_PER_LEG, False): lambda f: (f / 4.0, 0.5),
+        }
+        fractions = _tradeoff_grid()
+        for (policy, both), literal in literals.items():
+            for legs in ((1, 2),) if both else ((1,), (2,)):
+                mismatches = [
+                    f for f in fractions
+                    if tradeoff_point(InterceptResend(f, policy, legs)) != literal(f)
+                ]
+                assert mismatches == [], (policy, legs, mismatches[:3])
+
     def test_always_z_endpoints_and_crossing(self):
         assert tradeoff_point(InterceptResend(attack_probability=1.0)) == (0.5, 0.0)
         assert tradeoff_point(InterceptResend(attack_probability=0.0)) == (0.0, 0.5)
@@ -178,12 +214,9 @@ class TestTradeoffCurves:
                 attack_probability=f, basis_policy=policy, legs=legs
             )
             eta_a, eta_e = tradeoff_point(strategy)
-            assert eta_a == pytest.approx(
-                oracles.check_round_error_exact(policy, f, legs), abs=1e-12
-            )
-            assert eta_e == pytest.approx(
-                oracles.eve_data_error_exact(policy, f, legs), abs=1e-12
-            )
+            check, _, eve = oracles.intercept_resend_exact(policy, f, legs)
+            assert eta_a == pytest.approx(check, abs=1e-12)
+            assert eta_e == pytest.approx(eve, abs=1e-12)
 
     @pytest.mark.parametrize("f", [0.3, 1.0])
     @pytest.mark.parametrize("legs", [(1, 2), (1,), (2,)])
@@ -196,9 +229,8 @@ class TestTradeoffCurves:
             check, data, eve = f * q * (2 - q) / 2, f * (1 - q * q) / 2, (1 - f * q * q) / 2
         else:
             check, data, eve = f * q / 2, f * (1 - q) / 2, 0.5
-        assert oracles.check_round_error_exact(q, f, legs) == pytest.approx(check, abs=1e-12)
-        assert oracles.authorized_data_error_exact(q, f, legs) == pytest.approx(data, abs=1e-12)
-        assert oracles.eve_data_error_exact(q, f, legs) == pytest.approx(eve, abs=1e-12)
+        exact = oracles.intercept_resend_exact(q, f, legs)
+        assert exact == pytest.approx((check, data, eve), abs=1e-12)
 
     def test_curve_sweeps_the_attack_probability(self):
         curve = [
@@ -268,7 +300,7 @@ class TestSimulationAgreesWithTheory:
             (session.eve_label_error_rate, 0.375, len(session.eavesdropper_dataset)),
             (
                 session.authorized_label_error_rate,
-                oracles.authorized_data_error_exact("randomPerLeg", 1.0),
+                oracles.intercept_resend_exact("randomPerLeg", 1.0)[1],
                 len(session.authorized_dataset),
             ),
         ):
@@ -286,7 +318,7 @@ class TestSimulationAgreesWithTheory:
             n = len(session.authorized_dataset)
             flipped += round(session.authorized_label_error_rate * n)
             delivered += n
-        exact = oracles.authorized_data_error_exact(policy, f, legs)
+        exact = oracles.intercept_resend_exact(policy, f, legs)[1]
         assert binomial_pull(flipped / delivered, delivered, exact) <= 4.0
 
     def test_no_strategy_raises_ensemble_fidelity_above_no_attack(self):

@@ -7,15 +7,18 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from _oracles import binomial_pmfs_hp
+
 import qlabelsec.cli as cli_module
 from qlabelsec.cli import main
-from qlabelsec.errors import MIN_TRIALS
+from qlabelsec.errors import MIN_TRIALS, StatisticalCheckError
 from qlabelsec.info_theory import eve_noise_from_disturbance
 from qlabelsec.learn_harness import (
     LearnerConfig, estimate_learning_probability, generate_task, run_trials
 )
-from qlabelsec.pac_bounds import sample_bound_noiseless, sample_bound_noisy
+from qlabelsec.pac_bounds import random_search_curve, sample_bound_noiseless, sample_bound_noisy
 from qlabelsec.protocol import run_session
+from qlabelsec.stats import binomial_tails
 
 
 def run_cli(*argv) -> int:
@@ -617,11 +620,11 @@ class TestSelfcheck:
         assert "selfcheck passed" in out
         results = read_summary(tmp_path, "selfcheck")["results"]
         assert 0.0 < results["collective_residual"] < 1e-9
-        assert results["protocol_pull"] <= cli_module._MAX_SIGMA
+        assert results["protocol_pull"] <= 4.0
         assert results["eve_label_error_rate"] == 0.0
         law = results["random_search_law"]
         assert [point["n"] for point in law] == [1, 5, 10, 25]
-        assert all(point["pull"] <= cli_module._MAX_SIGMA for point in law)
+        assert all(point["pull"] <= 4.0 for point in law)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["selfcheck-summary.json"]
 
     def test_seed_0_results_are_pinned(self, tmp_path, capsys):
@@ -637,8 +640,35 @@ class TestSelfcheck:
             {"n": 25, "pull": 0.9164372653863789},
         ]
 
+    @pytest.mark.parametrize("seed", [844581463, 349575956])
+    def test_a_count_inside_the_exact_tails_passes(self, capsys, seed):
+        # 14 and 12 misses of 1000 at n = 25, 5.3 and 4.2 sigma: P(>= 14) = 4.0e-5
+        assert run_cli("selfcheck", "--seed", str(seed)) == 0
+        assert "selfcheck passed" in capsys.readouterr().out
+
+    def test_the_limit_falls_between_14_and_15_misses_at_n_25(self):
+        law = random_search_curve(0.2, 25)
+        cli_module._check_tails(986, 1000, law, "14 misses")
+        with pytest.raises(StatisticalCheckError, match="15 misses"):
+            cli_module._check_tails(985, 1000, law, "15 misses")
+
+    def test_each_check_alarms_at_most_at_the_four_sigma_rate(self):
+        # exact size of the two-sided rule: the pmf mass of the failing counts,
+        # which run inward from both ends, each tail being monotone in the count
+        checks = [(5000, 0.5), (4900, 0.5)]  # disturbance counts near 5000 checks
+        checks += [(1000, random_search_curve(0.2, n)) for n in (1, 5, 10, 25)]
+        for n, p in checks:
+            def passes(k):
+                return min(binomial_tails(k, n, p)) >= cli_module._TAIL_LIMIT
+
+            low = next(k for k in range(n + 1) if passes(k))
+            high = next(k for k in range(n, -1, -1) if passes(k))
+            pmfs = binomial_pmfs_hp(n, p)
+            size = sum(pmfs[:low]) + sum(pmfs[high + 1:])
+            assert 0 < size <= 6.34e-5, (n, p)
+
     def test_impossible_tolerance_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli_module, "_MAX_SIGMA", 0.001)
+        monkeypatch.setattr(cli_module, "_TAIL_LIMIT", 1.0)
         out = tmp_path / "out"
         assert run_cli("selfcheck", "--out", str(out)) == 3
         assert "selfcheck failed" in capsys.readouterr().err

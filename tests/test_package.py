@@ -1,9 +1,9 @@
 """The package namespace: each public name is declared once, in its module;
 the float-arithmetic modules import no numpy; the protocol and learning
 layers import nothing from each other; only errors and cli write an
-interval message; cli charts every command through one helper and reads
-the defaults and choices the library declares; the README's library example
-runs."""
+interval message; only adversary names a basis policy; cli charts every
+command through one helper and reads the defaults and choices the library
+declares; the README's library example runs."""
 
 import ast
 import dataclasses
@@ -105,6 +105,22 @@ def test_interval_messages_come_only_from_the_errors_module():
         text = path.read_text()
         for phrase in ("must lie in", "positive and finite"):
             assert phrase not in text, f"{path.name} writes its own interval check: {phrase!r}"
+
+
+def test_only_adversary_names_a_basis_policy():
+    # the rest of the package reads a policy through its z_probability
+    members = {policy.name for policy in adversary.BasisPolicy}
+    values = {policy.value for policy in adversary.BasisPolicy}
+    package = Path(qlabelsec.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "adversary.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                isinstance(node, ast.Attribute) and node.attr in members
+                or isinstance(node, ast.Constant) and node.value in values
+            )
+            assert not named, f"{path.name}:{node.lineno} names a basis policy"
 
 
 def test_cli_builds_chart_series_in_one_place():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -570,16 +571,32 @@ class TestSessionViews:
         n = session.check_count + 300
         assert rounds.preparations.shape == rounds.outcomes.shape == (n,)
         assert rounds.attacked.shape == (n,) and rounds.attacked.dtype == bool
-        assert sorted(rounds.legs) == [1, 2]
-        for basis, outcome in rounds.legs.values():
+        assert len(rounds.legs) == 2
+        for basis, outcome in rounds.legs:
             assert basis.shape == outcome.shape == (np.count_nonzero(rounds.attacked),)
             assert set(basis.tolist()) == set(outcome.tolist()) == {0, 1}
         columns = [rounds.preparations, rounds.outcomes, rounds.attacked]
-        for column in columns + [c for pair in rounds.legs.values() for c in pair]:
+        for column in columns + [c for pair in rounds.legs for c in pair]:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
         with pytest.raises(AttributeError):
             rounds.outcomes = rounds.preparations
+
+    def test_leg_record_is_an_immutable_picklable_pair(self):
+        # one entry per leg, None for a leg Eve leaves alone
+        rounds = self.session().rounds
+        assert isinstance(rounds.legs, tuple) and len(rounds.legs) == 2
+        with pytest.raises(TypeError):
+            rounds.legs[0] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rounds.legs = (None, None)
+        copy = pickle.loads(pickle.dumps(rounds))
+        for pair, copied in zip(rounds.legs, copy.legs):
+            assert all(np.array_equal(a, b) for a, b in zip(pair, copied))
+        leg2_only = InterceptResend(legs=(2,))
+        assert run_session(halfspace_source(), 50, attack=leg2_only).rounds.legs[0] is None
+        analytic = AnalyticAttack("collective", 0.05)
+        assert run_session(halfspace_source(), 50, attack=analytic).rounds.legs == (None, None)
 
     def test_dataset_arrays_are_shared_and_read_only(self):
         session = self.session()
@@ -597,7 +614,7 @@ class TestSessionViews:
         )
         rounds = session.rounds
         arrays = [rounds.preparations, rounds.outcomes, rounds.attacked]
-        arrays += [array for pair in rounds.legs.values() for array in pair]
+        arrays += [array for pair in rounds.legs for array in pair]
         for dataset in (session.authorized_dataset, session.eavesdropper_dataset):
             arrays += [dataset.inputs, dataset.labels]
         assert len(arrays) == 11
@@ -754,7 +771,7 @@ class TestAgainstScalarReference:
         ref = reference_columns(expected.rounds, attack)
         for name in ("preparations", "outcomes", "attacked"):
             assert _same_value(getattr(got.rounds, name), getattr(ref, name)), name
-        assert sorted(got.rounds.legs) == sorted(ref.legs)
-        for leg, pair in ref.legs.items():
-            for column, ref_column in zip(got.rounds.legs[leg], pair):
+        assert [pair is None for pair in got.rounds.legs] == [pair is None for pair in ref.legs]
+        for leg, (pair, ref_pair) in enumerate(zip(got.rounds.legs, ref.legs), 1):
+            for column, ref_column in zip(pair or (), ref_pair or ()):
                 assert _same_value(column, ref_column), leg

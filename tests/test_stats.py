@@ -1,4 +1,4 @@
-"""Binomial proportions: the 95% Wilson interval and the sigma-pull."""
+"""Binomial proportions: the 95% Wilson interval, the sigma-pull and the exact tails."""
 
 import math
 
@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import wilson_bounds_by_rootfinding
+from _oracles import binomial_pmfs_hp, binomial_tails_hp, wilson_bounds_by_rootfinding
 from qlabelsec import stats
 from qlabelsec.errors import DomainError
-from qlabelsec.stats import binomial_pull, wilson_interval
+from qlabelsec.stats import binomial_pull, binomial_tails, wilson_interval
 
 
 def test_public_names():
-    assert stats.__all__ == ["wilson_interval", "binomial_pull"]
+    assert stats.__all__ == ["wilson_interval", "binomial_pull", "binomial_tails"]
 
 
 class TestWilsonInterval:
@@ -74,3 +74,39 @@ class TestBinomialPull:
             binomial_pull(rate, 10, 0.5)
         with pytest.raises(DomainError, match="p rate"):
             binomial_pull(0.5, 10, rate)
+
+
+class TestBinomialTails:
+    @pytest.mark.parametrize(
+        "k,n,p",
+        [
+            (0, 1, 0.2), (1, 1, 0.2), (3, 10, 0.3), (7, 25, 0.5), (25, 25, 0.5),
+            (986, 1000, 1 - 0.8**25), (988, 1000, 1 - 0.8**25), (1000, 1000, 1 - 0.8**25),
+            (150, 1000, 0.2), (250, 1000, 0.2), (0, 1000, 1e-6), (2, 1000, 1e-6),
+            (1200, 2500, 0.5), (1250, 2500, 0.5), (2600, 5000, 0.5), (1, 60, 0.999),
+        ],
+    )
+    def test_match_the_50_digit_pmf_sums(self, k, n, p):
+        for tail, exact in zip(binomial_tails(k, n, p), binomial_tails_hp(k, n, p)):
+            assert tail == pytest.approx(float(exact), rel=1e-9)
+
+    @given(st.integers(min_value=1, max_value=300), st.floats(0.001, 0.999), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_overlap_in_the_pmf_at_k(self, n, p, data):
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        lower, upper = binomial_tails(k, n, p)
+        assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+        assert lower + upper == pytest.approx(1.0 + float(binomial_pmfs_hp(n, p)[k]), abs=1e-12)
+
+    def test_a_certain_rate_must_be_met_exactly(self):
+        assert binomial_tails(0, 10, 0.0) == (1.0, 1.0)
+        assert binomial_tails(1, 10, 0.0) == (1.0, 0.0)
+        assert binomial_tails(10, 10, 1.0) == (1.0, 1.0)
+        assert binomial_tails(9, 10, 1.0) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "k,n,p", [(-1, 10, 0.5), (11, 10, 0.5), (1, 0, 0.5), (1.0, 10, 0.5), (1, 10, 1.5)]
+    )
+    def test_rejects_a_count_outside_the_trials_or_a_bad_rate(self, k, n, p):
+        with pytest.raises(DomainError):
+            binomial_tails(k, n, p)
